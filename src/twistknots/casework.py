@@ -37,8 +37,6 @@ class SweepConfig:
     family: str
     n_range: int = 4
     use_root5: bool = False
-    spot_budget: int = 0      # crossing budget for oracle spot checks; 0 = off
-    spot_samples: int = 2
 
     def __post_init__(self):
         if self.n_range < 2:
@@ -50,8 +48,6 @@ class ExceptionRecord:
     signs: str
     pattern: Optional[str]            # the registered signed tuple, None if unmatched
     instances: list[tuple[int, ...]] = field(default_factory=list)
-    jones_trivial: bool = True
-    conway_trivial: bool = True
 
 
 @dataclass

@@ -41,8 +41,7 @@ class _Builder:
         self._ports = 0
         self._parent: dict[int, int] = {}
 
-    def new_port(self, virtual: bool = False) -> int:
-        # virtual ports carry pass-through strands; they dissolve into arcs
+    def new_port(self) -> int:
         self._ports += 1
         p = self._ports
         self._parent[p] = p
@@ -72,7 +71,7 @@ class _Builder:
         the positive one-band two-circle pattern (calibrated against the
         family engine's Hopf-link value)."""
         if count == 0:
-            ports = [self.new_port(virtual=True) for _ in range(4)]
+            ports = [self.new_port() for _ in range(4)]
             self.weld(ports[NW], ports[SW])
             self.weld(ports[NE], ports[SE])
             return tuple(ports)
@@ -94,7 +93,7 @@ class _Builder:
     def horizontal_region(self, count: int, band: int | None = None):
         """Ports (nw, ne, sw, se) of the block; strands run sideways."""
         if count == 0:
-            ports = [self.new_port(virtual=True) for _ in range(4)]
+            ports = [self.new_port() for _ in range(4)]
             self.weld(ports[NW], ports[NE])
             self.weld(ports[SW], ports[SE])
             return tuple(ports)
@@ -115,7 +114,7 @@ class _Builder:
 
     def cut_region(self):
         """Oriented smoothing of a band: cap the top ports, cup the bottom ones."""
-        ports = [self.new_port(virtual=True) for _ in range(4)]
+        ports = [self.new_port() for _ in range(4)]
         self.weld(ports[NW], ports[NE])
         self.weld(ports[SW], ports[SE])
         return tuple(ports)
@@ -337,10 +336,6 @@ def build_diagram(tpl: DiagramTemplate, spec: FamilySpec, twists,
                 builder.weld(right, nxt[0])
         return builder.realize()
     raise DiagramError("template must be a closed column arrangement")
-
-
-def expand_twists(tpl: DiagramTemplate, spec: FamilySpec, twists) -> PDCode:
-    return build_diagram(tpl, spec, twists)
 
 
 def pretzel_pd(*counts: int) -> PDCode:

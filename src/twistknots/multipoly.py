@@ -142,27 +142,6 @@ class MultiPoly:
             out += term
         return out
 
-    def eval_int(self, values: tuple[int, ...], powers: list[list[int]] | None = None):
-        """Fast path: integer coefficients and integer point (values in var order)."""
-        out = 0
-        if powers is None:
-            maxdeg = [0] * len(self.vars)
-            for m in self.terms:
-                for i, e in enumerate(m):
-                    if e > maxdeg[i]:
-                        maxdeg[i] = e
-            powers = [[v ** e for e in range(d + 1)] for v, d in zip(values, maxdeg)]
-        for m, c in self.terms.items():
-            term = c.numerator if isinstance(c, Fraction) else c
-            for i, e in enumerate(m):
-                if e:
-                    term *= powers[i][e]
-            out += term
-        return out
-
-    def is_integer_poly(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
     def substitute(self, assignment: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Replace variables by polynomials (same variable context)."""
         out = MultiPoly.zero(self.vars)

@@ -2,20 +2,22 @@
 
 Each family ships a 4x4 template whose entries are affine polynomials in the
 twist parameters with the band signs baked in.  The Alexander polynomial of an
-instance is det(S - t S^T); the Conway polynomial is det(t^(1/2) S - t^(-1/2) S^T)
-rewritten exactly in powers of z = t^(1/2) - t^(-1/2).
+instance is det(S - t S^T); the Conway polynomial is det(u S - u^(-1) S^T) with
+u = t^(1/2), rewritten exactly in powers of z = u - u^(-1).  Both routes, at an
+instance and symbolically in the parameters, use one cofactor-expansion
+determinant and one z-rewrite; the symbolic Conway coefficients come from
+det(u S - u^(-1) S^T) = u^(-size) * Delta(u^2), Delta = det(S - t S^T), which
+holds because the size is even.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
+from .families import PARAM_LETTERS
 from .laurent import HalfLaurent
 from .multipoly import MultiPoly
-
-PARAM_LETTERS = ("a", "b", "c", "d", "e")
 
 
 class SeifertError(ValueError):
@@ -27,7 +29,6 @@ class SeifertTemplate:
     family: str
     variables: tuple[str, ...]
     rows: tuple[tuple[MultiPoly, ...], ...]   # 4x4, affine entries
-    genus: int = 2
 
     def instantiate(self, twists) -> tuple[tuple[int, ...], ...]:
         """Integer Seifert matrix at a twist vector."""
@@ -136,36 +137,55 @@ def template_for(family: str, signs) -> SeifertTemplate:
     return builder(signs)
 
 
-# --- determinants -------------------------------------------------------------
+# --- determinant and z-rewrite ----------------------------------------------
 
-def _det4_laurent(entries) -> HalfLaurent:
-    """Permanent-style cofactor determinant of a 4x4 matrix of HalfLaurent."""
-    total = HalfLaurent.zero()
-    for perm in permutations(range(4)):
-        inv = sum(1 for i in range(4) for j in range(i + 1, 4) if perm[i] > perm[j])
-        term = HalfLaurent.one()
-        for i in range(4):
-            term = term * entries[i][perm[i]]
-            if not term:
-                break
-        if inv % 2:
-            term = -term
-        total = total + term
+def _det(rows, zero):
+    """Determinant by cofactor expansion along the first row.
+
+    Entries need only ``+``, ``-``, ``*`` and truth, so this serves both
+    HalfLaurent and MultiPoly matrices; zero entries are skipped, which keeps
+    the sparse templates to a handful of minors.
+    """
+    if len(rows) == 1:
+        return rows[0][0]
+    total = zero
+    for j, entry in enumerate(rows[0]):
+        if not entry:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = entry * _det(minor, zero)
+        total = total - term if j % 2 else total + term
     return total
 
 
-def det_symbolic(rows) -> MultiPoly:
-    variables = rows[0][0].vars
-    total = MultiPoly.zero(variables)
-    for perm in permutations(range(len(rows))):
-        inv = sum(1 for i in range(len(rows)) for j in range(i + 1, len(rows)) if perm[i] > perm[j])
-        term = MultiPoly.const(variables, 1)
-        for i in range(len(rows)):
-            term = term * rows[i][perm[i]]
-            if not term:
-                break
-        total = total + term if inv % 2 == 0 else total - term
-    return total
+def _rewrite_in_z(laurent: dict) -> dict:
+    """Rewrite {exponent of u: coefficient}, u = t^(1/2), as {d: coefficient
+    of z^d} with z = u - u^(-1); exact, and the remainder must vanish.
+
+    c z^d is formed from c by d rounds of shift-and-subtract, so coefficients
+    need only ``+`` and ``-`` (int, Fraction or MultiPoly alike).
+    """
+    rest = {e: c for e, c in laurent.items() if c}
+    out = {}
+    while rest:
+        d = max(rest)
+        if d < 0:
+            raise SeifertError("rewrite in z left negative-degree remainder")
+        c = out[d] = rest[d]
+        term = {0: c}
+        for _ in range(d):
+            step = {}
+            for e, x in term.items():
+                step[e + 1] = step[e + 1] + x if e + 1 in step else x
+                step[e - 1] = step[e - 1] - x if e - 1 in step else -x
+            term = step
+        for e, x in term.items():
+            left = rest[e] - x if e in rest else -x
+            if left:
+                rest[e] = left
+            else:
+                del rest[e]
+    return out
 
 
 def alexander_poly(tpl: SeifertTemplate, twists) -> HalfLaurent:
@@ -174,7 +194,7 @@ def alexander_poly(tpl: SeifertTemplate, twists) -> HalfLaurent:
     size = len(S)
     entries = [[HalfLaurent({0: S[i][j], 2: -S[j][i]}) for j in range(size)]
                for i in range(size)]
-    delta = _det4_laurent(entries)
+    delta = _det(entries, HalfLaurent.zero())
     if delta.eval_at_one() not in (1, -1):
         raise SeifertError(f"Alexander value at 1 is {delta.eval_at_one()}, not a unit")
     return delta
@@ -199,32 +219,13 @@ class ConwaySeries:
         return not (self.a2 or self.a4 or self.a6)
 
 
-def _rewrite_in_z(poly: HalfLaurent) -> dict[int, Fraction]:
-    """Rewrite a balanced Laurent polynomial in u = t^(1/2) as a polynomial in
-    z = u - u^(-1); exact, and the remainder must vanish."""
-    z = HalfLaurent({1: 1, -1: -1})
-    z_powers = [HalfLaurent.one()]
-    rest = poly
-    out: dict[int, Fraction] = {}
-    while rest:
-        d = max(rest.terms)
-        if d < 0:
-            raise SeifertError("rewrite in z left negative-degree remainder")
-        c = rest.terms[d]
-        out[d] = out.get(d, 0) + c
-        while len(z_powers) <= d:
-            z_powers.append(z_powers[-1] * z)
-        rest = rest - z_powers[d].scale(c)
-    return out
-
-
 def conway_poly(tpl: SeifertTemplate, twists) -> ConwaySeries:
     """det(t^(1/2) S - t^(-1/2) S^T) rewritten in z; normalized so a0 = 1."""
     S = tpl.instantiate(twists)
     size = len(S)
     entries = [[HalfLaurent({1: S[i][j], -1: -S[j][i]}) for j in range(size)]
                for i in range(size)]
-    z_coeffs = _rewrite_in_z(_det4_laurent(entries))
+    z_coeffs = _rewrite_in_z(_det(entries, HalfLaurent.zero()).terms)
     if any(d % 2 for d in z_coeffs):
         raise SeifertError("odd z-powers in a knot Conway polynomial")
     if z_coeffs.get(0, 0) != 1:
@@ -235,59 +236,25 @@ def conway_poly(tpl: SeifertTemplate, twists) -> ConwaySeries:
 
 def leading_coeff_symbolic(tpl: SeifertTemplate) -> MultiPoly:
     """det(S): the coefficient of t^4 in det(S - t S^T), sign convention det(S)."""
-    return det_symbolic(tpl.rows)
+    return _det(tpl.rows, MultiPoly.zero(tpl.variables))
 
 
 def conway_symbolic(tpl: SeifertTemplate) -> dict[int, MultiPoly]:
-    """Conway z-coefficients as polynomials in the twist parameters."""
-    variables = tpl.variables
+    """Conway z-coefficients as polynomials in the twist parameters.
+
+    Takes det(S - t S^T) over the parameters and t, then reads t^p as
+    u^(2p - size) (size is even) and rewrites in z.
+    """
     size = len(tpl.rows)
-    # Laurent in u with MultiPoly coefficients, as {exponent: MultiPoly}
-    entries = [[{1: tpl.rows[i][j], -1: -tpl.rows[j][i]} for j in range(size)]
-               for i in range(size)]
+    ring = tpl.variables + ("t",)
+    t = MultiPoly.var(ring, "t")
 
-    def lmul(p, q):
-        out: dict[int, MultiPoly] = {}
-        for e1, c1 in p.items():
-            for e2, c2 in q.items():
-                prod = c1 * c2
-                if not prod:
-                    continue
-                e = e1 + e2
-                out[e] = out[e] + prod if e in out else prod
-        return {e: c for e, c in out.items() if c}
+    def lift(p: MultiPoly) -> MultiPoly:
+        return MultiPoly(ring, {m + (0,): c for m, c in p.terms.items()})
 
-    total: dict[int, MultiPoly] = {}
-    for perm in permutations(range(size)):
-        inv = sum(1 for i in range(size) for j in range(i + 1, size) if perm[i] > perm[j])
-        term = {0: MultiPoly.const(variables, 1)}
-        for i in range(size):
-            term = lmul(term, entries[i][perm[i]])
-            if not term:
-                break
-        for e, c in term.items():
-            c = -c if inv % 2 else c
-            total[e] = total[e] + c if e in total else c
-    total = {e: c for e, c in total.items() if c}
-
-    # rewrite in z = u - 1/u with polynomial coefficients
-    z = {1: MultiPoly.const(variables, 1), -1: MultiPoly.const(variables, -1)}
-    z_powers = [{0: MultiPoly.const(variables, 1)}]
-    out: dict[int, MultiPoly] = {}
-    rest = total
-    while rest:
-        d = max(rest)
-        if d < 0:
-            raise SeifertError("symbolic rewrite in z failed")
-        c = rest[d]
-        out[d] = out[d] + c if d in out else c
-        while len(z_powers) <= d:
-            z_powers.append(lmul(z_powers[-1], z))
-        new_rest: dict[int, MultiPoly] = dict(rest)
-        for e, zc in z_powers[d].items():
-            sub = zc * c
-            if not sub:
-                continue
-            new_rest[e] = new_rest[e] - sub if e in new_rest else -sub
-        rest = {e: v for e, v in new_rest.items() if v}
-    return {d: c for d, c in out.items() if c}
+    rows = [[lift(tpl.rows[i][j]) - t * lift(tpl.rows[j][i]) for j in range(size)]
+            for i in range(size)]
+    delta = _det(rows, MultiPoly.zero(ring))
+    laurent = {2 * p - size: MultiPoly(tpl.variables, {m[:-1]: c for m, c in coeff.terms.items()})
+               for p, coeff in delta.coefficients_in("t").items()}
+    return _rewrite_in_z(laurent)

@@ -40,7 +40,7 @@ orient b b b
 def braid_pd(word, strands):
     """Closure of a braid word (letters ±i for a crossing of strands i, i+1)."""
     b = _Builder()
-    tops = [b.new_port(virtual=True) for _ in range(strands)]
+    tops = [b.new_port() for _ in range(strands)]
     current = list(tops)
     for letter in word:
         i = abs(letter) - 1

@@ -121,8 +121,3 @@ def test_format_graded_lex():
     assert p.format() == "-a^2 + b + 3"
     assert MultiPoly.zero(ABC).format() == "0"
 
-
-def test_eval_int_fast_path():
-    p = parse_poly("3*a^2*b - c + 7", ABC)
-    assert p.is_integer_poly()
-    assert p.eval_int((2, 3, 5)) == 3 * 4 * 3 - 5 + 7

@@ -119,14 +119,18 @@ def test_cross_identity_second_derivative(name, signs, n):
 
 
 def test_conway_symbolic_matches_instances():
-    tpl = template_10_58((1, 1, -1, 1, -1))
-    sym = conway_symbolic(tpl)
-    for n in [(1, 1, 1, 1, 1), (2, 3, 1, 2, 1)]:
-        series = conway_poly(tpl, n)
-        point = dict(zip(tpl.variables, n))
-        assert sym[0].eval(point) == series.a0
-        assert sym.get(2, MultiPoly.zero(V5)).eval(point) == series.a2
-        assert sym.get(4, MultiPoly.zero(V5)).eval(point) == series.a4
+    # 7_6 builds its entries by halving the raw twist counts; 8_12 has four variables
+    for tpl in [template_10_58((1, 1, -1, 1, -1)), template_7_6((1, -1, 1, 1, -1)),
+                template_8_12((-1, 1, 1, -1))]:
+        sym = conway_symbolic(tpl)
+        zero = MultiPoly.zero(tpl.variables)
+        for n in [(1, 1, 1, 1, 1), (2, 3, 1, 2, 1)]:
+            n = n[: len(tpl.variables)]
+            series = conway_poly(tpl, n)
+            point = dict(zip(tpl.variables, n))
+            assert sym[0].eval(point) == series.a0
+            assert sym.get(2, zero).eval(point) == series.a2
+            assert sym.get(4, zero).eval(point) == series.a4
 
 
 def test_symbolic_a4_equals_leading():
