@@ -6,6 +6,14 @@ and Alexander-coefficient polynomials for speed.  Surviving instances are
 matched against the registered parametric exception patterns, and their Jones
 and Conway polynomials are certified trivial.
 
+The gates are evaluated a line at a time along the last twist axis.  Each gate
+polynomial, its denominators cleared, is grouped by the exponent of the last
+variable; for a prefix (n_1..n_{k-1}) its coefficients in that variable are
+computed once and combined with a table of v^e, built once per sweep, into the
+exact integer values at v = 1..N.  A gate runs only on the positions that the
+earlier gates left alive, and the survivors reach full assembly in the order
+of the box, so the reports do not depend on how the gates are evaluated.
+
 The formula registry is a data file of verbatim case expressions; each entry is
 checked against the computed symbolic quantity, either as a plain polynomial
 identity or after a chain of fraction-free substitutions (clearing every
@@ -21,6 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from itertools import product
+from math import lcm
 from typing import Optional
 
 from .families import FamilySpec, assemble_jones, load_family, symbolic_derivs
@@ -247,31 +256,40 @@ def match_exception(registry: CaseRegistry, signs: str, n: tuple[int, ...],
 GATE_KEYS = ("alexander_leading", "conway", "d2", "d3", "d4", "root5")
 
 
-def _int_evaluator(poly: MultiPoly):
-    """Zero-test/ sign-faithful integer evaluator: returns D * poly(values)."""
-    from math import lcm
-    scale = 1
-    for c in poly.terms.values():
-        scale = lcm(scale, c.denominator)
-    scaled = poly.scale(scale)
-    maxdeg = [0] * len(poly.vars)
-    for mono in scaled.terms:
-        for i, e in enumerate(mono):
-            if e > maxdeg[i]:
-                maxdeg[i] = e
-    terms = [(mono, int(c)) for mono, c in scaled.terms.items()]
+def _axis_evaluator(poly: MultiPoly, n_range: int):
+    """Evaluate D * poly along the last variable, one whole line at a time.
 
-    def evaluate(powers) -> int:
-        total = 0
-        for mono, c in terms:
-            term = c
-            for i, e in enumerate(mono):
-                if e:
-                    term *= powers[i][e]
-            total += term
-        return total
+    D is the lcm of the coefficient denominators, so every value is an exact
+    int with the sign and zero set of poly.  Returns ``(along, D)``:
+    ``along(prefix)`` takes the first k-1 twists and gives
+    [D * poly(prefix, v) for v = 1..n_range], or None when every coefficient
+    of the last variable is 0 there (poly vanishes on the whole line).
+    """
+    scale = lcm(*(c.denominator for c in poly.terms.values()))
+    groups: dict[int, list] = {}   # exponent of the last variable -> terms
+    for mono, c in poly.terms.items():
+        factors = tuple((i, e) for i, e in enumerate(mono[:-1]) if e)
+        groups.setdefault(mono[-1], []).append((int(c * scale), factors))
+    axis = range(1, n_range + 1)
+    rows = [([v ** e for v in axis], terms) for e, terms in sorted(groups.items())]
 
-    return evaluate, maxdeg
+    def along(prefix) -> Optional[list[int]]:
+        line = None
+        for powers, terms in rows:
+            coeff = 0
+            for c, factors in terms:
+                for i, e in factors:
+                    c *= prefix[i] ** e
+                coeff += c
+            if not coeff:
+                continue
+            if line is None:
+                line = [coeff * p for p in powers]
+            else:
+                line = [x + coeff * p for x, p in zip(line, powers)]
+        return line
+
+    return along, scale
 
 
 def sweep_case(cfg: SweepConfig, signs: str,
@@ -279,16 +297,17 @@ def sweep_case(cfg: SweepConfig, signs: str,
     registry = registry or load_registry(cfg.family)
     sym = symbolic_case(cfg.family, signs)
     spec = sym.spec
-    variables = spec.variables
-    k = len(variables)
+    k = len(spec.variables)
     exclusions = {g: 0 for g in GATE_KEYS}
     exceptions: list[ObstructionVerdict] = []
     tpl = template_for(cfg.family, tuple(b.sign for b in spec.bands))
 
-    evals = [_int_evaluator(p) for p in
-             (sym.leading, sym.a2, sym.derivs[3], sym.derivs[4])]
-    maxdeg = [max(ev[1][i] for ev in evals) for i in range(k)]
-    e_lead, e_a2, e_d3, e_d4 = (ev[0] for ev in evals)
+    # gate order as in cosmetic_gate; d2 needs no gate of its own, since
+    # V''(1) = -6 a2 is checked in symbolic_case
+    gates = {key: _axis_evaluator(poly, cfg.n_range) for key, poly in
+             (("alexander_leading", sym.leading), ("conway", sym.a2),
+              ("d3", sym.derivs[3]), ("d4", sym.derivs[4]))}
+    lead_along, lead_scale = gates["alexander_leading"]
 
     def full_instance(n, lead):
         jones = assemble_jones(spec, n)
@@ -296,7 +315,7 @@ def sweep_case(cfg: SweepConfig, signs: str,
         conway = conway_poly(tpl, n)
         verdict = cosmetic_gate(jones if cfg.use_root5 else None, derivs, conway,
                                 lead, use_root5=cfg.use_root5,
-                                instance=instance_id(cfg.family, signs, n))
+                                instance=instance_id(cfg.family, signs, n), twists=n)
         if verdict.is_exception:
             if jones != HalfLaurent.one() or not conway.is_trivial():
                 raise AssertionError(
@@ -305,26 +324,26 @@ def sweep_case(cfg: SweepConfig, signs: str,
         else:
             exclusions[verdict.excluded_by] += 1
 
-    for n in product(range(1, cfg.n_range + 1), repeat=k):
-        powers = [[v ** e for e in range(d + 1)] for v, d in zip(n, maxdeg)]
-        lead = e_lead(powers)
+    axis = range(1, cfg.n_range + 1)
+    for prefix in product(axis, repeat=k - 1):
         if cfg.use_root5:
-            # root-of-unity sweeps assemble every instance; use the exact value
-            full_instance(n, sym.leading.eval(dict(zip(variables, n))))
+            # root-of-unity sweeps assemble every instance; use the exact lead
+            line = lead_along(prefix) or [0] * cfg.n_range
+            for v, value in zip(axis, line):
+                full_instance(prefix + (v,), Fraction(value, lead_scale))
             continue
-        if lead:
-            exclusions["alexander_leading"] += 1
-            continue
-        if e_a2(powers):
-            exclusions["conway"] += 1
-            continue
-        if e_d3(powers):
-            exclusions["d3"] += 1
-            continue
-        if e_d4(powers):
-            exclusions["d4"] += 1
-            continue
-        full_instance(n, Fraction(0))
+        alive = axis
+        for key, (along, _) in gates.items():
+            line = along(prefix)
+            if line is None:
+                continue
+            zeros = [v for v in alive if not line[v - 1]]
+            exclusions[key] += len(alive) - len(zeros)
+            alive = zeros
+            if not alive:
+                break
+        for v in alive:
+            full_instance(prefix + (v,), Fraction(0))
 
     checks = []
     if signs in registry.cases:
@@ -365,8 +384,7 @@ def classify_exceptions(cfg: SweepConfig, reports: list[CaseReport],
     for report in reports:
         spec = fam.with_signs(report.signs)
         for verdict in report.exceptions:
-            n = tuple(int(v) for v in
-                      verdict.instance.split("(")[-1].rstrip(")").split(","))
+            n = verdict.twists
             patterns = match_exception(registry, report.signs, n, spec.variables)
             if not patterns:
                 key = (report.signs, None)

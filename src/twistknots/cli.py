@@ -72,7 +72,8 @@ def cmd_check(args) -> int:
     verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway_poly(tpl, n),
                             leading_coeff_symbolic(tpl).eval(dict(zip(tpl.variables, n))),
                             use_root5=args.root5,
-                            instance=instance_id(args.family, args.signs, n))
+                            instance=instance_id(args.family, args.signs, n),
+                            twists=n)
     print(json.dumps(verdict.to_dict(), indent=1, sort_keys=True))
     return 0
 

@@ -124,6 +124,7 @@ GATE_ORDER = ("alexander_leading", "conway", "d2", "d3", "d4", "root5")
 @dataclass(frozen=True)
 class ObstructionVerdict:
     instance: str
+    twists: tuple[int, ...]           # the twist vector; not part of to_dict()
     alex_leading: Fraction
     conway_trivial: bool
     d2: Fraction
@@ -159,7 +160,8 @@ class ObstructionVerdict:
 
 def cosmetic_gate(jones: Optional[HalfLaurent], derivs: Sequence[Fraction],
                   conway: ConwaySeries, alex_leading,
-                  use_root5: bool = False, instance: str = "") -> ObstructionVerdict:
+                  use_root5: bool = False, instance: str = "",
+                  twists: Sequence[int] = ()) -> ObstructionVerdict:
     """Apply the gates in order and record the first that excludes.
 
     ``jones`` may be None when the root-of-unity gate is disabled; every other
@@ -188,5 +190,5 @@ def cosmetic_gate(jones: Optional[HalfLaurent], derivs: Sequence[Fraction],
         classification = "EXCLUDED(root5)"
     else:
         classification = "EXCEPTION"
-    return ObstructionVerdict(instance, alex_leading, conway.is_trivial(),
+    return ObstructionVerdict(instance, tuple(twists), alex_leading, conway.is_trivial(),
                               d2, d3, d4, j4, root5, classification)

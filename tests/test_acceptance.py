@@ -122,8 +122,7 @@ def test_criterion_3_casework_7_6(sweep_7_6):
         spec = fam.with_signs(r.signs)
         tpl = template_for("7_6", tuple(b.sign for b in spec.bands))
         for verdict in r.exceptions:
-            n = tuple(int(v) for v in
-                      verdict.instance.split("(")[-1].rstrip(")").split(","))
+            n = verdict.twists
             assert assemble_jones(spec, n) == HalfLaurent.one()
             assert conway_poly(tpl, n).is_trivial()
             n_exc += 1
@@ -227,8 +226,8 @@ def test_criterion_7_property_suite(sweep_7_6, sweep_10_58):
         for signs, r in by_signs.items():
             mirror = by_signs["".join("-" if c == "+" else "+" for c in signs)]
             assert r.exclusions == mirror.exclusions
-            assert sorted(v.instance.split("(")[-1] for v in r.exceptions) == \
-                   sorted(v.instance.split("(")[-1] for v in mirror.exceptions)
+            assert sorted(v.twists for v in r.exceptions) == \
+                   sorted(v.twists for v in mirror.exceptions)
 
     # per-instance checks on a sample grid: unit Alexander value, Conway
     # normalization, mirror of the assembled polynomial, skein recursion
@@ -289,8 +288,7 @@ def test_criterion_8_fourth_derivative_consistency(sweep_7_6):
     for report in sweep_7_6:
         spec = fam.with_signs(report.signs)
         for verdict in report.exceptions:
-            n = tuple(int(v) for v in
-                      verdict.instance.split("(")[-1].rstrip(")").split(","))
+            n = verdict.twists
             j4 = check_trivial_conway_instance(spec, "7_6", n)
             assert j4 == 0
             assert root5_gate(assemble_jones(spec, n)).value == "INCONCLUSIVE"

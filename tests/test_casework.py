@@ -1,19 +1,30 @@
 import json
+from fractions import Fraction
+from itertools import product
+from math import lcm
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from twistknots.casework import (
+    GATE_KEYS,
     SweepConfig,
+    _axis_evaluator,
     _certify_sign,
     classify_exceptions,
     full_report,
+    instance_id,
     load_registry,
     match_exception,
     sweep_case,
     symbolic_case,
     verify_paper_case,
 )
-from twistknots.multipoly import parse_poly
+from twistknots.families import assemble_jones
+from twistknots.multipoly import MultiPoly, parse_poly
+from twistknots.obstruction import cosmetic_gate
+from twistknots.seifert import conway_poly, template_for
 
 
 def test_sweep_config_validates():
@@ -60,8 +71,7 @@ def test_mirror_case_reports_match():
     plus = sweep_case(cfg, "+-+--")
     minus = sweep_case(cfg, "-+-++")
     assert plus.exclusions == minus.exclusions
-    assert [v.instance.split("(")[-1] for v in plus.exceptions] == \
-           [v.instance.split("(")[-1] for v in minus.exceptions]
+    assert [v.twists for v in plus.exceptions] == [v.twists for v in minus.exceptions]
 
 
 def test_verify_paper_case_passes():
@@ -130,3 +140,83 @@ def test_parallel_sweep_matches_serial(monkeypatch):
     parallel = sweep(cfg)
     assert [r.exclusions for r in parallel] == [r.exclusions for r in serial]
     assert [r.signs for r in parallel] == [r.signs for r in serial]
+
+
+# --- the axis evaluator and the gate loop against brute force -------------------
+
+@st.composite
+def axis_polys(draw):
+    """Random Fraction polynomials in 4 or 5 variables; with the factor
+    (a - b), they vanish along every last-axis line where a == b."""
+    variables = ("a", "b", "c", "d", "e")[:draw(st.sampled_from([4, 5]))]
+    monos = st.tuples(*[st.integers(min_value=0, max_value=3)] * len(variables))
+    coeffs = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+    poly = MultiPoly(variables, draw(st.dictionaries(monos, coeffs, max_size=6)))
+    if draw(st.booleans()):
+        poly = poly * (MultiPoly.var(variables, "a") - MultiPoly.var(variables, "b"))
+    return poly, draw(st.integers(min_value=2, max_value=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(axis_polys())
+def test_axis_evaluator_matches_eval(case):
+    poly, n_range = case
+    along, scale = _axis_evaluator(poly, n_range)
+    assert scale == lcm(*(c.denominator for c in poly.terms.values()))
+    last = poly.vars[-1]
+    coeffs = poly.coefficients_in(last).values()
+    for prefix in product(range(1, n_range + 1), repeat=len(poly.vars) - 1):
+        line = along(prefix)
+        # None exactly when every coefficient of the last variable is 0 here
+        vanishes = all(not c.eval(dict(zip(poly.vars, prefix + (1,)))) for c in coeffs)
+        assert (line is None) == vanishes
+        expected = [scale * poly.eval(dict(zip(poly.vars, prefix + (v,))))
+                    for v in range(1, n_range + 1)]
+        assert (line or [0] * n_range) == expected
+        assert all(type(x) is int for x in line or ())
+
+
+def _reference_sweep(cfg: SweepConfig, signs: str):
+    """Gate histogram and exception twists, instance by instance with
+    MultiPoly.eval in the gate order of sweep_case."""
+    sym = symbolic_case(cfg.family, signs)
+    spec = sym.spec
+    tpl = template_for(cfg.family, tuple(b.sign for b in spec.bands))
+    gates = (("alexander_leading", sym.leading), ("conway", sym.a2),
+             ("d3", sym.derivs[3]), ("d4", sym.derivs[4]))
+    exclusions = {g: 0 for g in GATE_KEYS}
+    exceptions = []
+    for n in product(range(1, cfg.n_range + 1), repeat=len(spec.variables)):
+        point = dict(zip(spec.variables, n))
+        lead = sym.leading.eval(point)
+        if not cfg.use_root5:
+            gate = next((key for key, poly in gates if poly.eval(point)), None)
+            if gate is not None:
+                exclusions[gate] += 1
+                continue
+        jones = assemble_jones(spec, n)
+        verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway_poly(tpl, n),
+                                lead, use_root5=cfg.use_root5)
+        if verdict.is_exception:
+            exceptions.append(n)
+        else:
+            exclusions[verdict.excluded_by] += 1
+    return exclusions, exceptions
+
+
+@pytest.mark.parametrize("family,signs,n_range,root5", [
+    ("8_12", "--++-", 3, False),
+    ("10_58", "++---", 3, False),
+    ("7_6", "+--++", 3, False),     # two exception patterns
+    ("7_6", "++-+-", 2, True),
+])
+def test_sweep_case_matches_brute_force(family, signs, n_range, root5):
+    cfg = SweepConfig(family, n_range=n_range, use_root5=root5)
+    report = sweep_case(cfg, signs)
+    exclusions, exceptions = _reference_sweep(cfg, signs)
+    assert report.exclusions == exclusions
+    assert [v.twists for v in report.exceptions] == exceptions
+    assert [v.instance for v in report.exceptions] == \
+           [instance_id(family, signs, n) for n in exceptions]
+    if root5:
+        assert exceptions and all(v.alex_leading == Fraction(0) for v in report.exceptions)
