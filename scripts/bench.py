@@ -3,19 +3,19 @@
 
 Rows:
 
-- ``gate_loop``: 7_6 ``++-+-`` over [1..8]^5.  The time is the self time of
-  ``sweep_case`` (everything it calls from other modules subtracted: the
-  symbolic set-up, formula checks and the assembly and certification of the
-  surviving instances) per instance.
+- ``gate_loop``: 7_6 ``++-+-`` over [1..8]^5.
 - ``box_sweep.<family>``: ``sweep_case`` over the box sizes of the benchmark's
-  box-sweep workload, [1..12]^5 for 7_6 and 10_58 and [1..20]^4 for 8_12,
-  end to end, with its gate loop per instance as above.
+  box-sweep workload, [1..12]^5 for 7_6 and 10_58 and [1..20]^4 for 8_12.
 
-Each row is the median of ``--repeat`` runs, timed with ``time.perf_counter``.
-The output also records nproc, the Python version and the git revision of the
-checkout that holds ``--src``.  Usage:
+Each row holds ``s``, the median wall time of ``REPEAT`` untraced
+``sweep_case`` calls (``time.perf_counter``), and
+``gate_loop_us_per_instance``, the median over ``REPEAT`` traced calls of
+perfbench's ``casework.gate_loop.us_per_instance``: the self time of
+``sweep_case`` per instance, with the spans of ``perfbench/tracing.py`` around
+the functions it calls.  The output also records nproc, the Python version and
+the git revision of the checkout that holds ``--src``.  Usage:
 
-    python3 scripts/bench.py [--src DIR] [--repeat N] [--out FILE --label NAME]
+    python3 scripts/bench.py [--src DIR] [--out FILE --label NAME]
 
 ``--src`` is the ``src`` directory to import ``twistknots`` from (default: this
 checkout's), so a second checkout of another commit can be timed with the same
@@ -34,12 +34,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import tracing  # noqa: E402
 
+REPEAT = 5
 GATE_LOOP = ("7_6", "++-+-", 8)
 BOX_SWEEPS = (("7_6", "++-+-", 12), ("10_58", "+-+-+", 12), ("8_12", "-++-+", 20))
-# what sweep_case calls from other modules; their time is not gate-loop time
-NESTED = ("symbolic_case", "verify_entry", "assemble_jones", "conway_poly",
-          "cosmetic_gate")
 
 
 def git_revision(src: Path) -> str:
@@ -48,77 +48,53 @@ def git_revision(src: Path) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
-class NestedClock:
-    """Adds up the time spent in the outermost of the wrapped calls."""
-
-    def __init__(self):
-        self.seconds = 0.0
-        self.depth = 0
-
-    def wrap(self, fn):
-        def timed(*args, **kwargs):
-            self.depth += 1
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                self.depth -= 1
-                if not self.depth:
-                    self.seconds += time.perf_counter() - start
-        return timed
+def timed_sweep(casework, cfg, signs: str):
+    start = time.perf_counter()
+    report = casework.sweep_case(cfg, signs)
+    return time.perf_counter() - start, report
 
 
-def time_sweep(casework, laurent, family: str, signs: str, n_range: int) -> dict:
-    clock = NestedClock()
-    saved = {name: getattr(casework, name) for name in NESTED}
-    derivs = laurent.HalfLaurent.derivs_at_one
-    for name, fn in saved.items():
-        setattr(casework, name, clock.wrap(fn))
-    laurent.HalfLaurent.derivs_at_one = clock.wrap(derivs)
+def traced_gate_loop(casework, cfg, signs: str) -> float:
+    tracer = tracing.Tracer("bench")
+    tracer.install()
     try:
-        cfg = casework.SweepConfig(family, n_range=n_range)
-        start = time.perf_counter()
-        report = casework.sweep_case(cfg, signs)
-        total = time.perf_counter() - start
+        casework.sweep_case(cfg, signs)
     finally:
-        for name, fn in saved.items():
-            setattr(casework, name, fn)
-        laurent.HalfLaurent.derivs_at_one = derivs
-    return {"s": total, "self_s": total - clock.seconds,
-            "instances": report.instance_count, "exceptions": len(report.exceptions)}
+        tracer.uninstall()
+    return tracing.layer_metrics(tracer, 0, 0.0)["casework.gate_loop.us_per_instance"]
 
 
-def row(casework, laurent, family, signs, n_range, repeat) -> dict:
-    runs = [time_sweep(casework, laurent, family, signs, n_range) for _ in range(repeat)]
-    s = statistics.median(r["s"] for r in runs)
-    self_s = statistics.median(r["self_s"] for r in runs)
+def row(casework, family: str, signs: str, n_range: int) -> dict:
+    cfg = casework.SweepConfig(family, n_range=n_range)
+    runs = [timed_sweep(casework, cfg, signs) for _ in range(REPEAT)]
+    gate_loop = [traced_gate_loop(casework, cfg, signs) for _ in range(REPEAT)]
+    report = runs[0][1]
     return {"family": family, "signs": signs, "range": n_range,
-            "instances": runs[0]["instances"], "exceptions": runs[0]["exceptions"],
-            "s": round(s, 4),
-            "gate_loop_us_per_instance": round(1e6 * self_s / runs[0]["instances"], 3),
-            "runs_s": [round(r["s"], 4) for r in runs]}
+            "instances": report.instance_count, "exceptions": len(report.exceptions),
+            "s": round(statistics.median(s for s, _ in runs), 4),
+            "runs_s": [round(s, 4) for s, _ in runs],
+            "gate_loop_us_per_instance": round(statistics.median(gate_loop), 3)}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="src directory holding the twistknots package")
-    parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--out", help="JSON file to store the rows in")
-    parser.add_argument("--label", default="rows", help="key of the rows in --out")
+    parser.add_argument("--label", help="key of the rows in --out")
     args = parser.parse_args()
+    if bool(args.out) != bool(args.label):
+        parser.error("--out and --label go together")
 
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import twistknots.casework as casework
-    import twistknots.laurent as laurent
 
-    rows = {"gate_loop": row(casework, laurent, *GATE_LOOP, args.repeat)}
+    rows = {"gate_loop": row(casework, *GATE_LOOP)}
     for family, signs, n_range in BOX_SWEEPS:
-        rows[f"box_sweep.{family}"] = row(casework, laurent, family, signs, n_range,
-                                          args.repeat)
+        rows[f"box_sweep.{family}"] = row(casework, family, signs, n_range)
     result = {"revision": git_revision(src), "nproc": os.cpu_count(),
-              "python": platform.python_version(), "repeat": args.repeat, "rows": rows}
+              "python": platform.python_version(), "repeat": REPEAT, "rows": rows}
 
     if args.out:
         path = Path(args.out)
