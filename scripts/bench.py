@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Time the sweep's gate loop and whole box sweeps; write the rows as JSON.
+"""Time the symbolic engine, the sweep's gate loop and whole box sweeps; write
+the rows as JSON.
 
 Rows:
 
+- ``symbolic_derivs.<family>``: ``families.symbolic_derivs`` at kmax 4 for all
+  32 sign cases of 7_6 and of 10_58; ``s`` is the median over ``REPEAT`` runs
+  of the time for all 32 cases.
 - ``gate_loop``: 7_6 ``++-+-`` over [1..8]^5.
 - ``box_sweep.<family>``: ``sweep_case`` over the box sizes of the benchmark's
   box-sweep workload, [1..12]^5 for 7_6 and 10_58 and [1..20]^4 for 8_12.
 
-Each row holds ``s``, the median wall time of ``REPEAT`` untraced
+Each sweep row holds ``s``, the median wall time of ``REPEAT`` untraced
 ``sweep_case`` calls (``time.perf_counter``), and
 ``gate_loop_us_per_instance``, the median over ``REPEAT`` traced calls of
 perfbench's ``casework.gate_loop.us_per_instance``: the self time of
@@ -38,6 +42,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import tracing  # noqa: E402
 
 REPEAT = 5
+SYMBOLIC = ("7_6", "10_58")
 GATE_LOOP = ("7_6", "++-+-", 8)
 BOX_SWEEPS = (("7_6", "++-+-", 12), ("10_58", "+-+-+", 12), ("8_12", "-++-+", 20))
 
@@ -62,6 +67,19 @@ def traced_gate_loop(casework, cfg, signs: str) -> float:
     finally:
         tracer.uninstall()
     return tracing.layer_metrics(tracer, 0, 0.0)["casework.gate_loop.us_per_instance"]
+
+
+def symbolic_row(casework, family: str) -> dict:
+    fam = casework.load_family(family)
+    specs = [fam.with_signs(signs) for signs in casework.ALL_CASES]
+    runs = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        for spec in specs:
+            casework.symbolic_derivs(spec, 4)
+        runs.append(time.perf_counter() - start)
+    return {"family": family, "cases": len(specs), "kmax": 4,
+            "s": round(statistics.median(runs), 4), "runs_s": [round(s, 4) for s in runs]}
 
 
 def row(casework, family: str, signs: str, n_range: int) -> dict:
@@ -90,7 +108,9 @@ def main() -> int:
     sys.path.insert(0, str(src))
     import twistknots.casework as casework
 
-    rows = {"gate_loop": row(casework, *GATE_LOOP)}
+    rows = {f"symbolic_derivs.{family}": symbolic_row(casework, family)
+            for family in SYMBOLIC}
+    rows["gate_loop"] = row(casework, *GATE_LOOP)
     for family, signs, n_range in BOX_SWEEPS:
         rows[f"box_sweep.{family}"] = row(casework, family, signs, n_range)
     result = {"revision": git_revision(src), "nproc": os.cpu_count(),

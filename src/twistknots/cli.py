@@ -213,6 +213,9 @@ def main(argv=None) -> int:
     except (FamilyError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

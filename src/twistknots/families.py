@@ -11,6 +11,10 @@ retaining it with its residual -s_i m_i half-twists (state 1):
 with pre(s, 1, n) = t^(2sn) and pre(s, 0, n) an explicit geometric sum, and V_x
 the Jones polynomial of the fully degenerate base link, supplied per family by
 a data-driven base-case provider.
+
+The derivatives at t=1, as polynomials in n_1..n_k, come from the same sum:
+every prefactor and every V_x becomes its Taylor series in (t - 1), and the
+states are summed out one band at a time (``symbolic_derivs``).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from itertools import product
 from math import factorial
 
 from .laurent import HalfLaurent, unlink_factor
-from .multipoly import Monomial, MultiPoly, falling_factorial_poly, power_sum_poly
+from .multipoly import MultiPoly, falling_factorial_poly, power_sum_poly
 
 PARAM_LETTERS = ("a", "b", "c", "d", "e")
 
@@ -387,17 +391,6 @@ def load_family(name: str) -> FamilyDef:
 
 # --- assembly ----------------------------------------------------------------
 
-def _base_values(spec: FamilySpec) -> dict[tuple[int, ...], HalfLaurent]:
-    active = spec.active_bands
-    out = {}
-    for x in product((0, 1), repeat=len(active)):
-        full = [1] * len(spec.bands)
-        for j, i in enumerate(active):
-            full[i] = x[j]
-        out[x] = spec.provider.jones(spec, tuple(full))
-    return out
-
-
 def base_case_jones(spec: FamilySpec, resolution: tuple[int, ...]) -> HalfLaurent:
     """Base link value for one resolution vector over the active bands."""
     active = spec.active_bands
@@ -449,63 +442,45 @@ def assemble_partial(spec: FamilySpec, twists, forced: dict[int, int]) -> HalfLa
     return _assemble(spec, n, forced)
 
 
-def _weak_compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def symbolic_derivs(spec: FamilySpec, kmax: int = 4) -> list[MultiPoly]:
     """d^k/dt^k of the family Jones polynomial at t=1 as polynomials in the
-    twist parameters, for k = 0..kmax, via the Leibniz rule over the assembly.
+    twist parameters, for k = 0..kmax.
 
-    Terms are multiplied and summed as plain {monomial: coefficient} dicts and
-    one MultiPoly is built per k, so no coefficient is renormalised per term."""
+    Each band prefactor and each base-link value becomes its Taylor series in
+    (t - 1) up to (t - 1)^kmax, whose coefficient k is the k-th derivative at 1
+    over k!.  The 0/1 states are summed out one band at a time, from the last
+    active band to the first, and coefficient k is multiplied back by k!."""
     variables = spec.variables
     active = spec.active_bands
-    bases = _base_values(spec)
-    base_derivs = {x: v.derivs_at_one(kmax) for x, v in bases.items()}
-    one = (0,) * len(variables)
-    out = []
-    for k in range(kmax + 1):
-        acc: dict[Monomial, Fraction] = {}
-        for x, bd in base_derivs.items():
-            for parts in _weak_compositions(k, len(active) + 1):
-                coeff = factorial(k)
-                for p in parts:
-                    coeff //= factorial(p)
-                c0 = coeff * bd[parts[-1]]
-                if not c0:
-                    continue
-                term = {one: c0}
-                for j, i in enumerate(active):
-                    d = prefactor_deriv_poly(spec.bands[i].sign, x[j], parts[j],
-                                             variables, variables[j]).terms
-                    prod: dict[Monomial, Fraction] = {}
-                    for m1, c1 in term.items():
-                        for m2, c2 in d.items():
-                            m = tuple(a + b for a, b in zip(m1, m2))
-                            prod[m] = prod.get(m, 0) + c1 * c2
-                    term = prod
-                    if not term:
-                        break
-                for m, c in term.items():
-                    acc[m] = acc.get(m, 0) + c
-        out.append(MultiPoly(variables, acc))
-    return out
+    zero = MultiPoly.zero(variables)
+
+    def series(derivs) -> list[MultiPoly]:
+        return [d.scale(Fraction(1, factorial(k))) for k, d in enumerate(derivs)]
+
+    def times(p, q) -> list[MultiPoly]:
+        return [sum((p[i] * q[k - i] for i in range(k + 1)), zero) for k in range(kmax + 1)]
+
+    layer = {x: series([MultiPoly.const(variables, d)
+                        for d in base_case_jones(spec, x).derivs_at_one(kmax)])
+             for x in product((0, 1), repeat=len(active))}
+    for j in reversed(range(len(active))):
+        sign = spec.bands[active[j]].sign
+        pre = [series([prefactor_deriv_poly(sign, b, k, variables, variables[j])
+                       for k in range(kmax + 1)]) for b in (0, 1)]
+        layer = {x: [u + v for u, v in zip(times(pre[0], layer[x + (0,)]),
+                                           times(pre[1], layer[x + (1,)]))]
+                 for x in product((0, 1), repeat=j)}
+    return [c.scale(factorial(k)) for k, c in enumerate(layer[()])]
 
 
 def jones_derivs(spec: FamilySpec, twists, kmax: int = 4) -> list[Fraction]:
     """Derivatives of the instance Jones polynomial at 1, computed both from
-    the assembled polynomial and by the Leibniz rule; the routes must agree."""
+    the assembled polynomial and from ``symbolic_derivs``; the routes must agree."""
     n = check_twists(spec, twists)
     route_a = assemble_jones(spec, n).derivs_at_one(kmax)
     point = dict(zip(spec.variables, n))
     route_b = [p.eval(point) for p in symbolic_derivs(spec, kmax)]
     if route_a != route_b:
-        raise FamilyError(
+        raise AssertionError(
             f"derivative routes disagree for {spec.name}[{spec.signs_str()}] at {n}")
     return route_a

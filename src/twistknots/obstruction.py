@@ -92,22 +92,6 @@ def ito_residual(p: int, q: int, ft: FiniteTypeInvariants) -> Fraction:
             + q * q * (210 * ft.v6 + 5 * ft.v4))
 
 
-def fourth_derivative_gate(V: HalfLaurent, conway: ConwaySeries) -> bool:
-    """True when the instance is excluded: trivial Conway polynomial but j_4 != 0.
-
-    j_4 is computed both from the h-expansion and from the derivatives at 1;
-    the two must agree exactly.
-    """
-    if not conway.is_trivial():
-        return False
-    js = h_coeffs(V, 4)
-    derivs = V.derivs_at_one(4)
-    j4_from_derivs = h_coeffs_from_derivs(derivs + [Fraction(0), Fraction(0)], 4)[4]
-    if js[4] != j4_from_derivs:
-        raise AssertionError("h-expansion routes disagree")
-    return js[4] != 0
-
-
 class Root5Verdict(enum.Enum):
     EXCLUDES = "EXCLUDES"
     INCONCLUSIVE = "INCONCLUSIVE"
@@ -169,7 +153,7 @@ def cosmetic_gate(jones: Optional[HalfLaurent], derivs: Sequence[Fraction],
     """
     alex_leading = Fraction(alex_leading)
     d2, d3, d4 = (Fraction(derivs[k]) for k in (2, 3, 4))
-    j4 = (d4 + 6 * d3 + 7 * d2 + Fraction(derivs[1])) / 24
+    j4 = h_coeffs_from_derivs(derivs, 4)[4]
     root5 = None
     if use_root5:
         if jones is None:

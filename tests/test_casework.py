@@ -9,7 +9,9 @@ from hypothesis import given, settings
 
 from twistknots.casework import (
     GATE_KEYS,
+    RegistryEntry,
     SweepConfig,
+    SymbolicCase,
     _axis_evaluator,
     _certify_sign,
     classify_exceptions,
@@ -19,9 +21,10 @@ from twistknots.casework import (
     match_exception,
     sweep_case,
     symbolic_case,
+    verify_entry,
     verify_paper_case,
 )
-from twistknots.families import assemble_jones
+from twistknots.families import assemble_jones, load_family
 from twistknots.multipoly import MultiPoly, parse_poly
 from twistknots.obstruction import cosmetic_gate
 from twistknots.seifert import conway_poly, template_for
@@ -99,13 +102,23 @@ def test_d4_demo_instances_reach_fourth_derivative():
 
 
 def test_certify_sign_fallback():
+    # there is no numeric fallback: a true claim the shifted-positivity test
+    # cannot prove is uncertified, and verify_entry reports it as FAIL
     variables = ("a", "b")
-    poly = parse_poly("(a-b)^2 + 1", variables)
-    assert _certify_sign(poly, "positive", None, variables) == "numeric-box"
+    hard = parse_poly("(a-b)^2 + 1", variables)
+    assert _certify_sign(hard, "positive", None, variables) is False
     easy = parse_poly("a*b + 1", variables)
-    assert _certify_sign(easy, "positive", None, variables) == "certificate"
-    with pytest.raises(AssertionError):
-        _certify_sign(parse_poly("a - b", variables), "positive", None, variables)
+    assert _certify_sign(easy, "positive", None, variables) is True
+    assert _certify_sign(parse_poly("a - b", variables), "positive", None, variables) is False
+
+    spec = load_family("8_12").with_signs("+++++")
+    zero = MultiPoly.zero(spec.variables)
+    entry = RegistryEntry("leading", None, (), None, "1", "positive", None)
+    for lead, status, check in (("(a-b)^2 + 1", "FAIL", "uncertified"),
+                                ("a*b + 1", "PASS", "certificate")):
+        sym = SymbolicCase(spec, parse_poly(lead, spec.variables), zero, [zero] * 5)
+        assert verify_entry(sym, entry, 1) == {
+            "quantity": "leading", "status": status, "checks": [f"sign positive: {check}"]}
 
 
 def test_full_report_deterministic():

@@ -77,3 +77,19 @@ def test_usage_error_exit_codes(capsys):
         main(["jones", "--family", "nope", "--signs", "+++++",
               "--twists", "1,1,1,1,1"])
     assert exc.value.code == 2
+
+
+def test_route_disagreement_exits_1(monkeypatch, capsys):
+    import twistknots.families as families
+    from twistknots.multipoly import MultiPoly
+
+    def wrong(spec, kmax=4):
+        return [MultiPoly.const(spec.variables, 7)] * (kmax + 1)
+
+    monkeypatch.setattr(families, "symbolic_derivs", wrong)
+    code = main(["jones", "--family", "7_6", "--signs", "++-+-",
+                 "--twists", "1,2,1,1,1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("verification failed: derivative routes disagree")
+    assert err.count("\n") == 1

@@ -246,9 +246,11 @@ def test_symbolic_first_derivative_vanishes():
 
 
 def test_symbolic_evaluates_to_instance_derivs():
-    # 8_12 has a frozen fifth band, so its active bands are not all its bands
+    # 8_12 has a frozen fifth band, so its active bands are not all its bands;
+    # 7_6 has odd bands, whose resolved exponents are half-integers
     cases = [
         (TEN.with_signs("++-+-"), [(1, 1, 1, 1, 1), (2, 1, 3, 1, 2)]),
+        (SEVEN.with_signs("+-+-+"), [(2, 1, 3, 1, 2)]),
         (EIGHT.with_signs("+-+--"), [(2, 1, 3, 2)]),
     ]
     for spec, vectors in cases:

@@ -9,7 +9,6 @@ from twistknots.obstruction import (
     Root5Verdict,
     cosmetic_gate,
     finite_type,
-    fourth_derivative_gate,
     h_coeffs,
     h_coeffs_from_derivs,
     ito_residual,
@@ -94,17 +93,6 @@ def test_ito_residual_requires_coprime():
     from twistknots.obstruction import FiniteTypeInvariants
     with pytest.raises(ValueError):
         ito_residual(2, 2, FiniteTypeInvariants(F(0), F(0), F(0)))
-
-
-def test_fourth_derivative_gate():
-    assert fourth_derivative_gate(HL.one(), TRIVIAL) is False
-    # V = 1 + (t-1)^4 (t^-2): V''(1)=V'''(1)=0 mod lower terms is hard to stage
-    # by hand, so build a value with nonzero j4 directly
-    v = HL({8: 1, 6: -4, 4: 6, 2: -4, 0: 2})  # 1 + (t-1)^4
-    assert v.derivs_at_one(3)[2:] == [0, 0]
-    assert fourth_derivative_gate(v, TRIVIAL) is True
-    nontrivial = ConwaySeries(F(1), F(1), F(0), F(0))
-    assert fourth_derivative_gate(v, nontrivial) is False
 
 
 def test_root5_gate():
