@@ -10,6 +10,7 @@ Rows:
 - ``gate_loop``: 7_6 ``++-+-`` over [1..8]^5.
 - ``box_sweep.<family>``: ``sweep_case`` over the box sizes of the benchmark's
   box-sweep workload, [1..12]^5 for 7_6 and 10_58 and [1..20]^4 for 8_12.
+- ``root5_sweep``: 7_6 ``++-+-`` over [1..3]^5 with the root-of-unity gate.
 
 Each sweep row holds ``s``, the median wall time of ``REPEAT`` untraced
 ``sweep_case`` calls (``time.perf_counter``), and
@@ -45,6 +46,7 @@ REPEAT = 5
 SYMBOLIC = ("7_6", "10_58")
 GATE_LOOP = ("7_6", "++-+-", 8)
 BOX_SWEEPS = (("7_6", "++-+-", 12), ("10_58", "+-+-+", 12), ("8_12", "-++-+", 20))
+ROOT5_SWEEP = ("7_6", "++-+-", 3)
 
 
 def git_revision(src: Path) -> str:
@@ -82,8 +84,8 @@ def symbolic_row(casework, family: str) -> dict:
             "s": round(statistics.median(runs), 4), "runs_s": [round(s, 4) for s in runs]}
 
 
-def row(casework, family: str, signs: str, n_range: int) -> dict:
-    cfg = casework.SweepConfig(family, n_range=n_range)
+def row(casework, family: str, signs: str, n_range: int, use_root5: bool = False) -> dict:
+    cfg = casework.SweepConfig(family, n_range=n_range, use_root5=use_root5)
     runs = [timed_sweep(casework, cfg, signs) for _ in range(REPEAT)]
     gate_loop = [traced_gate_loop(casework, cfg, signs) for _ in range(REPEAT)]
     report = runs[0][1]
@@ -113,6 +115,7 @@ def main() -> int:
     rows["gate_loop"] = row(casework, *GATE_LOOP)
     for family, signs, n_range in BOX_SWEEPS:
         rows[f"box_sweep.{family}"] = row(casework, family, signs, n_range)
+    rows["root5_sweep"] = row(casework, *ROOT5_SWEEP, use_root5=True)
     result = {"revision": git_revision(src), "nproc": os.cpu_count(),
               "python": platform.python_version(), "repeat": REPEAT, "rows": rows}
 

@@ -160,7 +160,7 @@ def seven_six():
                    [{"tuple": "(-1,1,e,d,-e)", "constraints": con_ec},
                     {"tuple": "(-1,e,1,d,-e)", "constraints": con_eb}])
 
-    return {"family": "7_6", "global_sign": 1, "cases": cases,
+    return {"family": "7_6", "cases": cases,
             "exceptions": exceptions, "d4_demo": {}}
 
 
@@ -329,7 +329,7 @@ def ten_fifty_eight():
         "-+-++": [6, 9, 1, 24, 8],
         "+-+--": [6, 9, 1, 24, 8],
     }
-    return {"family": "10_58", "global_sign": 1, "cases": cases,
+    return {"family": "10_58", "cases": cases,
             "exceptions": {}, "d4_demo": d4_demo}
 
 
@@ -343,7 +343,7 @@ def eight_twelve():
         expr = "a*b*c*d" if parity > 0 else "-a*b*c*d"
         cases[signs] = [entry("leading", expr=expr,
                               sign="positive" if parity > 0 else "negative")]
-    return {"family": "8_12", "global_sign": 1, "cases": cases,
+    return {"family": "8_12", "cases": cases,
             "exceptions": {}, "d4_demo": {}}
 
 

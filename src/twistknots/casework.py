@@ -14,6 +14,11 @@ exact integer values at v = 1..N.  A gate runs only on the positions that the
 earlier gates left alive, and the survivors reach full assembly in the order
 of the box, so the reports do not depend on how the gates are evaluated.
 
+The optional root-of-unity gate comes last, so an instance an earlier gate
+excludes is counted there whatever its value at the root of unity: a
+``use_root5`` sweep runs the same gate loop, and only its survivors, assembled
+anyway, reach that gate in ``cosmetic_gate``.
+
 The formula registry is a data file of verbatim case expressions; each entry is
 checked against the computed symbolic quantity, either as a plain polynomial
 identity or after a chain of fraction-free substitutions (clearing every
@@ -36,7 +41,7 @@ from typing import Optional
 from .families import FamilySpec, assemble_jones, load_family, symbolic_derivs
 from .laurent import HalfLaurent
 from .multipoly import MultiPoly, parse_poly
-from .obstruction import ObstructionVerdict, cosmetic_gate
+from .obstruction import GATE_ORDER, ObstructionVerdict, cosmetic_gate
 from .seifert import conway_poly, conway_symbolic, leading_coeff_symbolic, template_for
 
 ALL_CASES = ["".join(p) for p in product("+-", repeat=5)]
@@ -90,7 +95,6 @@ class RegistryEntry:
 @dataclass(frozen=True)
 class CaseRegistry:
     family: str
-    global_sign: int
     cases: dict[str, tuple[RegistryEntry, ...]]
     exceptions: dict[str, tuple[dict, ...]]
     d4_demo: dict[str, tuple[int, ...]]
@@ -115,7 +119,7 @@ def load_registry(family: str) -> CaseRegistry:
         cases[signs] = tuple(parsed)
     exceptions = {signs: tuple(rows) for signs, rows in raw.get("exceptions", {}).items()}
     d4_demo = {signs: tuple(v) for signs, v in raw.get("d4_demo", {}).items()}
-    return CaseRegistry(raw["family"], raw.get("global_sign", 1), cases, exceptions, d4_demo)
+    return CaseRegistry(raw["family"], cases, exceptions, d4_demo)
 
 
 @dataclass
@@ -166,10 +170,10 @@ def _certify_sign(poly: MultiPoly, claim: str, shift: Optional[tuple[str, str]],
     return consts > 0 and all(c > 0 for c in shifted.terms.values())
 
 
-def verify_entry(sym: SymbolicCase, entry: RegistryEntry, global_sign: int) -> dict:
+def verify_entry(sym: SymbolicCase, entry: RegistryEntry) -> dict:
     variables = sym.spec.variables
     quantity = {
-        "leading": sym.leading.scale(global_sign),
+        "leading": sym.leading,
         "c3": sym.c3,
         "d2": sym.derivs[2],
         "d3": sym.derivs[3],
@@ -221,7 +225,7 @@ def verify_paper_case(family: str, signs: str,
     if signs not in registry.cases:
         raise KeyError(f"no registered formulas for {family} {signs}")
     sym = symbolic_case(family, signs)
-    return [verify_entry(sym, e, registry.global_sign) for e in registry.cases[signs]]
+    return [verify_entry(sym, e) for e in registry.cases[signs]]
 
 
 # --- exceptions -------------------------------------------------------------------
@@ -246,14 +250,11 @@ def match_exception(registry: CaseRegistry, signs: str, n: tuple[int, ...],
 
 # --- sweeping ----------------------------------------------------------------------
 
-GATE_KEYS = ("alexander_leading", "conway", "d2", "d3", "d4", "root5")
-
-
 def _axis_evaluator(poly: MultiPoly, n_range: int):
     """Evaluate D * poly along the last variable, one whole line at a time.
 
     D is the lcm of the coefficient denominators, so every value is an exact
-    int with the sign and zero set of poly.  Returns ``(along, D)``:
+    int with the sign and zero set of poly.  Returns ``along``:
     ``along(prefix)`` takes the first k-1 twists and gives
     [D * poly(prefix, v) for v = 1..n_range], or None when every coefficient
     of the last variable is 0 there (poly vanishes on the whole line).
@@ -282,7 +283,7 @@ def _axis_evaluator(poly: MultiPoly, n_range: int):
                 line = [x + coeff * p for x, p in zip(line, powers)]
         return line
 
-    return along, scale
+    return along
 
 
 def sweep_case(cfg: SweepConfig, signs: str,
@@ -291,7 +292,7 @@ def sweep_case(cfg: SweepConfig, signs: str,
     sym = symbolic_case(cfg.family, signs)
     spec = sym.spec
     k = len(spec.variables)
-    exclusions = {g: 0 for g in GATE_KEYS}
+    exclusions = {g: 0 for g in GATE_ORDER}
     exceptions: list[ObstructionVerdict] = []
     tpl = template_for(cfg.family, tuple(b.sign for b in spec.bands))
 
@@ -300,33 +301,10 @@ def sweep_case(cfg: SweepConfig, signs: str,
     gates = {key: _axis_evaluator(poly, cfg.n_range) for key, poly in
              (("alexander_leading", sym.leading), ("conway", sym.a2),
               ("d3", sym.derivs[3]), ("d4", sym.derivs[4]))}
-    lead_along, lead_scale = gates["alexander_leading"]
-
-    def full_instance(n, lead):
-        jones = assemble_jones(spec, n)
-        derivs = jones.derivs_at_one(4)
-        conway = conway_poly(tpl, n)
-        verdict = cosmetic_gate(jones if cfg.use_root5 else None, derivs, conway,
-                                lead, use_root5=cfg.use_root5,
-                                instance=instance_id(cfg.family, signs, n), twists=n)
-        if verdict.is_exception:
-            if jones != HalfLaurent.one() or not conway.is_trivial():
-                raise AssertionError(
-                    f"exception instance {verdict.instance} is not certified trivial")
-            exceptions.append(verdict)
-        else:
-            exclusions[verdict.excluded_by] += 1
-
     axis = range(1, cfg.n_range + 1)
     for prefix in product(axis, repeat=k - 1):
-        if cfg.use_root5:
-            # root-of-unity sweeps assemble every instance; use the exact lead
-            line = lead_along(prefix) or [0] * cfg.n_range
-            for v, value in zip(axis, line):
-                full_instance(prefix + (v,), Fraction(value, lead_scale))
-            continue
         alive = axis
-        for key, (along, _) in gates.items():
+        for key, along in gates.items():
             line = along(prefix)
             if line is None:
                 continue
@@ -335,13 +313,24 @@ def sweep_case(cfg: SweepConfig, signs: str,
             alive = zeros
             if not alive:
                 break
-        for v in alive:
-            full_instance(prefix + (v,), Fraction(0))
+        for v in alive:   # every gate polynomial, the lead included, is 0 here
+            n = prefix + (v,)
+            jones = assemble_jones(spec, n)
+            conway = conway_poly(tpl, n)
+            verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway, 0,
+                                    use_root5=cfg.use_root5,
+                                    instance=instance_id(cfg.family, signs, n), twists=n)
+            if verdict.is_exception:
+                if jones != HalfLaurent.one() or not conway.is_trivial():
+                    raise AssertionError(
+                        f"exception instance {verdict.instance} is not certified trivial")
+                exceptions.append(verdict)
+            else:
+                exclusions[verdict.excluded_by] += 1
 
     checks = []
     if signs in registry.cases:
-        checks = [verify_entry(sym, e, registry.global_sign)
-                  for e in registry.cases[signs]]
+        checks = [verify_entry(sym, e) for e in registry.cases[signs]]
     report = CaseReport(signs, cfg.n_range ** k, exclusions, exceptions, checks)
     report.check()
     return report

@@ -19,11 +19,12 @@ from .casework import (
     load_registry,
     verify_paper_case,
 )
-from .diagrams import crosscheck, load_template
+from .diagrams import DiagramError, crosscheck, load_template
 from .families import FamilyError, check_twists, jones_derivs, load_family
 from .obstruction import cosmetic_gate
-from .pdcodes import BudgetExceeded
-from .seifert import alexander_poly, conway_poly, leading_coeff_symbolic, template_for
+from .pdcodes import BudgetExceeded, PDError
+from .seifert import (SeifertError, alexander_poly, conway_poly, leading_coeff_symbolic,
+                      template_for)
 
 FAMILIES = ("7_6", "10_58", "8_12")
 
@@ -40,9 +41,8 @@ def _twists(args, spec):
 def cmd_jones(args) -> int:
     spec = _spec(args)
     n = _twists(args, spec)
-    derivs = jones_derivs(spec, n)
-    from .families import assemble_jones
-    print(assemble_jones(spec, n).format())
+    jones, derivs = jones_derivs(spec, n)
+    print(jones.format())
     for k, v in enumerate(derivs):
         print(f"derivative {k} at 1: {v}")
     return 0
@@ -210,12 +210,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # internal failures of the engines are ValueErrors too, so catch them first
+    except (AssertionError, SeifertError, PDError, DiagramError) as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except (FamilyError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

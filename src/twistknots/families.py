@@ -473,14 +473,16 @@ def symbolic_derivs(spec: FamilySpec, kmax: int = 4) -> list[MultiPoly]:
     return [c.scale(factorial(k)) for k, c in enumerate(layer[()])]
 
 
-def jones_derivs(spec: FamilySpec, twists, kmax: int = 4) -> list[Fraction]:
-    """Derivatives of the instance Jones polynomial at 1, computed both from
-    the assembled polynomial and from ``symbolic_derivs``; the routes must agree."""
+def jones_derivs(spec: FamilySpec, twists,
+                 kmax: int = 4) -> tuple[HalfLaurent, list[Fraction]]:
+    """The assembled instance Jones polynomial and its derivatives at 1, computed
+    both from that polynomial and from ``symbolic_derivs``; the routes must agree."""
     n = check_twists(spec, twists)
-    route_a = assemble_jones(spec, n).derivs_at_one(kmax)
+    jones = assemble_jones(spec, n)
+    route_a = jones.derivs_at_one(kmax)
     point = dict(zip(spec.variables, n))
     route_b = [p.eval(point) for p in symbolic_derivs(spec, kmax)]
     if route_a != route_b:
         raise AssertionError(
             f"derivative routes disagree for {spec.name}[{spec.signs_str()}] at {n}")
-    return route_a
+    return jones, route_a

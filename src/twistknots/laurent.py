@@ -223,8 +223,5 @@ class Cyclo5:
     def __hash__(self):
         return hash(self.coords)
 
-    def is_one(self) -> bool:
-        return self == Cyclo5.one()
-
     def __repr__(self):
         return f"Cyclo5{tuple(str(c) for c in self.coords)}"

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 
 from twistknots.casework import (
-    GATE_KEYS,
     RegistryEntry,
     SweepConfig,
     SymbolicCase,
@@ -26,7 +25,7 @@ from twistknots.casework import (
 )
 from twistknots.families import assemble_jones, load_family
 from twistknots.multipoly import MultiPoly, parse_poly
-from twistknots.obstruction import cosmetic_gate
+from twistknots.obstruction import GATE_ORDER, cosmetic_gate
 from twistknots.seifert import conway_poly, template_for
 
 
@@ -117,7 +116,7 @@ def test_certify_sign_fallback():
     for lead, status, check in (("(a-b)^2 + 1", "FAIL", "uncertified"),
                                 ("a*b + 1", "PASS", "certificate")):
         sym = SymbolicCase(spec, parse_poly(lead, spec.variables), zero, [zero] * 5)
-        assert verify_entry(sym, entry, 1) == {
+        assert verify_entry(sym, entry) == {
             "quantity": "leading", "status": status, "checks": [f"sign positive: {check}"]}
 
 
@@ -174,8 +173,8 @@ def axis_polys(draw):
 @given(axis_polys())
 def test_axis_evaluator_matches_eval(case):
     poly, n_range = case
-    along, scale = _axis_evaluator(poly, n_range)
-    assert scale == lcm(*(c.denominator for c in poly.terms.values()))
+    along = _axis_evaluator(poly, n_range)
+    scale = lcm(*(c.denominator for c in poly.terms.values()))
     last = poly.vars[-1]
     coeffs = poly.coefficients_in(last).values()
     for prefix in product(range(1, n_range + 1), repeat=len(poly.vars) - 1):
@@ -190,14 +189,15 @@ def test_axis_evaluator_matches_eval(case):
 
 
 def _reference_sweep(cfg: SweepConfig, signs: str):
-    """Gate histogram and exception twists, instance by instance with
-    MultiPoly.eval in the gate order of sweep_case."""
+    """Gate histogram and exception verdicts, instance by instance with
+    MultiPoly.eval in the gate order of sweep_case; with root5 every instance
+    is assembled and sees every gate, as cosmetic_gate orders them."""
     sym = symbolic_case(cfg.family, signs)
     spec = sym.spec
     tpl = template_for(cfg.family, tuple(b.sign for b in spec.bands))
     gates = (("alexander_leading", sym.leading), ("conway", sym.a2),
              ("d3", sym.derivs[3]), ("d4", sym.derivs[4]))
-    exclusions = {g: 0 for g in GATE_KEYS}
+    exclusions = {g: 0 for g in GATE_ORDER}
     exceptions = []
     for n in product(range(1, cfg.n_range + 1), repeat=len(spec.variables)):
         point = dict(zip(spec.variables, n))
@@ -209,9 +209,10 @@ def _reference_sweep(cfg: SweepConfig, signs: str):
                 continue
         jones = assemble_jones(spec, n)
         verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway_poly(tpl, n),
-                                lead, use_root5=cfg.use_root5)
+                                lead, use_root5=cfg.use_root5,
+                                instance=instance_id(cfg.family, signs, n), twists=n)
         if verdict.is_exception:
-            exceptions.append(n)
+            exceptions.append(verdict)
         else:
             exclusions[verdict.excluded_by] += 1
     return exclusions, exceptions
@@ -222,14 +223,17 @@ def _reference_sweep(cfg: SweepConfig, signs: str):
     ("10_58", "++---", 3, False),
     ("7_6", "+--++", 3, False),     # two exception patterns
     ("7_6", "++-+-", 2, True),
+    ("8_12", "-++-+", 3, True),     # all bands even; no exceptions
 ])
 def test_sweep_case_matches_brute_force(family, signs, n_range, root5):
     cfg = SweepConfig(family, n_range=n_range, use_root5=root5)
     report = sweep_case(cfg, signs)
     exclusions, exceptions = _reference_sweep(cfg, signs)
     assert report.exclusions == exclusions
-    assert [v.twists for v in report.exceptions] == exceptions
+    assert report.exceptions == exceptions
     assert [v.instance for v in report.exceptions] == \
-           [instance_id(family, signs, n) for n in exceptions]
+           [instance_id(family, signs, v.twists) for v in exceptions]
     if root5:
-        assert exceptions and all(v.alex_leading == Fraction(0) for v in report.exceptions)
+        assert bool(exceptions) == (family == "7_6")
+        assert all(v.alex_leading == Fraction(0) and v.root5 is not None
+                   for v in report.exceptions)

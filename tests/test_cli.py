@@ -93,3 +93,35 @@ def test_route_disagreement_exits_1(monkeypatch, capsys):
     assert code == 1
     assert err.startswith("verification failed: derivative routes disagree")
     assert err.count("\n") == 1
+
+
+def test_jones_assembles_once(monkeypatch, capsys):
+    import twistknots.families as families
+    assemble = families.assemble_jones
+    calls = []
+
+    def counting(spec, n):
+        calls.append(n)
+        return assemble(spec, n)
+
+    monkeypatch.setattr(families, "assemble_jones", counting)
+    code = main(["jones", "--family", "7_6", "--signs", "++-+-",
+                 "--twists", "1,2,1,1,1"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "1"
+    assert calls == [(1, 2, 1, 1, 1)]
+
+
+def test_internal_error_exits_1(monkeypatch, capsys):
+    import twistknots.cli as cli
+    from twistknots.seifert import SeifertError
+
+    def broken(tpl, n):
+        raise SeifertError("Alexander value at 1 is 3, not a unit")
+
+    monkeypatch.setattr(cli, "conway_poly", broken)
+    code = main(["check", "--family", "7_6", "--signs", "++-+-",
+                 "--twists", "1,2,1,1,1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "verification failed: Alexander value at 1 is 3, not a unit\n"

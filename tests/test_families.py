@@ -218,9 +218,12 @@ def test_state_split_identity():
 
 def test_jones_derivs_examples():
     spec = SEVEN.with_signs("++-+-")
-    assert jones_derivs(spec, (1, 2, 1, 1, 1)) == [1, 0, 0, 0, 0]
+    jones, derivs = jones_derivs(spec, (1, 2, 1, 1, 1))
+    assert jones == HalfLaurent.one()
+    assert derivs == [1, 0, 0, 0, 0]
     spec2 = SEVEN.with_signs("++-++")
-    derivs = jones_derivs(spec2, (1, 1, 1, 1, 1))
+    jones2, derivs = jones_derivs(spec2, (1, 1, 1, 1, 1))
+    assert jones2 == assemble_jones(spec2, (1, 1, 1, 1, 1))
     assert derivs[1] == 0
     assert derivs[2] == -6
 
@@ -257,7 +260,7 @@ def test_symbolic_evaluates_to_instance_derivs():
         sd = symbolic_derivs(spec, 4)
         for n in vectors:
             point = dict(zip(spec.variables, n))
-            assert [p.eval(point) for p in sd] == jones_derivs(spec, n)
+            assert [p.eval(point) for p in sd] == jones_derivs(spec, n)[1]
 
 
 # --- validation and file format --------------------------------------------------
