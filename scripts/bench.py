@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the symbolic engine, the sweep's gate loop and whole box sweeps; write
-the rows as JSON.
+"""Time the symbolic engine, the sweep's gate loop, whole box sweeps and the
+root-of-unity evaluation; write the rows as JSON.
 
 Rows:
 
@@ -11,6 +11,10 @@ Rows:
 - ``box_sweep.<family>``: ``sweep_case`` over the box sizes of the benchmark's
   box-sweep workload, [1..12]^5 for 7_6 and 10_58 and [1..20]^4 for 8_12.
 - ``root5_sweep``: 7_6 ``++-+-`` over [1..3]^5 with the root-of-unity gate.
+- ``eval_root5.n<N>``: ``HalfLaurent.eval_root5`` on the Jones polynomial of
+  7_6 ``++-+-`` at twists (N,)^5 for N = 20 and 200.  The polynomial is
+  assembled once, outside the timing; ``ms`` is the median over ``REPEAT`` runs
+  of the mean time of ``ROOT5_CALLS`` calls.
 
 Each sweep row holds ``s``, the median wall time of ``REPEAT`` untraced
 ``sweep_case`` calls (``time.perf_counter``), and
@@ -47,6 +51,8 @@ SYMBOLIC = ("7_6", "10_58")
 GATE_LOOP = ("7_6", "++-+-", 8)
 BOX_SWEEPS = (("7_6", "++-+-", 12), ("10_58", "+-+-+", 12), ("8_12", "-++-+", 20))
 ROOT5_SWEEP = ("7_6", "++-+-", 3)
+EVAL_ROOT5 = ("7_6", "++-+-", (20, 200))
+ROOT5_CALLS = 20
 
 
 def git_revision(src: Path) -> str:
@@ -96,6 +102,20 @@ def row(casework, family: str, signs: str, n_range: int, use_root5: bool = False
             "gate_loop_us_per_instance": round(statistics.median(gate_loop), 3)}
 
 
+def eval_root5_row(casework, family: str, signs: str, n: int) -> dict:
+    spec = casework.load_family(family).with_signs(signs)
+    jones = casework.assemble_jones(spec, (n,) * len(spec.variables))
+    runs = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        for _ in range(ROOT5_CALLS):
+            jones.eval_root5()
+        runs.append((time.perf_counter() - start) * 1000 / ROOT5_CALLS)
+    return {"family": family, "signs": signs, "twist": n, "terms": len(jones.terms),
+            "calls": ROOT5_CALLS, "ms": round(statistics.median(runs), 4),
+            "runs_ms": [round(ms, 4) for ms in runs]}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
@@ -116,6 +136,9 @@ def main() -> int:
     for family, signs, n_range in BOX_SWEEPS:
         rows[f"box_sweep.{family}"] = row(casework, family, signs, n_range)
     rows["root5_sweep"] = row(casework, *ROOT5_SWEEP, use_root5=True)
+    family, signs, twists = EVAL_ROOT5
+    for n in twists:
+        rows[f"eval_root5.n{n}"] = eval_root5_row(casework, family, signs, n)
     result = {"revision": git_revision(src), "nproc": os.cpu_count(),
               "python": platform.python_version(), "repeat": REPEAT, "rows": rows}
 

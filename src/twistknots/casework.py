@@ -33,6 +33,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from itertools import product
 from math import lcm
@@ -340,19 +341,14 @@ def instance_id(family: str, signs: str, n) -> str:
     return f"{family}[{signs}]({','.join(str(v) for v in n)})"
 
 
-def _sweep_one(args) -> CaseReport:
-    cfg, signs = args
-    return sweep_case(cfg, signs)
-
-
 def sweep(cfg: SweepConfig) -> list[CaseReport]:
     """All 32 sign cases; deterministic order and content."""
     registry = load_registry(cfg.family)
-    workers = int(os.environ.get("TWISTKNOTS_WORKERS", "1"))
+    workers = min(int(os.environ.get("TWISTKNOTS_WORKERS", "1")), len(ALL_CASES))
     if workers > 1:
         import multiprocessing
         with multiprocessing.Pool(workers) as pool:
-            reports = pool.map(_sweep_one, [(cfg, s) for s in ALL_CASES])
+            reports = pool.map(partial(sweep_case, cfg), ALL_CASES)
     else:
         reports = [sweep_case(cfg, s, registry) for s in ALL_CASES]
     return reports

@@ -122,6 +122,8 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    if bool(args.signs) != bool(args.twists):
+        raise ValueError("crosscheck needs --signs and --twists together, or neither")
     fam = load_family(args.family)
     tpl = load_template(args.family)
     if args.signs and args.twists:

@@ -1,14 +1,21 @@
-"""Exact Laurent polynomials in t^(1/2) and residues at a fifth root of unity.
+"""Exact Laurent polynomials in t^(1/2) and their values at a fifth root of unity.
 
 Exponents are stored doubled, so the key ``e`` represents t^(e/2) and all
 arithmetic stays in arbitrary-precision integers/rationals.  Values produced
 from knots have only even keys (integral powers of t).
+
+At a primitive fifth root of unity zeta, t^k takes the value zeta^(k mod 5), so
+V(zeta) = s_0 + s_1 zeta + ... + s_4 zeta^4, where s_r sums the coefficients of
+the powers t^k with k = r mod 5.  The only rational relation among 1, zeta, ...,
+zeta^4 is 1 + zeta + ... + zeta^4 = 0, so the coordinates
+(s_0 - s_4, s_1 - s_4, s_2 - s_4, s_3 - s_4) in the basis 1, zeta, zeta^2,
+zeta^3 determine V(zeta) exactly; V(zeta) = 1 exactly when they are (1, 0, 0, 0).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 def falling_factorial(x: Fraction, k: int) -> Fraction:
@@ -114,14 +121,15 @@ class HalfLaurent:
                             for e, c in self.terms.items()), Fraction(0)))
         return out
 
-    def eval_root5(self) -> "Cyclo5":
-        """Image under t -> primitive fifth root of unity; integral powers only."""
+    def eval_root5(self) -> tuple:
+        """Coordinates of V(zeta) in the basis 1, zeta, zeta^2, zeta^3, where zeta
+        is a primitive fifth root of unity; integral powers of t only."""
         if not self.is_knot_valued():
             raise ValueError("half-integral exponent; value is not knot-valued")
-        out = Cyclo5.zero()
+        s = [0] * 5
         for e, c in self.terms.items():
-            out = out + Cyclo5.t_power(e // 2).scale(c)
-        return out
+            s[e // 2 % 5] += c
+        return tuple(x - s[4] for x in s[:4])
 
     def equal_up_to_unit(self, other: "HalfLaurent") -> bool:
         """True when other = ±t^(k/2) * self for some k."""
@@ -167,61 +175,3 @@ class HalfLaurent:
 # disjoint union with an unknot.
 def unlink_factor() -> HalfLaurent:
     return HalfLaurent({1: -1, -1: -1})
-
-
-class Cyclo5:
-    """Element of Q[x]/(1 + x + x^2 + x^3 + x^4) in the basis 1, x, x^2, x^3."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Iterable[Fraction]):
-        cs = tuple(Fraction(c) for c in coords)
-        if len(cs) != 4:
-            raise ValueError("Cyclo5 needs 4 coordinates")
-        self.coords = cs
-
-    @classmethod
-    def zero(cls) -> "Cyclo5":
-        return cls((0, 0, 0, 0))
-
-    @classmethod
-    def one(cls) -> "Cyclo5":
-        return cls((1, 0, 0, 0))
-
-    @classmethod
-    def t_power(cls, k: int) -> "Cyclo5":
-        """x^k reduced mod the fifth cyclotomic polynomial."""
-        r = k % 5
-        if r < 4:
-            coords = [0, 0, 0, 0]
-            coords[r] = 1
-            return cls(coords)
-        return cls((-1, -1, -1, -1))  # x^4 = -1 - x - x^2 - x^3
-
-    def scale(self, k) -> "Cyclo5":
-        return Cyclo5(tuple(c * k for c in self.coords))
-
-    def __add__(self, other: "Cyclo5") -> "Cyclo5":
-        return Cyclo5(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __mul__(self, other: "Cyclo5") -> "Cyclo5":
-        prod = [Fraction(0)] * 7
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                prod[i + j] += a * b
-        out = Cyclo5.zero()
-        for k, c in enumerate(prod):
-            if c:
-                out = out + Cyclo5.t_power(k).scale(c)
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Cyclo5) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return f"Cyclo5{tuple(str(c) for c in self.coords)}"

@@ -17,22 +17,13 @@ from functools import lru_cache
 from math import factorial
 from typing import Optional, Sequence
 
-from .laurent import Cyclo5, HalfLaurent
+from .laurent import HalfLaurent
 from .seifert import ConwaySeries
 
 
-@dataclass(frozen=True)
-class HExpansion:
-    """Coefficients j_0..j_N of h^n in V(e^h)."""
-
-    j: tuple[Fraction, ...]
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.j[n]
-
-
-def h_coeffs(V: HalfLaurent, N: int = 6) -> HExpansion:
-    """Expand V(e^h) exactly: a term c t^(e/2) contributes c (e/2)^n / n!."""
+def h_coeffs(V: HalfLaurent, N: int = 6) -> tuple[Fraction, ...]:
+    """Coefficients j_0..j_N of h^n in V(e^h), exactly: a term c t^(e/2)
+    contributes c (e/2)^n / n! to j_n."""
     if not V.is_knot_valued():
         raise ValueError("h-expansion needs integral powers of t")
     js = []
@@ -41,7 +32,7 @@ def h_coeffs(V: HalfLaurent, N: int = 6) -> HExpansion:
         for e, c in V.terms.items():
             total += Fraction(c) * Fraction(e, 2) ** n
         js.append(total / factorial(n))
-    return HExpansion(tuple(js))
+    return tuple(js)
 
 
 @lru_cache(maxsize=None)
@@ -53,7 +44,7 @@ def _stirling2(n: int, k: int) -> int:
     return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
 
 
-def h_coeffs_from_derivs(derivs: Sequence[Fraction], N: int = 6) -> HExpansion:
+def h_coeffs_from_derivs(derivs: Sequence[Fraction], N: int = 6) -> tuple[Fraction, ...]:
     """Same expansion via Stirling numbers: j_n = sum_k V^(k)(1) S(n,k) / n!."""
     if len(derivs) <= N:
         raise ValueError(f"need derivatives up to order {N}")
@@ -62,7 +53,7 @@ def h_coeffs_from_derivs(derivs: Sequence[Fraction], N: int = 6) -> HExpansion:
         total = sum((Fraction(derivs[k]) * _stirling2(n, k) for k in range(n + 1)),
                     Fraction(0))
         js.append(total / factorial(n))
-    return HExpansion(tuple(js))
+    return tuple(js)
 
 
 @dataclass(frozen=True)
@@ -99,7 +90,7 @@ class Root5Verdict(enum.Enum):
 
 def root5_gate(V: HalfLaurent) -> Root5Verdict:
     """Excludes when V at a primitive fifth root of unity differs from 1."""
-    return Root5Verdict.INCONCLUSIVE if V.eval_root5() == Cyclo5.one() else Root5Verdict.EXCLUDES
+    return Root5Verdict.INCONCLUSIVE if V.eval_root5() == (1, 0, 0, 0) else Root5Verdict.EXCLUDES
 
 
 GATE_ORDER = ("alexander_leading", "conway", "d2", "d3", "d4", "root5")
@@ -142,23 +133,19 @@ class ObstructionVerdict:
         }
 
 
-def cosmetic_gate(jones: Optional[HalfLaurent], derivs: Sequence[Fraction],
+def cosmetic_gate(jones: HalfLaurent, derivs: Sequence[Fraction],
                   conway: ConwaySeries, alex_leading,
                   use_root5: bool = False, instance: str = "",
                   twists: Sequence[int] = ()) -> ObstructionVerdict:
     """Apply the gates in order and record the first that excludes.
 
-    ``jones`` may be None when the root-of-unity gate is disabled; every other
-    gate runs from the derivative values and the Conway series.
+    Only the root-of-unity gate reads the Jones polynomial ``jones``; every
+    other gate runs from the derivative values and the Conway series.
     """
     alex_leading = Fraction(alex_leading)
     d2, d3, d4 = (Fraction(derivs[k]) for k in (2, 3, 4))
     j4 = h_coeffs_from_derivs(derivs, 4)[4]
-    root5 = None
-    if use_root5:
-        if jones is None:
-            raise ValueError("root-of-unity gate needs the Jones polynomial")
-        root5 = root5_gate(jones)
+    root5 = root5_gate(jones) if use_root5 else None
 
     if alex_leading != 0:
         classification = "EXCLUDED(alexander_leading)"

@@ -154,6 +154,32 @@ def test_parallel_sweep_matches_serial(monkeypatch):
     assert [r.signs for r in parallel] == [r.signs for r in serial]
 
 
+def test_sweep_pool_capped_at_sign_cases(monkeypatch):
+    import multiprocessing
+
+    from twistknots.casework import ALL_CASES, sweep
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setenv("TWISTKNOTS_WORKERS", "64")
+    reports = sweep(SweepConfig("8_12", n_range=2))
+    assert sizes == [len(ALL_CASES)]
+    assert [r.signs for r in reports] == list(ALL_CASES)
+
+
 # --- the axis evaluator and the gate loop against brute force -------------------
 
 @st.composite

@@ -68,6 +68,16 @@ def test_crosscheck_single_instance(capsys):
     assert "agree" in out
 
 
+@pytest.mark.parametrize("flag", ["--signs=++-+-", "--twists=1,2,1,1,1"])
+def test_crosscheck_lone_instance_flag_exits_2(flag, capsys):
+    code = main(["crosscheck", "--family", "8_12", flag])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_usage_error_exit_codes(capsys):
     assert main(["jones", "--family", "7_6", "--signs", "++x+-",
                  "--twists", "1,1,1,1,1"]) == 2

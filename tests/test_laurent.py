@@ -1,9 +1,10 @@
+import cmath
 from fractions import Fraction
 
 import hypothesis.strategies as st
 from hypothesis import given
 
-from twistknots.laurent import Cyclo5, HalfLaurent, falling_factorial
+from twistknots.laurent import HalfLaurent, falling_factorial
 
 HL = HalfLaurent
 
@@ -64,9 +65,14 @@ def test_mirror_involution(p):
 
 
 def test_eval_root5_trivial():
-    assert HL.one().eval_root5() == Cyclo5((1, 0, 0, 0))
-    assert P({10: 1}).eval_root5() == Cyclo5((1, 0, 0, 0))  # t^5 -> 1
-    assert P({8: 1}).eval_root5() == Cyclo5((-1, -1, -1, -1))  # t^4
+    assert HL.one().eval_root5() == (1, 0, 0, 0)
+    assert P({10: 1}).eval_root5() == (1, 0, 0, 0)  # t^5 -> 1
+    assert P({8: 1}).eval_root5() == (-1, -1, -1, -1)  # t^4
+
+
+@given(knot_polys, st.integers(min_value=-3, max_value=3))
+def test_eval_root5_period_five(p, k):
+    assert p.shift(10 * k).eval_root5() == p.eval_root5()  # times t^(5k)
 
 
 def test_eval_root5_rejects_half_powers():
@@ -100,9 +106,20 @@ def test_mirror_is_ring_map(p, q):
     assert (p + q).mirror() == p.mirror() + q.mirror()
 
 
+ZETA = cmath.exp(2j * cmath.pi / 5)
+
+
+def at_zeta(coords):
+    """The complex number with coordinates ``coords`` in the basis 1, zeta, zeta^2, zeta^3."""
+    return sum(c * ZETA ** k for k, c in enumerate(coords))
+
+
 @given(knot_polys, knot_polys)
 def test_root5_multiplicative(p, q):
-    assert (p * q).eval_root5() == p.eval_root5() * q.eval_root5()
+    direct = sum(c * ZETA ** (e // 2) for e, c in p.terms.items())
+    assert abs(at_zeta(p.eval_root5()) - direct) < 1e-6
+    product = at_zeta(p.eval_root5()) * at_zeta(q.eval_root5())
+    assert abs(at_zeta((p * q).eval_root5()) - product) < 1e-6
 
 
 def test_falling_factorial():
