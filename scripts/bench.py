@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the symbolic engine, the sweep's gate loop, whole box sweeps and the
-root-of-unity evaluation; write the rows as JSON.
+"""Time the symbolic engine, the sweep's gate loop, whole box sweeps, instance
+assembly and the root-of-unity evaluation; write the rows as JSON.
 
 Rows:
 
@@ -11,18 +11,30 @@ Rows:
 - ``box_sweep.<family>``: ``sweep_case`` over the box sizes of the benchmark's
   box-sweep workload, [1..12]^5 for 7_6 and 10_58 and [1..20]^4 for 8_12.
 - ``root5_sweep``: 7_6 ``++-+-`` over [1..3]^5 with the root-of-unity gate.
+- ``assemble.n<N>``: ``families.assemble_jones`` on 7_6 ``++-+-`` at twists
+  (N,)^5 for N = 10, 50, 200 and 1000, after one untimed call at (1,)^5 that
+  fills any per-sign-case cache; ``derivs_ms`` times ``derivs_at_one(4)`` on
+  the result.  A row stops repeating once it has spent ``ROW_BUDGET_S``, so a
+  slow implementation may give fewer than ``REPEAT`` runs (``runs_ms`` shows
+  how many).
 - ``eval_root5.n<N>``: ``HalfLaurent.eval_root5`` on the Jones polynomial of
   7_6 ``++-+-`` at twists (N,)^5 for N = 20 and 200.  The polynomial is
   assembled once, outside the timing; ``ms`` is the median over ``REPEAT`` runs
   of the mean time of ``ROOT5_CALLS`` calls.
 
-Each sweep row holds ``s``, the median wall time of ``REPEAT`` untraced
-``sweep_case`` calls (``time.perf_counter``), and
+Every time is taken with perfbench's speed meter (``perfbench/speed.py``): a
+fixed pure-Python probe runs before, after and every 50 ms during the call, its
+own time is taken out, and the time is reported at the reference machine speed
+(``normalised``), since the speed of a shared machine drifts by tens of percent
+within seconds.  ``s``/``ms`` and ``runs_s``/``runs_ms`` are normalised;
+``wall_s``/``wall_ms`` is the median raw wall time.  Each sweep row also holds
 ``gate_loop_us_per_instance``, the median over ``REPEAT`` traced calls of
-perfbench's ``casework.gate_loop.us_per_instance``: the self time of
+perfbench's ``casework.gate_loop.us_per_instance`` (the self time of
 ``sweep_case`` per instance, with the spans of ``perfbench/tracing.py`` around
-the functions it calls.  The output also records nproc, the Python version and
-the git revision of the checkout that holds ``--src``.  Usage:
+the functions it calls), normalised the same way; the probes that fire inside
+the traced call count as ``sweep_case`` self time, about 2 % of it.  The output
+also records nproc, the Python version and the git revision of the checkout
+that holds ``--src``.  Usage:
 
     python3 scripts/bench.py [--src DIR] [--out FILE --label NAME]
 
@@ -45,12 +57,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import tracing  # noqa: E402
+from speed import SpeedMeter, normalised  # noqa: E402
 
 REPEAT = 5
 SYMBOLIC = ("7_6", "10_58")
 GATE_LOOP = ("7_6", "++-+-", 8)
 BOX_SWEEPS = (("7_6", "++-+-", 12), ("10_58", "+-+-+", 12), ("8_12", "-++-+", 20))
 ROOT5_SWEEP = ("7_6", "++-+-", 3)
+ASSEMBLE = ("7_6", "++-+-", (10, 50, 200, 1000))
+ROW_BUDGET_S = 60.0
 EVAL_ROOT5 = ("7_6", "++-+-", (20, 200))
 ROOT5_CALLS = 20
 
@@ -61,59 +76,82 @@ def git_revision(src: Path) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
-def timed_sweep(casework, cfg, signs: str):
-    start = time.perf_counter()
-    report = casework.sweep_case(cfg, signs)
-    return time.perf_counter() - start, report
+def timed(fn):
+    """(normalised seconds, wall seconds, result) of one call of fn."""
+    meter = SpeedMeter()
+    with meter.timing() as out:
+        result = fn()
+    return normalised(out["seconds"], meter.probe_s), out["seconds"], result
+
+
+def summary(runs, unit: str, scale: float = 1.0) -> dict:
+    """Median and per-run figures of (normalised, wall, ...) runs."""
+    return {unit: round(scale * statistics.median(r[0] for r in runs), 4),
+            f"runs_{unit}": [round(scale * r[0], 4) for r in runs],
+            f"wall_{unit}": round(scale * statistics.median(r[1] for r in runs), 4)}
 
 
 def traced_gate_loop(casework, cfg, signs: str) -> float:
     tracer = tracing.Tracer("bench")
+    meter = SpeedMeter()
     tracer.install()
     try:
-        casework.sweep_case(cfg, signs)
+        with meter.timing():
+            casework.sweep_case(cfg, signs)
     finally:
         tracer.uninstall()
-    return tracing.layer_metrics(tracer, 0, 0.0)["casework.gate_loop.us_per_instance"]
+    value = tracing.layer_metrics(tracer, 0, 0.0)["casework.gate_loop.us_per_instance"]
+    return normalised(value, meter.probe_s)
 
 
 def symbolic_row(casework, family: str) -> dict:
     fam = casework.load_family(family)
     specs = [fam.with_signs(signs) for signs in casework.ALL_CASES]
-    runs = []
-    for _ in range(REPEAT):
-        start = time.perf_counter()
+
+    def all_cases():
         for spec in specs:
             casework.symbolic_derivs(spec, 4)
-        runs.append(time.perf_counter() - start)
-    return {"family": family, "cases": len(specs), "kmax": 4,
-            "s": round(statistics.median(runs), 4), "runs_s": [round(s, 4) for s in runs]}
+
+    runs = [timed(all_cases) for _ in range(REPEAT)]
+    return {"family": family, "cases": len(specs), "kmax": 4, **summary(runs, "s")}
 
 
 def row(casework, family: str, signs: str, n_range: int, use_root5: bool = False) -> dict:
     cfg = casework.SweepConfig(family, n_range=n_range, use_root5=use_root5)
-    runs = [timed_sweep(casework, cfg, signs) for _ in range(REPEAT)]
+    runs = [timed(lambda: casework.sweep_case(cfg, signs)) for _ in range(REPEAT)]
     gate_loop = [traced_gate_loop(casework, cfg, signs) for _ in range(REPEAT)]
-    report = runs[0][1]
+    report = runs[0][2]
     return {"family": family, "signs": signs, "range": n_range,
             "instances": report.instance_count, "exceptions": len(report.exceptions),
-            "s": round(statistics.median(s for s, _ in runs), 4),
-            "runs_s": [round(s, 4) for s, _ in runs],
+            **summary(runs, "s"),
             "gate_loop_us_per_instance": round(statistics.median(gate_loop), 3)}
+
+
+def assemble_row(casework, family: str, signs: str, n: int) -> dict:
+    spec = casework.load_family(family).with_signs(signs)
+    twists = (n,) * len(spec.variables)
+    runs = []
+    start = time.perf_counter()
+    while len(runs) < REPEAT and (not runs or time.perf_counter() - start < ROW_BUDGET_S):
+        runs.append(timed(lambda: casework.assemble_jones(spec, twists)))
+    jones = runs[0][2]
+    derivs = [timed(lambda: jones.derivs_at_one(4)) for _ in range(REPEAT)]
+    return {"family": family, "signs": signs, "twist": n, "terms": len(jones.terms),
+            **summary(runs, "ms", 1e3),
+            "derivs_ms": round(1e3 * statistics.median(r[0] for r in derivs), 4)}
 
 
 def eval_root5_row(casework, family: str, signs: str, n: int) -> dict:
     spec = casework.load_family(family).with_signs(signs)
     jones = casework.assemble_jones(spec, (n,) * len(spec.variables))
-    runs = []
-    for _ in range(REPEAT):
-        start = time.perf_counter()
+
+    def calls():
         for _ in range(ROOT5_CALLS):
             jones.eval_root5()
-        runs.append((time.perf_counter() - start) * 1000 / ROOT5_CALLS)
+
+    runs = [timed(calls) for _ in range(REPEAT)]
     return {"family": family, "signs": signs, "twist": n, "terms": len(jones.terms),
-            "calls": ROOT5_CALLS, "ms": round(statistics.median(runs), 4),
-            "runs_ms": [round(ms, 4) for ms in runs]}
+            "calls": ROOT5_CALLS, **summary(runs, "ms", 1e3 / ROOT5_CALLS)}
 
 
 def main() -> int:
@@ -136,6 +174,11 @@ def main() -> int:
     for family, signs, n_range in BOX_SWEEPS:
         rows[f"box_sweep.{family}"] = row(casework, family, signs, n_range)
     rows["root5_sweep"] = row(casework, *ROOT5_SWEEP, use_root5=True)
+    family, signs, twists = ASSEMBLE
+    spec = casework.load_family(family).with_signs(signs)
+    casework.assemble_jones(spec, (1,) * len(spec.variables))
+    for n in twists:
+        rows[f"assemble.n{n}"] = assemble_row(casework, family, signs, n)
     family, signs, twists = EVAL_ROOT5
     for n in twists:
         rows[f"eval_root5.n{n}"] = eval_root5_row(casework, family, signs, n)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .casework import (
@@ -207,9 +208,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signs(argv: list[str]) -> list[str]:
+    """Rewrite ``--signs -++-+`` as ``--signs=-++-+``; argparse would read a
+    sign case that starts with '-' as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--signs" and re.fullmatch(r"-[+-]*", arg):
+            out[-1] = f"--signs={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signs(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     # internal failures of the engines are ValueErrors too, so catch them first

@@ -2,19 +2,34 @@
 
 A family is a knot skeleton with k twist bands.  Band i carries s_i(2n_i - m_i)
 crossings, where s_i is the band sign, m_i the parity (1 for odd bands, 0 for
-even) and n_i >= 1 the twist parameter.  The Jones polynomial of an instance is
-assembled as a sum over the 2^k ways of either resolving each band (state 0) or
-retaining it with its residual -s_i m_i half-twists (state 1):
+even) and n_i >= 1 the twist parameter.  The skein relation (Lickorish, An
+Introduction to Knot Theory, ch. 3) writes the Jones polynomial of an instance
+as a sum over the 2^k ways of either resolving each band (state 0) or retaining
+it with its residual -s_i m_i half-twists (state 1):
 
     V(n_1..n_k) = sum over states x of  (prod_i  pre(s_i, x_i, n_i)) * V_x
 
-with pre(s, 1, n) = t^(2sn) and pre(s, 0, n) an explicit geometric sum, and V_x
-the Jones polynomial of the fully degenerate base link, supplied per family by
-a data-driven base-case provider.
+where V_x is the Jones polynomial of the fully degenerate base link, supplied
+per family by a data-driven base-case provider.  With T_i = t^(2 s_i n_i) the
+prefactors are pre(s, 1, n) = T and
 
-The derivatives at t=1, as polynomials in n_1..n_k, come from the same sum:
-every prefactor and every V_x becomes its Taylor series in (t - 1), and the
-states are summed out one band at a time (``symbolic_derivs``).
+    pre(s, 0, n) = (1 + t^(2s) + ... + t^(2s(n-1))) (t^(3s/2) - t^(s/2))
+                 = -t^(s/2) (1 - T) / (1 + t^s),
+
+so clearing the denominators gives the T-form
+
+    prod_i (1 + t^(s_i)) * V = sum over 0/1 vectors m of  T^m c_m(t),
+
+in which each c_m is a short Laurent polynomial in t^(1/2) that does not
+depend on n.  ``t_form`` builds the c_m once per sign case; an instance shifts
+each c_m by T^m, adds them up and divides exactly by the (1 + t^(s_i)), in time
+linear in the twists (``assemble_jones``).
+
+The derivatives at t=1, as polynomials in n_1..n_k, come from the state sum by
+an independent route: every prefactor and every V_x becomes its Taylor series
+in (t - 1), and the states are summed out one band at a time
+(``symbolic_derivs``).  It never uses the T-form, so ``jones_derivs`` compares
+two constructions.
 """
 
 from __future__ import annotations
@@ -92,19 +107,7 @@ def check_twists(spec: FamilySpec, twists) -> tuple[int, ...]:
     return n
 
 
-# --- prefactors ------------------------------------------------------------
-
-def prefactor(s: int, x: int, n: int) -> HalfLaurent:
-    """Skein prefactor of one band: t^(2sn) if the band is retained, else the
-    geometric-sum form (1 + t^(2s) + ... + t^(2s(n-1))) * (s t^s) * (t^(1/2) - t^(-1/2))."""
-    if n < 1:
-        raise FamilyError("twist parameter must be >= 1")
-    if x == 1:
-        return HalfLaurent.t_power(4 * s * n)
-    geo = HalfLaurent({4 * s * j: 1 for j in range(n)})
-    factor = HalfLaurent({3 * s: 1, s: -1})
-    return geo * factor
-
+# --- prefactor derivatives ------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _prefactor_deriv_cached(s: int, x: int, k: int, variables: tuple[str, ...], name: str) -> MultiPoly:
@@ -402,31 +405,73 @@ def base_case_jones(spec: FamilySpec, resolution: tuple[int, ...]) -> HalfLauren
     return spec.provider.jones(spec, tuple(full))
 
 
-def _assemble(spec: FamilySpec, n: tuple[int, ...], forced: dict[int, int] | None = None) -> HalfLaurent:
+@lru_cache(maxsize=None)
+def t_form(spec: FamilySpec,
+           forced: tuple[tuple[int, int], ...] = ()) -> tuple[tuple[tuple[int, ...], dict], ...]:
+    """The closed form  prod_free (1 + t^(s_i)) * V = sum_m T^m c_m(t).
+
+    m runs over 0/1 vectors on the free active bands (those not in ``forced``,
+    which maps a band index to the state it is held at), T^m is the product of
+    the T_i = t^(2 s_i n_i) with m_i = 1, and the result lists the pairs
+    (m, terms of c_m) with c_m != 0.  A free band's resolved state gives
+    -t^(s/2) to m_i = 0 and t^(s/2) to m_i = 1, its retained state 1 + t^s to
+    m_i = 1; a forced band keeps its state with weight 1."""
+    fixed = dict(forced)
     active = spec.active_bands
-    forced = forced or {}
-    total = HalfLaurent.zero()
-    free = [j for j, i in enumerate(active) if i not in forced]
-    for bits in product((0, 1), repeat=len(free)):
-        x = [0] * len(active)
-        for j, i in enumerate(active):
-            if i in forced:
-                x[j] = forced[i]
-        for b, j in zip(bits, free):
-            x[j] = b
-        pref = HalfLaurent.one()
-        for j, i in enumerate(active):
-            if i in forced:
-                continue
-            pref = pref * prefactor(spec.bands[i].sign, x[j], n[j])
-        total = total + pref * base_case_jones(spec, tuple(x))
-    return total
+    states = [(fixed[i],) if i in fixed else (0, 1) for i in active]
+    # position j of a key holds band j's state until band j is summed out,
+    # and its T-exponent m_j after
+    layer = {x: base_case_jones(spec, x) for x in product(*states)}
+    for j in reversed(range(len(active))):
+        i = active[j]
+        if i in fixed:
+            continue
+        s = spec.bands[i].sign
+        half = HalfLaurent.t_power(s)
+        weights = {0: ((0, -half), (1, half)), 1: ((1, HalfLaurent({0: 1, 2 * s: 1})),)}
+        summed: dict[tuple[int, ...], HalfLaurent] = {}
+        for key, value in layer.items():
+            for m, weight in weights[key[j]]:
+                out = key[:j] + (m,) + key[j + 1:]
+                summed[out] = summed.get(out, HalfLaurent.zero()) + weight * value
+        layer = summed
+    free = [j for j, i in enumerate(active) if i not in fixed]
+    return tuple((tuple(key[j] for j in free), value.terms)
+                 for key, value in sorted(layer.items()) if value)
+
+
+def _assemble(spec: FamilySpec, n: tuple[int, ...], forced: dict[int, int]) -> HalfLaurent:
+    """Evaluate the T-form at n: shift each c_m by T^m, sum into one dense
+    coefficient list, and divide it exactly by (1 + t^(s_i)) per free band."""
+    form = t_form(spec, tuple(sorted(forced.items())))
+    free = [(n[j], spec.bands[i].sign)
+            for j, i in enumerate(spec.active_bands) if i not in forced]
+    shifted = [(sum(4 * s * nj for (nj, s), mj in zip(free, m) if mj), terms)
+               for m, terms in form]
+    if not shifted:
+        return HalfLaurent.zero()
+    lo = min(d + min(terms) for d, terms in shifted)
+    dense = [0] * (max(d + max(terms) for d, terms in shifted) - lo + 1)
+    for d, terms in shifted:
+        for e, c in terms.items():
+            dense[e + d - lo] += c
+    # in the doubled exponent every division is by 1 + t, since
+    # 1 + t^(-1) = t^(-1) (1 + t); each negative band then shifts by t
+    for _ in free:
+        for k in range(2, len(dense)):
+            dense[k] -= dense[k - 2]
+        if any(dense[-2:]):
+            raise AssertionError(
+                f"T-form of {spec.name}[{spec.signs_str()}] at {n} is not divisible by 1 + t")
+        del dense[-2:]
+    lo += sum(2 for _, s in free if s < 0)
+    return HalfLaurent({lo + k: c for k, c in enumerate(dense) if c})
 
 
 def assemble_jones(spec: FamilySpec, twists) -> HalfLaurent:
     """Jones polynomial of one family instance; integral powers of t only."""
     n = check_twists(spec, twists)
-    total = _assemble(spec, n)
+    total = _assemble(spec, n, {})
     if not total.is_knot_valued():
         raise FamilyError("assembled Jones polynomial is not knot-valued")
     return total

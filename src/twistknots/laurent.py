@@ -112,14 +112,19 @@ class HalfLaurent:
         return sum(self.terms.values())
 
     def derivs_at_one(self, kmax: int) -> list[Fraction]:
-        """Exact d^k/dt^k at t=1 for k = 0..kmax (kmax <= 8)."""
+        """Exact d^k/dt^k at t=1 for k = 0..kmax (kmax <= 8).
+
+        The k-th derivative of t^(e/2) at 1 is the falling factorial
+        (e/2)(e/2 - 1)...(e/2 - k + 1) = prod_{r<k} (e - 2r) / 2^k, so the
+        products are summed in integers and divided by 2^k once per k."""
         if kmax > 8:
             raise ValueError("kmax > 8")
-        out = []
-        for k in range(kmax + 1):
-            out.append(sum((c * falling_factorial(Fraction(e, 2), k)
-                            for e, c in self.terms.items()), Fraction(0)))
-        return out
+        totals = [0] * (kmax + 1)
+        for e, c in self.terms.items():
+            for k in range(kmax + 1):
+                totals[k] += c
+                c *= e - 2 * k
+        return [Fraction(total, 2 ** k) for k, total in enumerate(totals)]
 
     def eval_root5(self) -> tuple:
         """Coordinates of V(zeta) in the basis 1, zeta, zeta^2, zeta^3, where zeta

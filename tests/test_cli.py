@@ -135,3 +135,30 @@ def test_internal_error_exits_1(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err == "verification failed: Alexander value at 1 is 3, not a unit\n"
+
+
+@pytest.mark.parametrize("command", ["check", "jones"])
+def test_signs_with_leading_minus(command, capsys):
+    """A sign case that starts with '-' works as a separate argument."""
+    tail = ["--family", "8_12", "--twists", "80,3,5,80"]
+    assert main([command, "--signs=-++-+"] + tail) == 0
+    joined = capsys.readouterr()
+    assert main([command, "--signs", "-++-+"] + tail) == 0
+    assert capsys.readouterr() == joined
+
+
+def test_large_twists_match_seifert_route(capsys):
+    """check and jones at twists 1000: V''(1) = -6 a2, and both derivative routes agree."""
+    from twistknots.families import jones_derivs, load_family
+    from twistknots.seifert import conway_poly, template_for
+
+    n = (1000,) * 5
+    args = ["--family", "7_6", "--signs", "++-+-", "--twists", ",".join(map(str, n))]
+    a2 = conway_poly(template_for("7_6", (1, 1, -1, 1, -1)), n).a2
+    assert main(["check"] + args) == 0
+    assert int(json.loads(capsys.readouterr().out)["d2"]) == -6 * a2
+    assert main(["jones"] + args) == 0
+    assert f"derivative 2 at 1: {-6 * a2}" in capsys.readouterr().out.splitlines()
+    jones, derivs = jones_derivs(load_family("7_6").with_signs("++-+-"), n)
+    assert derivs[2] == -6 * a2
+    assert jones.derivs_at_one(4) == derivs

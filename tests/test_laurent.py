@@ -122,6 +122,16 @@ def test_root5_multiplicative(p, q):
     assert abs(at_zeta((p * q).eval_root5()) - product) < 1e-6
 
 
+@given(st.dictionaries(st.integers(min_value=-60, max_value=60),
+                       st.integers(min_value=-99, max_value=99), max_size=12).map(P),
+       st.integers(min_value=0, max_value=8))
+def test_derivs_at_one_is_falling_factorial_sum(p, kmax):
+    """d^k/dt^k at 1 is the sum of c * ff(e/2, k) over the terms c t^(e/2)."""
+    expected = [sum((c * falling_factorial(Fraction(e, 2), k) for e, c in p.terms.items()),
+                    Fraction(0)) for k in range(kmax + 1)]
+    assert p.derivs_at_one(kmax) == expected
+
+
 def test_falling_factorial():
     assert falling_factorial(Fraction(5, 2), 0) == 1
     assert falling_factorial(Fraction(5, 2), 2) == Fraction(15, 4)
