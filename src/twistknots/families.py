@@ -406,14 +406,14 @@ def base_case_jones(spec: FamilySpec, resolution: tuple[int, ...]) -> HalfLauren
 
 
 @lru_cache(maxsize=None)
-def t_form(spec: FamilySpec,
-           forced: tuple[tuple[int, int], ...] = ()) -> tuple[tuple[tuple[int, ...], dict], ...]:
+def t_form(spec: FamilySpec, forced: tuple[tuple[int, int], ...] = ()) -> tuple:
     """The closed form  prod_free (1 + t^(s_i)) * V = sum_m T^m c_m(t).
 
     m runs over 0/1 vectors on the free active bands (those not in ``forced``,
-    which maps a band index to the state it is held at), T^m is the product of
-    the T_i = t^(2 s_i n_i) with m_i = 1, and the result lists the pairs
-    (m, terms of c_m) with c_m != 0.  A free band's resolved state gives
+    given as (band index, state) pairs), T^m is the product of the
+    T_i = t^(2 s_i n_i) with m_i = 1, and the result lists the pairs
+    (m, c_m) with c_m != 0, c_m as (doubled exponent, coefficient) pairs in
+    increasing exponent order.  A free band's resolved state gives
     -t^(s/2) to m_i = 0 and t^(s/2) to m_i = 1, its retained state 1 + t^s to
     m_i = 1; a forced band keeps its state with weight 1."""
     fixed = dict(forced)
@@ -436,7 +436,7 @@ def t_form(spec: FamilySpec,
                 summed[out] = summed.get(out, HalfLaurent.zero()) + weight * value
         layer = summed
     free = [j for j, i in enumerate(active) if i not in fixed]
-    return tuple((tuple(key[j] for j in free), value.terms)
+    return tuple((tuple(key[j] for j in free), tuple(sorted(value.terms.items())))
                  for key, value in sorted(layer.items()) if value)
 
 
@@ -450,10 +450,10 @@ def _assemble(spec: FamilySpec, n: tuple[int, ...], forced: dict[int, int]) -> H
                for m, terms in form]
     if not shifted:
         return HalfLaurent.zero()
-    lo = min(d + min(terms) for d, terms in shifted)
-    dense = [0] * (max(d + max(terms) for d, terms in shifted) - lo + 1)
+    lo = min(d + terms[0][0] for d, terms in shifted)
+    dense = [0] * (max(d + terms[-1][0] for d, terms in shifted) - lo + 1)
     for d, terms in shifted:
-        for e, c in terms.items():
+        for e, c in terms:
             dense[e + d - lo] += c
     # in the doubled exponent every division is by 1 + t, since
     # 1 + t^(-1) = t^(-1) (1 + t); each negative band then shifts by t
