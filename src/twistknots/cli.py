@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .casework import (
@@ -213,7 +212,7 @@ def _attach_signs(argv: list[str]) -> list[str]:
     sign case that starts with '-' as an option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--signs" and re.fullmatch(r"-[+-]*", arg):
+        if out and out[-1] == "--signs" and arg.startswith("-") and set(arg) <= {"+", "-"}:
             out[-1] = f"--signs={arg}"
         else:
             out.append(arg)

@@ -107,7 +107,7 @@ def check_twists(spec: FamilySpec, twists) -> tuple[int, ...]:
     return n
 
 
-# --- prefactor derivatives ------------------------------------------------------
+# --- prefactor derivatives ---------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _prefactor_deriv_cached(s: int, x: int, k: int, variables: tuple[str, ...], name: str) -> MultiPoly:

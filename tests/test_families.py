@@ -33,7 +33,7 @@ FAMILIES = {"7_6": SEVEN, "10_58": TEN, "8_12": EIGHT}
 ALL_SIGNS = ["".join(c) for c in product("+-", repeat=5)]
 
 
-# --- reference assembly: dense prefactors and the 2^k state sum ----------------
+# --- reference assembly: dense prefactors, 2^k state sum ---------------------
 
 def prefactor(s: int, x: int, n: int) -> HalfLaurent:
     """Skein prefactor of one band: t^(2sn) if the band is retained, else the
