@@ -13,14 +13,13 @@ import sys
 
 from .casework import (
     SweepConfig,
-    classify_exceptions,
     full_report,
     instance_id,
     load_registry,
     verify_paper_case,
 )
 from .diagrams import DiagramError, crosscheck, load_template
-from .families import FamilyError, check_twists, jones_derivs, load_family
+from .families import FamilyError, assemble_jones, check_twists, jones_derivs, load_family
 from .obstruction import cosmetic_gate
 from .pdcodes import BudgetExceeded, PDError
 from .seifert import (SeifertError, alexander_poly, conway_poly, leading_coeff_symbolic,
@@ -65,7 +64,6 @@ def cmd_alexander(args) -> int:
 def cmd_check(args) -> int:
     spec = _spec(args)
     n = _twists(args, spec)
-    from .families import assemble_jones
     signs = tuple(b.sign for b in spec.bands)
     tpl = template_for(args.family, signs)
     jones = assemble_jones(spec, n)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import product
 
-from .families import FamilySpec, check_twists
+from .families import FamilySpec, assemble_jones, check_twists
 from .pdcodes import BudgetExceeded, PDCode, jones_from_pd
 
 # slot indices inside a crossing
@@ -295,12 +295,6 @@ def build_diagram(tpl: DiagramTemplate, spec: FamilySpec, twists,
             builder.weld(r[1], t[0])   # r.ne -> t.nw
             builder.weld(r[3], t[2])   # r.se -> t.sw
             return (r[0], t[1], r[2], t[3])
-        if head == "vstack":
-            t1 = instantiate(node[1], "v")
-            t2 = instantiate(node[2], "v")
-            builder.weld(t1[2], t2[0])
-            builder.weld(t1[3], t2[1])
-            return (t1[0], t1[1], t2[2], t2[3])
         raise DiagramError(f"unknown template node {head!r}")
 
     if tpl.structure[0] == "montesinos":
@@ -354,7 +348,6 @@ def crosscheck(spec: FamilySpec, tpl: DiagramTemplate, twists,
                budget: int = 18) -> bool:
     """True when the state-sum Jones of the expanded diagram matches the
     family-engine assembly exactly."""
-    from .families import assemble_jones
     pd = build_diagram(tpl, spec, twists)
     if pd.n_crossings > budget:
         raise BudgetExceeded(

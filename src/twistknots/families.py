@@ -34,7 +34,6 @@ two constructions.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +42,7 @@ from itertools import product
 from math import factorial
 
 from .laurent import HalfLaurent, unlink_factor
-from .multipoly import MultiPoly, falling_factorial_poly, power_sum_poly
+from .multipoly import MultiPoly, falling_factorial_poly, parse_poly, power_sum_poly
 
 PARAM_LETTERS = ("a", "b", "c", "d", "e")
 
@@ -217,10 +216,10 @@ class ComposeProvider(BaseCaseProvider):
 @dataclass(frozen=True)
 class CountProvider(BaseCaseProvider):
     """Base links that are disjoint unions of unknots; a table gives the
-    component count as an expression in the band states."""
+    component count as a polynomial in the band states x1..xk."""
 
     order: tuple[int, ...]                       # 0-based indices of the key bands
-    rows: tuple[tuple[tuple[int, ...], str], ...]
+    rows: tuple[tuple[tuple[int, ...], MultiPoly], ...]
 
     def jones(self, spec, full_state):
         key = tuple(full_state[i] for i in self.order)
@@ -229,66 +228,11 @@ class CountProvider(BaseCaseProvider):
                 break
         else:
             raise FamilyError(f"no unknot-count row for states {key}")
-        count = eval_count_expr(expr, full_state)
-        if count < 1:
-            raise FamilyError(f"unknot count {count} < 1 for states {full_state}")
-        return unlink_factor() ** (count - 1)
-
-
-def eval_count_expr(text: str, full_state: tuple[int, ...]) -> int:
-    """Evaluate an integer expression over x1..xk with +, -, integers and abs()."""
-    tokens = re.findall(r"abs|x\d+|\d+|[()+\-]", text.replace(" ", ""))
-    if "".join(tokens) != text.replace(" ", ""):
-        raise FamilyError(f"bad count expression {text!r}")
-    pos = 0
-
-    def parse_expr():
-        nonlocal pos
-        value = parse_atom_signed()
-        while pos < len(tokens) and tokens[pos] in "+-":
-            op = tokens[pos]
-            pos += 1
-            rhs = parse_atom_signed()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def parse_atom_signed():
-        nonlocal pos
-        if pos < len(tokens) and tokens[pos] == "-":
-            pos += 1
-            return -parse_atom_signed()
-        return parse_atom()
-
-    def parse_atom():
-        nonlocal pos
-        tok = tokens[pos]
-        if tok == "abs":
-            pos += 1
-            if tokens[pos] != "(":
-                raise FamilyError(f"abs needs parentheses in {text!r}")
-            pos += 1
-            inner = parse_expr()
-            if tokens[pos] != ")":
-                raise FamilyError(f"unbalanced abs in {text!r}")
-            pos += 1
-            return abs(inner)
-        if tok == "(":
-            pos += 1
-            inner = parse_expr()
-            if tokens[pos] != ")":
-                raise FamilyError(f"unbalanced parens in {text!r}")
-            pos += 1
-            return inner
-        if tok.startswith("x"):
-            pos += 1
-            return full_state[int(tok[1:]) - 1]
-        pos += 1
-        return int(tok)
-
-    value = parse_expr()
-    if pos != len(tokens):
-        raise FamilyError(f"trailing tokens in {text!r}")
-    return value
+        count = expr.eval(dict(zip(expr.vars, full_state)))
+        if count.denominator != 1 or count < 1:
+            raise FamilyError(f"unknot count {count} is not an integer >= 1 "
+                              f"for states {full_state}")
+        return unlink_factor() ** int(count - 1)
 
 
 # --- family definition files -------------------------------------------------
@@ -358,7 +302,9 @@ def parse_family_file(text: str) -> FamilyDef:
     elif base_kind == "count":
         if order is None:
             raise FamilyError("count provider needs an 'order' line")
-        provider = CountProvider(order, tuple(count_rows))
+        states = tuple(f"x{i + 1}" for i in range(len(parities)))
+        provider = CountProvider(order, tuple((key, parse_poly(expr, states))
+                                              for key, expr in count_rows))
     else:
         raise FamilyError(f"unknown base-case provider {base_kind!r}")
     return FamilyDef(name, tuple(parities), tuple(frozen), provider)

@@ -27,17 +27,17 @@ def falling_factorial(x: Fraction, k: int) -> Fraction:
 
 
 class HalfLaurent:
-    """Immutable Laurent polynomial in t^(1/2) with exact coefficients."""
+    """Immutable Laurent polynomial in t^(1/2) with exact coefficients.
+
+    ``terms`` maps distinct int keys (doubled exponents) to nonzero
+    coefficients, each an int or a ``Fraction``; equal values compare and hash
+    equal and format the same.  The constructor only drops zero coefficients.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, object] | None = None):
-        clean = {}
-        if terms:
-            for e2, c in terms.items():
-                if c:
-                    clean[int(e2)] = clean.get(int(e2), 0) + c
-        self.terms = {e: c for e, c in clean.items() if c}
+        self.terms = {e: c for e, c in terms.items() if c} if terms else {}
 
     @classmethod
     def zero(cls) -> "HalfLaurent":

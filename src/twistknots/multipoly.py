@@ -16,23 +16,22 @@ Monomial = tuple[int, ...]
 
 
 class MultiPoly:
-    """Immutable polynomial in the variables ``vars`` with Fraction coefficients."""
+    """Immutable polynomial in the variables ``vars`` with exact coefficients.
+
+    ``terms`` maps int-tuple monomials to nonzero coefficients, each an int or a
+    ``Fraction``; equal values compare and hash equal and format the same, so
+    the two need no conversion.  Callers pass distinct monomials: the
+    constructor only drops zero coefficients and checks the arity.
+    """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Monomial, object] | None = None):
         self.vars = tuple(variables)
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if not c:
-                    continue
-                mono = tuple(int(x) for x in mono)
-                if len(mono) != len(self.vars):
-                    raise ValueError("monomial arity does not match variable set")
-                clean[mono] = clean.get(mono, Fraction(0)) + c
-        self.terms = {m: c for m, c in clean.items() if c}
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
+        for m in self.terms:
+            if len(m) != len(self.vars):
+                raise ValueError("monomial arity does not match variable set")
 
     # --- constructors -------------------------------------------------
 
@@ -73,7 +72,7 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return MultiPoly(self.vars, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -84,15 +83,14 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, object] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                out[m] = out.get(m, 0) + c1 * c2
         return MultiPoly(self.vars, out)
 
     def scale(self, k) -> "MultiPoly":
-        k = Fraction(k)
         return MultiPoly(self.vars, {m: k * c for m, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
@@ -119,11 +117,9 @@ class MultiPoly:
     def coefficients_in(self, name: str) -> dict[int, "MultiPoly"]:
         """Split as a polynomial in one variable with MultiPoly coefficients."""
         i = self.vars.index(name)
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
+        buckets: dict[int, dict[Monomial, object]] = {}
         for m, c in self.terms.items():
-            d = m[i]
-            rest = m[:i] + (0,) + m[i + 1:]
-            buckets.setdefault(d, {})[rest] = buckets.get(d, {}).get(rest, Fraction(0)) + c
+            buckets.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
         return {d: MultiPoly(self.vars, t) for d, t in buckets.items()}
 
     def eval(self, point: Mapping[str, object]) -> Fraction:

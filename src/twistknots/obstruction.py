@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 from typing import Optional, Sequence
 
 from .laurent import HalfLaurent
@@ -76,7 +76,6 @@ def finite_type(a2, a4, a6, j4) -> FiniteTypeInvariants:
 
 def ito_residual(p: int, q: int, ft: FiniteTypeInvariants) -> Fraction:
     """Left side of the slope relation p^2(24 w4 - 5 v4) + 5 v4 + q^2(210 v6 + 5 v4)."""
-    from math import gcd
     if gcd(p, q) != 1:
         raise ValueError("slope must be in lowest terms")
     return (p * p * (24 * ft.w4 - 5 * ft.v4) + 5 * ft.v4

@@ -172,7 +172,7 @@ def test_base_case_10_58_counts():
     spec = TEN.with_signs("+++++")
     assert base_case_jones(spec, (0, 0, 0, 0, 0)) == DELTA            # 2 unknots
     assert base_case_jones(spec, (1, 1, 1, 1, 1)) == HL.one()         # 1 unknot
-    assert base_case_jones(spec, (0, 1, 0, 1, 1)) == HL.one()         # 2-|0-1| = 1
+    assert base_case_jones(spec, (0, 1, 0, 1, 1)) == HL.one()         # 2-(0-1)^2 = 1
 
 
 def test_base_case_8_12_uses_retained_fifth_band():
@@ -345,3 +345,30 @@ count 1 -> 1
     spec = fam.with_signs("+")
     with pytest.raises(FamilyError):
         base_case_jones(spec, (0,))
+
+
+def count_family(row: str) -> str:
+    return f"""family bad
+band 1 even
+band 2 even
+band 3 even
+base count
+order 1
+count 0 -> 1
+count 1 -> {row}
+"""
+
+
+@pytest.mark.parametrize("row", ["1 + ", "(x2", "abs(x2", "x9", "3 - x2 - ", "2 - abs(x3 - x2)"])
+def test_count_rows_are_parsed_at_load(row):
+    # a malformed row fails when the file loads, not at the first base case
+    with pytest.raises(ValueError):
+        parse_family_file(count_family(row))
+
+
+@pytest.mark.parametrize("row", ["x2 - x3", "1/2 + x2"])
+def test_count_provider_rejects_non_counts(row):
+    # 0 and 1/2 at states (1, 0, 0) are not unknot counts
+    spec = parse_family_file(count_family(row)).with_signs("+++")
+    with pytest.raises(FamilyError):
+        base_case_jones(spec, (1, 0, 0))

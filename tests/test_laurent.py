@@ -151,3 +151,26 @@ def test_equal_up_to_unit():
     assert p.equal_up_to_unit(p.shift(6))
     assert p.equal_up_to_unit((-p).shift(-4))
     assert not p.equal_up_to_unit(p + HL.one())
+
+
+# --- coefficients are ints or Fractions, never normalised twice --------------
+
+def as_fractions(p):
+    return HL({e: Fraction(c) for e, c in p.terms.items()})
+
+
+@given(small_polys, small_polys)
+def test_int_and_fraction_coefficients_agree(p, q):
+    for a, b in ((p, as_fractions(p)), (p * q, as_fractions(p) * as_fractions(q)),
+                 (p + q.scale(3), as_fractions(p) + as_fractions(q).scale(Fraction(3)))):
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.format() == b.format()
+
+
+@given(small_polys, small_polys)
+def test_results_hold_no_zero_coefficients(p, q):
+    assert (p - p).terms == {}
+    assert (p + (-p)).terms == {}
+    assert all(c != 0 for c in (p * q).terms.values())
+    assert all(c != 0 for c in (p + q).terms.values())

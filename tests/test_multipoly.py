@@ -21,6 +21,7 @@ def mk(terms):
 
 monos = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)
 polys = st.dictionaries(monos, st.fractions(min_value=-5, max_value=5), max_size=4).map(mk)
+int_terms = st.dictionaries(monos, st.integers(min_value=-5, max_value=5), max_size=4)
 points = st.fixed_dictionaries({v: st.integers(min_value=-6, max_value=6) for v in ABC})
 
 
@@ -121,3 +122,32 @@ def test_format_graded_lex():
     assert p.format() == "-a^2 + b + 3"
     assert MultiPoly.zero(ABC).format() == "0"
 
+
+
+# --- coefficients are ints or Fractions, never normalised twice --------------
+
+def as_fractions(p):
+    return MultiPoly(p.vars, {m: Fraction(c) for m, c in p.terms.items()})
+
+
+@given(int_terms, int_terms)
+def test_int_and_fraction_coefficients_agree(t1, t2):
+    p, q = mk(t1), mk(t2)
+    for a, b in ((p, as_fractions(p)), (p * q, as_fractions(p) * as_fractions(q)),
+                 (p + q.scale(3), as_fractions(p) + as_fractions(q).scale(Fraction(3)))):
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.format() == b.format()
+
+
+@given(polys, polys)
+def test_results_hold_no_zero_coefficients(p, q):
+    assert (p - p).terms == {}
+    assert (p + (-p)).terms == {}
+    assert all(c != 0 for c in (p * q).terms.values())
+    assert all(c != 0 for c in (p + q).terms.values())
+
+
+def test_arity_is_checked():
+    with pytest.raises(ValueError):
+        MultiPoly(ABC, {(1, 0): 1})
