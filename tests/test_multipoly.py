@@ -21,7 +21,7 @@ def mk(terms):
 
 monos = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)
 polys = st.dictionaries(monos, st.fractions(min_value=-5, max_value=5), max_size=4).map(mk)
-int_terms = st.dictionaries(monos, st.integers(min_value=-5, max_value=5), max_size=4)
+int_polys = st.dictionaries(monos, st.integers(min_value=-5, max_value=5), max_size=4).map(mk)
 points = st.fixed_dictionaries({v: st.integers(min_value=-6, max_value=6) for v in ABC})
 
 
@@ -123,16 +123,14 @@ def test_format_graded_lex():
     assert MultiPoly.zero(ABC).format() == "0"
 
 
-
 # --- coefficients are ints or Fractions, never normalised twice --------------
 
 def as_fractions(p):
     return MultiPoly(p.vars, {m: Fraction(c) for m, c in p.terms.items()})
 
 
-@given(int_terms, int_terms)
-def test_int_and_fraction_coefficients_agree(t1, t2):
-    p, q = mk(t1), mk(t2)
+@given(int_polys, int_polys)
+def test_int_and_fraction_coefficients_agree(p, q):
     for a, b in ((p, as_fractions(p)), (p * q, as_fractions(p) * as_fractions(q)),
                  (p + q.scale(3), as_fractions(p) + as_fractions(q).scale(Fraction(3)))):
         assert a == b
