@@ -21,6 +21,18 @@ Rows:
   7_6 ``++-+-`` at twists (N,)^5 for N = 20 and 200.  The polynomial is
   assembled once, outside the timing; ``ms`` is the median over ``REPEAT`` runs
   of the mean time of ``ROOT5_CALLS`` calls.
+- ``paper_case.<family>``: ``verify_paper_case`` then ``sweep_case`` at range
+  4 on every registered sign case of the family, as benchmark's
+  paper-casework workload does per operation; ``s`` is the median over
+  ``REPEAT`` runs of the time for all of them.
+- ``bracket.c<C>``: ``pdcodes.kauffman_bracket`` on the C-crossing diagrams of
+  the first round of the benchmark's oracle-crosscheck workload at seed 1
+  (two per row); ``ms`` is the median over ``REPEAT`` runs of the mean time per
+  diagram.  The diagrams are built outside the timing.
+
+Every timed run of a sweep or paper-case row starts with an empty
+``casework.symbolic_case`` memo, so each run pays for its symbolic set-up and
+the rows compare with those of checkouts that have no memo.
 
 Every time is taken with perfbench's speed meter (``perfbench/speed.py``): a
 fixed pure-Python probe runs before, after and every 50 ms during the call, its
@@ -61,6 +73,7 @@ from speed import SpeedMeter, normalised  # noqa: E402
 
 REPEAT = 5
 SYMBOLIC = ("7_6", "10_58")
+PAPER_CASES = ("7_6", "10_58", "8_12")
 GATE_LOOP = ("7_6", "++-+-", 8)
 BOX_SWEEPS = (("7_6", "++-+-", 12), ("10_58", "+-+-+", 12), ("8_12", "-++-+", 20))
 ROOT5_SWEEP = ("7_6", "++-+-", 3)
@@ -68,6 +81,9 @@ ASSEMBLE = ("7_6", "++-+-", (10, 50, 200, 1000))
 ROW_BUDGET_S = 60.0
 EVAL_ROOT5 = ("7_6", "++-+-", (20, 200))
 ROOT5_CALLS = 20
+PAPER_CASE_RANGE = 4
+BRACKET = (12, 14, 16)      # crossing counts
+BRACKET_SEED = 1
 
 
 def git_revision(src: Path) -> str:
@@ -84,6 +100,17 @@ def timed(fn):
     return normalised(out["seconds"], meter.probe_s), out["seconds"], result
 
 
+def cold(casework) -> None:
+    """Empty the symbolic_case memo (checkouts without one have nothing to clear)."""
+    getattr(casework.symbolic_case, "cache_clear", lambda: None)()
+
+
+def cold_timed(casework, fn):
+    """timed(fn), started with an empty symbolic_case memo."""
+    cold(casework)
+    return timed(fn)
+
+
 def summary(runs, unit: str, scale: float = 1.0) -> dict:
     """Median and per-run figures of (normalised, wall, ...) runs."""
     return {unit: round(scale * statistics.median(r[0] for r in runs), 4),
@@ -94,6 +121,7 @@ def summary(runs, unit: str, scale: float = 1.0) -> dict:
 def traced_gate_loop(casework, cfg, signs: str) -> float:
     tracer = tracing.Tracer("bench")
     meter = SpeedMeter()
+    cold(casework)      # before install: the tracing wrapper has no cache_clear
     tracer.install()
     try:
         with meter.timing():
@@ -118,7 +146,8 @@ def symbolic_row(casework, family: str) -> dict:
 
 def row(casework, family: str, signs: str, n_range: int, use_root5: bool = False) -> dict:
     cfg = casework.SweepConfig(family, n_range=n_range, use_root5=use_root5)
-    runs = [timed(lambda: casework.sweep_case(cfg, signs)) for _ in range(REPEAT)]
+    runs = [cold_timed(casework, lambda: casework.sweep_case(cfg, signs))
+            for _ in range(REPEAT)]
     gate_loop = [traced_gate_loop(casework, cfg, signs) for _ in range(REPEAT)]
     report = runs[0][2]
     return {"family": family, "signs": signs, "range": n_range,
@@ -154,6 +183,46 @@ def eval_root5_row(casework, family: str, signs: str, n: int) -> dict:
             "calls": ROOT5_CALLS, **summary(runs, "ms", 1e3 / ROOT5_CALLS)}
 
 
+def paper_case_row(casework, family: str) -> dict:
+    registry = casework.load_registry(family)
+    cases = sorted(registry.cases)
+    cfg = casework.SweepConfig(family, n_range=PAPER_CASE_RANGE)
+
+    def all_cases():
+        for signs in cases:
+            casework.verify_paper_case(family, signs, registry)
+            casework.sweep_case(cfg, signs, registry)
+
+    runs = [cold_timed(casework, all_cases) for _ in range(REPEAT)]
+    return {"family": family, "cases": len(cases), "range": PAPER_CASE_RANGE,
+            **summary(runs, "s")}
+
+
+def bracket_rows() -> dict:
+    import workloads
+    from twistknots.diagrams import build_diagram, load_template
+    from twistknots.families import load_family
+    from twistknots.pdcodes import kauffman_bracket
+
+    ops = next(workloads.rounds("oracle-crosscheck", BRACKET_SEED))
+    rows = {}
+    for crossings in BRACKET:
+        chosen = [op for op in ops if op.size == f"c{crossings}"]
+        pds = [build_diagram(load_template(op.family),
+                             load_family(op.family).with_signs(op.signs), op.twists)
+               for op in chosen]
+
+        def all_diagrams():
+            for pd in pds:
+                kauffman_bracket(pd)
+
+        runs = [timed(all_diagrams) for _ in range(REPEAT)]
+        rows[f"bracket.c{crossings}"] = {
+            "seed": BRACKET_SEED, "diagrams": [op.key for op in chosen],
+            **summary(runs, "ms", 1e3 / len(pds))}
+    return rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
@@ -182,6 +251,9 @@ def main() -> int:
     family, signs, twists = EVAL_ROOT5
     for n in twists:
         rows[f"eval_root5.n{n}"] = eval_root5_row(casework, family, signs, n)
+    for family in PAPER_CASES:
+        rows[f"paper_case.{family}"] = paper_case_row(casework, family)
+    rows.update(bracket_rows())
     result = {"revision": git_revision(src), "nproc": os.cpu_count(),
               "python": platform.python_version(), "repeat": REPEAT, "rows": rows}
 

@@ -25,6 +25,13 @@ identity or after a chain of fraction-free substitutions (clearing every
 denominator).  Sign claims are certified by shifting all variables by one and
 inspecting coefficient signs; a claim this certificate cannot prove fails as
 uncertified.
+
+``symbolic_case`` is memoised in an LRU cache of ``len(ALL_CASES)`` entries,
+one family's 32 sign cases (about 16 KB each, so at most about 0.5 MB), so
+``verify_paper_case`` followed by ``sweep_case`` on the same case computes the
+symbolic data once.  A case whose route checks fail raises on every call, since
+exceptions are not cached.  Every caller shares the cached ``SymbolicCase``,
+so it is frozen and its ``derivs`` is a tuple.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from importlib import resources
 from itertools import product
 from math import lcm
@@ -123,14 +130,17 @@ def load_registry(family: str) -> CaseRegistry:
     return CaseRegistry(raw["family"], cases, exceptions, d4_demo)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymbolicCase:
-    """All per-case symbolic data used by sweeps and formula checks."""
+    """All per-case symbolic data used by sweeps and formula checks.
+
+    Immutable, since ``symbolic_case`` hands the same object to every caller.
+    """
 
     spec: FamilySpec
     leading: MultiPoly
     a2: MultiPoly
-    derivs: list[MultiPoly]     # k = 0..4
+    derivs: tuple[MultiPoly, ...]     # k = 0..4
 
     @property
     def c3(self) -> MultiPoly:
@@ -138,6 +148,7 @@ class SymbolicCase:
         return self.a2 - self.leading.scale(4)
 
 
+@lru_cache(maxsize=len(ALL_CASES))
 def symbolic_case(family: str, signs: str) -> SymbolicCase:
     fam = load_family(family)
     spec = fam.with_signs(signs)
@@ -149,7 +160,7 @@ def symbolic_case(family: str, signs: str) -> SymbolicCase:
     a4 = cz.get(4, zero)
     if a4 != lead:
         raise AssertionError(f"z^4 Conway coefficient differs from det for {family} {signs}")
-    derivs = symbolic_derivs(spec, 4)
+    derivs = tuple(symbolic_derivs(spec, 4))
     if derivs[2] != a2.scale(-6):
         raise AssertionError(f"V''(1) != -6 a2 for {family} {signs}")
     return SymbolicCase(spec, lead, a2, derivs)

@@ -274,11 +274,14 @@ def parse_family_file(text: str) -> FamilyDef:
             name = rest
         elif head == "band":
             fields = rest.split()
+            if len(fields) < 2 or fields[1] not in ("odd", "even") \
+                    or fields[2:] not in ([], ["frozen"]):
+                raise FamilyError(f"bad band line {line!r}: want 'band i odd|even [frozen]'")
             idx = int(fields[0])
             if idx != len(parities) + 1:
                 raise FamilyError("bands must be listed in order starting at 1")
             parities.append(1 if fields[1] == "odd" else 0)
-            frozen.append("frozen" in fields[2:])
+            frozen.append(fields[2:] == ["frozen"])
         elif head == "base":
             base_kind = rest
         elif head == "order":
@@ -302,6 +305,8 @@ def parse_family_file(text: str) -> FamilyDef:
     elif base_kind == "count":
         if order is None:
             raise FamilyError("count provider needs an 'order' line")
+        if any(not 0 <= i < len(parities) for i in order):
+            raise FamilyError(f"'order' names a band outside 1..{len(parities)}")
         states = tuple(f"x{i + 1}" for i in range(len(parities)))
         provider = CountProvider(order, tuple((key, parse_poly(expr, states))
                                               for key, expr in count_rows))

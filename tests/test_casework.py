@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from itertools import product
@@ -7,7 +8,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import twistknots.casework as casework
 from twistknots.casework import (
+    ALL_CASES,
     RegistryEntry,
     SweepConfig,
     SymbolicCase,
@@ -263,3 +266,55 @@ def test_sweep_case_matches_brute_force(family, signs, n_range, root5):
         assert bool(exceptions) == (family == "7_6")
         assert all(v.alex_leading == Fraction(0) and v.root5 is not None
                    for v in report.exceptions)
+
+
+# --- the symbolic_case memo ----------------------------------------------------------
+
+def test_symbolic_case_computed_once_per_case(monkeypatch):
+    symbolic_case.cache_clear()
+    real = casework.symbolic_derivs
+    calls = []
+
+    def counting(spec, kmax=4):
+        calls.append(spec.signs_str())
+        return real(spec, kmax)
+
+    monkeypatch.setattr(casework, "symbolic_derivs", counting)
+    verify_paper_case("7_6", "+++++")
+    sweep_case(SweepConfig("7_6", n_range=4), "+++++")
+    assert calls == ["+++++"]
+
+
+def test_cached_symbolic_case_is_immutable():
+    symbolic_case.cache_clear()
+    sym = symbolic_case("7_6", "+++++")
+    assert symbolic_case("7_6", "+++++") is sym
+    assert isinstance(sym.derivs, tuple)
+    for name in ("spec", "leading", "a2", "derivs"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sym, name, None)
+
+
+def test_failing_route_check_is_not_cached(monkeypatch):
+    # the skew of perfbench's raising-program test: a2 off by one
+    symbolic_case.cache_clear()
+    real = casework.conway_symbolic
+
+    def skewed(tpl):
+        out = real(tpl)
+        out[2] = out[2] + out[2].const(out[2].vars, 1)
+        return out
+
+    monkeypatch.setattr(casework, "conway_symbolic", skewed)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="-6 a2"):
+            symbolic_case("8_12", "++-+-")
+    assert symbolic_case.cache_info().currsize == 0
+    monkeypatch.undo()
+    symbolic_case("8_12", "++-+-")
+    assert symbolic_case.cache_info().currsize == 1
+
+
+def test_symbolic_case_cache_holds_one_family():
+    symbolic_case.cache_clear()
+    assert symbolic_case.cache_info().maxsize == len(ALL_CASES) == 32

@@ -333,6 +333,19 @@ def test_family_file_errors():
         parse_family_file("family x\nband 1 odd\nbase count\n")
 
 
+@pytest.mark.parametrize("band", ["band 1 od", "band 1 even frozn", "band 1 even frozen frozen",
+                                  "band 1"])
+def test_family_file_rejects_malformed_band_lines(band):
+    with pytest.raises(FamilyError, match="bad band line"):
+        parse_family_file(f"family x\n{band}\nbase count\norder 1\ncount 0 -> 1\n")
+
+
+@pytest.mark.parametrize("order", ["order 1 7", "order 0", "order 2"])
+def test_family_file_rejects_order_outside_the_bands(order):
+    with pytest.raises(FamilyError, match="outside 1..1"):
+        parse_family_file(f"family x\nband 1 even\nbase count\n{order}\ncount 0 -> 1\n")
+
+
 def test_count_provider_rejects_nonpositive_counts():
     text = """family bad
 band 1 even
