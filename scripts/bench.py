@@ -22,7 +22,7 @@ Rows:
   assembled once, outside the timing; ``ms`` is the median over ``REPEAT`` runs
   of the mean time of ``ROOT5_CALLS`` calls.
 - ``paper_case.<family>``: ``verify_paper_case`` then ``sweep_case`` at range
-  4 on every registered sign case of the family, as benchmark's
+  4 on every registered sign case of the family, as the benchmark's
   paper-casework workload does per operation; ``s`` is the median over
   ``REPEAT`` runs of the time for all of them.
 - ``bracket.c<C>``: ``pdcodes.kauffman_bracket`` on the C-crossing diagrams of
