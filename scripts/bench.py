@@ -69,6 +69,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 from speed import SpeedMeter, normalised  # noqa: E402
 
 REPEAT = 5
@@ -199,7 +200,6 @@ def paper_case_row(casework, family: str) -> dict:
 
 
 def bracket_rows() -> dict:
-    import workloads
     from twistknots.diagrams import build_diagram, load_template
     from twistknots.families import load_family
     from twistknots.pdcodes import kauffman_bracket
