@@ -6,13 +6,16 @@ and Alexander-coefficient polynomials for speed.  Surviving instances are
 matched against the registered parametric exception patterns, and their Jones
 and Conway polynomials are certified trivial.
 
-The gates are evaluated a line at a time along the last twist axis.  Each gate
-polynomial, its denominators cleared, is grouped by the exponent of the last
-variable; for a prefix (n_1..n_{k-1}) its coefficients in that variable are
-computed once and combined with a table of v^e, built once per sweep, into the
-exact integer values at v = 1..N.  A gate runs only on the positions that the
-earlier gates left alive, and the survivors reach full assembly in the order
-of the box, so the reports do not depend on how the gates are evaluated.
+The gates find their zeros a line at a time along the last twist axis.  For a
+prefix (n_1..n_{k-1}), each gate polynomial, its denominators cleared, becomes
+exact integer coefficients c_0..c_d in the last variable v.  If every c_e is
+0, every position still alive survives; at degree 0 none does; at degree 1 the
+only candidate is v = -c_0/c_1, kept when it is an integer and still alive;
+from degree 2 on, the gate is evaluated by Horner at the alive positions only.
+The leading coefficient and a2 have degree 1 in the last variable in every sign
+case, d3 degree 2 and d4 degree 3.  A gate runs only while positions are alive,
+and the survivors reach full assembly in the order of the box, so the reports
+do not depend on how the zeros are found.
 
 The optional root-of-unity gate comes last, so an instance an earlier gate
 excludes is counted there whatever its value at the root of unity: a
@@ -262,40 +265,63 @@ def match_exception(registry: CaseRegistry, signs: str, n: tuple[int, ...],
 
 # --- sweeping ----------------------------------------------------------------------
 
-def _axis_evaluator(poly: MultiPoly, n_range: int):
-    """Evaluate D * poly along the last variable, one whole line at a time.
+def _line_coefficients(poly: MultiPoly):
+    """The coefficients of D * poly in the last variable, a prefix at a time.
 
-    D is the lcm of the coefficient denominators, so every value is an exact
-    int with the sign and zero set of poly.  Returns ``along``:
-    ``along(prefix)`` takes the first k-1 twists and gives
-    [D * poly(prefix, v) for v = 1..n_range], or None when every coefficient
-    of the last variable is 0 there (poly vanishes on the whole line).
+    D is the lcm of the coefficient denominators, so every coefficient is an
+    exact int and D * poly has the sign and zero set of poly.  Returns
+    ``coeffs``: ``coeffs(prefix)`` takes the first k-1 twists and gives
+    [c_0, ..., c_d], with D * poly(prefix, v) = c_0 + c_1 v + ... + c_d v^d and
+    d the degree of poly in the last variable (trailing c_e may be 0).
     """
     scale = lcm(*(c.denominator for c in poly.terms.values()))
-    groups: dict[int, list] = {}   # exponent of the last variable -> terms
+    degree = max((m[-1] for m in poly.terms), default=0)
+    groups: list[list] = [[] for _ in range(degree + 1)]
     for mono, c in poly.terms.items():
-        factors = tuple((i, e) for i, e in enumerate(mono[:-1]) if e)
-        groups.setdefault(mono[-1], []).append((int(c * scale), factors))
-    axis = range(1, n_range + 1)
-    rows = [([v ** e for v in axis], terms) for e, terms in sorted(groups.items())]
+        # the prefix index i, repeated e times for the factor n_i^e
+        factors = tuple(i for i, e in enumerate(mono[:-1]) for _ in range(e))
+        groups[mono[-1]].append((int(c * scale), factors))
 
-    def along(prefix) -> Optional[list[int]]:
-        line = None
-        for powers, terms in rows:
+    def coeffs(prefix) -> list[int]:
+        out = []
+        for terms in groups:
             coeff = 0
             for c, factors in terms:
-                for i, e in factors:
-                    c *= prefix[i] ** e
+                for i in factors:
+                    c *= prefix[i]
                 coeff += c
-            if not coeff:
-                continue
-            if line is None:
-                line = [coeff * p for p in powers]
-            else:
-                line = [x + coeff * p for x, p in zip(line, powers)]
-        return line
+            out.append(coeff)
+        return out
 
-    return along
+    return coeffs
+
+
+def _line_zeros(coeffs: list[int], alive):
+    """The positions v of ``alive`` (ascending ints) where
+    c_0 + c_1 v + ... + c_d v^d = 0, in ascending order.
+
+    When every c_e is 0, that is all of ``alive``; when only c_0 is nonzero,
+    none.  At degree 1 the only candidate is the root -c_0/c_1, kept when it is
+    an integer in ``alive``; from degree 2 on, Horner runs at each v of
+    ``alive``.
+    """
+    d = len(coeffs) - 1
+    while d > 0 and not coeffs[d]:
+        d -= 1
+    if d == 1:
+        v, r = divmod(-coeffs[0], coeffs[1])
+        return [v] if not r and v in alive else []
+    if d == 0:
+        return [] if coeffs[0] else alive
+    top = coeffs[d::-1]
+    zeros = []
+    for v in alive:
+        acc = 0
+        for c in top:
+            acc = acc * v + c
+        if not acc:
+            zeros.append(v)
+    return zeros
 
 
 def sweep_case(cfg: SweepConfig, signs: str,
@@ -310,17 +336,14 @@ def sweep_case(cfg: SweepConfig, signs: str,
 
     # gate order as in cosmetic_gate; d2 needs no gate of its own, since
     # V''(1) = -6 a2 is checked in symbolic_case
-    gates = {key: _axis_evaluator(poly, cfg.n_range) for key, poly in
+    gates = {key: _line_coefficients(poly) for key, poly in
              (("alexander_leading", sym.leading), ("conway", sym.a2),
               ("d3", sym.derivs[3]), ("d4", sym.derivs[4]))}
     axis = range(1, cfg.n_range + 1)
     for prefix in product(axis, repeat=k - 1):
         alive = axis
-        for key, along in gates.items():
-            line = along(prefix)
-            if line is None:
-                continue
-            zeros = [v for v in alive if not line[v - 1]]
+        for key, coeffs in gates.items():
+            zeros = _line_zeros(coeffs(prefix), alive)
             exclusions[key] += len(alive) - len(zeros)
             alive = zeros
             if not alive:

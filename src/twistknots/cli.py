@@ -18,10 +18,8 @@ from .casework import (
     load_registry,
     verify_paper_case,
 )
-from .diagrams import DiagramError, crosscheck, load_template
 from .families import FamilyError, assemble_jones, check_twists, jones_derivs, load_family
 from .obstruction import cosmetic_gate
-from .pdcodes import BudgetExceeded, PDError
 from .seifert import (SeifertError, alexander_poly, conway_poly, leading_coeff_symbolic,
                       template_for)
 
@@ -119,36 +117,48 @@ def cmd_verify_paper(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _verification_failed(exc: Exception) -> int:
+    print(f"verification failed: {exc}", file=sys.stderr)
+    return 1
+
+
 def cmd_crosscheck(args) -> int:
     if bool(args.signs) != bool(args.twists):
         raise ValueError("crosscheck needs --signs and --twists together, or neither")
-    fam = load_family(args.family)
-    tpl = load_template(args.family)
-    if args.signs and args.twists:
-        spec = fam.with_signs(args.signs)
-        jobs = [(spec, _twists(args, spec))]
-    else:
-        k = len(fam.with_signs("+" * len(fam.parities)).active_bands)
-        base = (1,) * k
-        jobs = []
-        for signs in ("+" * 5, "++-+-", "-+-++"):
-            spec = fam.with_signs(signs)
-            jobs.append((spec, base))
-            for i in range(k):
-                jobs.append((spec, tuple(2 if j == i else 1 for j in range(k))))
-    failures = 0
-    for spec, n in jobs:
-        try:
-            ok = crosscheck(spec, tpl, n, budget=args.budget)
-        except BudgetExceeded as exc:
-            print(f"{instance_id(args.family, spec.signs_str(), n)}: skipped ({exc})")
-            continue
-        print(f"{instance_id(args.family, spec.signs_str(), n)}: "
-              f"{'agree' if ok else 'MISMATCH'}")
-        if not ok:
-            failures += 1
-    print(f"{len(jobs)} cross-checks, {failures} failures")
-    return 0 if failures == 0 else 1
+    # only crosscheck uses the diagram oracle, so only it imports it
+    from .diagrams import DiagramError, crosscheck, load_template
+    from .pdcodes import BudgetExceeded, PDError
+
+    try:
+        fam = load_family(args.family)
+        tpl = load_template(args.family)
+        if args.signs and args.twists:
+            spec = fam.with_signs(args.signs)
+            jobs = [(spec, _twists(args, spec))]
+        else:
+            k = len(fam.with_signs("+" * len(fam.parities)).active_bands)
+            base = (1,) * k
+            jobs = []
+            for signs in ("+" * 5, "++-+-", "-+-++"):
+                spec = fam.with_signs(signs)
+                jobs.append((spec, base))
+                for i in range(k):
+                    jobs.append((spec, tuple(2 if j == i else 1 for j in range(k))))
+        failures = 0
+        for spec, n in jobs:
+            try:
+                ok = crosscheck(spec, tpl, n, budget=args.budget)
+            except BudgetExceeded as exc:
+                print(f"{instance_id(args.family, spec.signs_str(), n)}: skipped ({exc})")
+                continue
+            print(f"{instance_id(args.family, spec.signs_str(), n)}: "
+                  f"{'agree' if ok else 'MISMATCH'}")
+            if not ok:
+                failures += 1
+        print(f"{len(jobs)} cross-checks, {failures} failures")
+        return 0 if failures == 0 else 1
+    except (PDError, DiagramError) as exc:
+        return _verification_failed(exc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,9 +233,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # internal failures of the engines are ValueErrors too, so catch them first
-    except (AssertionError, SeifertError, PDError, DiagramError) as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
+    except (AssertionError, SeifertError) as exc:
+        return _verification_failed(exc)
     except (FamilyError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,14 +18,6 @@ from fractions import Fraction
 from typing import Mapping
 
 
-def falling_factorial(x: Fraction, k: int) -> Fraction:
-    """x (x-1) ... (x-k+1), with ff(x, 0) = 1."""
-    out = Fraction(1)
-    for r in range(k):
-        out *= x - r
-    return out
-
-
 class HalfLaurent:
     """Immutable Laurent polynomial in t^(1/2) with exact coefficients.
 

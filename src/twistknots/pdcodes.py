@@ -235,52 +235,3 @@ def format_pd(pd: PDCode) -> str:
     if pd.free_loops:
         lines.append(f"loops {pd.free_loops}")
     return "\n".join(lines) + "\n"
-
-
-def disjoint_union(p1: PDCode, p2: PDCode) -> PDCode:
-    shift = max(p1.arcs(), default=0)
-    crossings = p1.crossings + tuple(
-        tuple(a + shift for a in quad) for quad in p2.crossings)
-    return PDCode(crossings, p1.over_in + p2.over_in, p1.free_loops + p2.free_loops)
-
-
-def connected_sum(p1: PDCode, p2: PDCode, arc1: int, arc2: int) -> PDCode:
-    """Splice arc1 of p1 to arc2 of p2 (orientations must align: head of arc1
-    feeds the consumer of arc2 and vice versa)."""
-    p1.validate_orientation()
-    p2.validate_orientation()
-    shift = max(p1.arcs(), default=0)
-    fresh = shift + max(p2.arcs(), default=0) + 1
-
-    def role(pd, ci, pos):
-        over = pd.over_in[ci]
-        return {0: "head", 2: "tail", over: "head", (over + 2) % 4: "tail"}[pos]
-
-    def rewrite(pd, target, is_first):
-        quads = []
-        for ci, quad in enumerate(pd.crossings):
-            new = []
-            for pos, arc in enumerate(quad):
-                label = arc if is_first else arc + shift
-                if arc == target:
-                    r = role(pd, ci, pos)
-                    if is_first:
-                        # tail keeps the old label, head takes the fresh one
-                        label = target if r == "tail" else fresh
-                    else:
-                        label = target + shift if r == "head" else fresh
-                new.append(label)
-            quads.append(tuple(new))
-        return quads
-
-    q1 = rewrite(p1, arc1, True)
-    q2 = rewrite(p2, arc2, False)
-    # p1's tail end (label arc1) must be consumed by p2's head slot: p2's head
-    # of arc2 was relabeled arc2+shift; merge the two labels
-    merged = []
-    for quad in q2:
-        merged.append(tuple(arc1 if a == arc2 + shift else a for a in quad))
-    out = PDCode(tuple(q1) + tuple(merged), p1.over_in + p2.over_in,
-                 p1.free_loops + p2.free_loops)
-    out.validate_orientation()
-    return out

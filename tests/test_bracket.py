@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import connected_sum, disjoint_union
 from twistknots.diagrams import (
     DiagramError,
     DiagramTemplate,
@@ -15,8 +16,6 @@ from twistknots.pdcodes import (
     BudgetExceeded,
     PDCode,
     PDError,
-    connected_sum,
-    disjoint_union,
     format_pd,
     jones_from_pd,
     kauffman_bracket,

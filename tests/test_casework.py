@@ -14,8 +14,9 @@ from twistknots.casework import (
     RegistryEntry,
     SweepConfig,
     SymbolicCase,
-    _axis_evaluator,
     _certify_sign,
+    _line_coefficients,
+    _line_zeros,
     classify_exceptions,
     full_report,
     instance_id,
@@ -183,7 +184,7 @@ def test_sweep_pool_capped_at_sign_cases(monkeypatch):
     assert [r.signs for r in reports] == list(ALL_CASES)
 
 
-# --- the axis evaluator and the gate loop against brute force -------------------
+# --- the zero finder and the gate loop against brute force ----------------------
 
 @st.composite
 def axis_polys(draw):
@@ -198,23 +199,61 @@ def axis_polys(draw):
     return poly, draw(st.integers(min_value=2, max_value=3))
 
 
+def _check_zero_finder(gates, n_range):
+    """Chain the gates as sweep_case does, a line at a time along the last
+    variable, and compare every line's coefficients and zeros with
+    MultiPoly.eval on the same box."""
+    variables = gates[0].vars
+    finders = [_line_coefficients(g) for g in gates]
+    scales = [lcm(*(c.denominator for c in g.terms.values())) for g in gates]
+    axis = range(1, n_range + 1)
+    for prefix in product(axis, repeat=len(variables) - 1):
+        alive = axis
+        for gate, coeffs, scale in zip(gates, finders, scales):
+            cs = coeffs(prefix)
+            assert len(cs) == 1 + max((m[-1] for m in gate.terms), default=0)
+            assert all(type(c) is int for c in cs)
+            values = {v: gate.eval(dict(zip(variables, prefix + (v,)))) for v in axis}
+            assert all(sum(c * v ** e for e, c in enumerate(cs)) == scale * values[v]
+                       for v in axis)
+            zeros = _line_zeros(cs, alive)
+            assert list(zeros) == [v for v in alive if not values[v]]
+            alive = zeros
+
+
 @settings(max_examples=60, deadline=None)
 @given(axis_polys())
-def test_axis_evaluator_matches_eval(case):
+def test_zero_finder_matches_eval(case):
     poly, n_range = case
-    along = _axis_evaluator(poly, n_range)
-    scale = lcm(*(c.denominator for c in poly.terms.values()))
-    last = poly.vars[-1]
-    coeffs = poly.coefficients_in(last).values()
-    for prefix in product(range(1, n_range + 1), repeat=len(poly.vars) - 1):
-        line = along(prefix)
-        # None exactly when every coefficient of the last variable is 0 here
-        vanishes = all(not c.eval(dict(zip(poly.vars, prefix + (1,)))) for c in coeffs)
-        assert (line is None) == vanishes
-        expected = [scale * poly.eval(dict(zip(poly.vars, prefix + (v,))))
-                    for v in range(1, n_range + 1)]
-        assert (line or [0] * n_range) == expected
-        assert all(type(x) is int for x in line or ())
+    _check_zero_finder([poly], n_range)
+    # behind a gate that leaves one position alive per line, v = a
+    _check_zero_finder([parse_poly(f"{poly.vars[-1]} - a", poly.vars), poly], n_range)
+
+
+ZERO_FINDER_GATES = {
+    "linear root inside the box": ["e - a"],
+    "linear root above the box": ["e - a - 4"],
+    "linear root at 0": ["e"],
+    "linear root below 0": ["e + a"],
+    "linear root a+1/2": ["2*e - 2*a - 1"],
+    "linear root a/3, integral for some a": ["3*e - a"],
+    "linear with fractions": ["e/2 - a/6 - b/3"],
+    "linear, degree 0 where a == b": ["(a - b)*e + c"],
+    "linear, zero where a == b": ["(a - b)*(e - c)"],
+    "root killed by an earlier gate": ["e - a", "e - b"],
+    "linear behind a quadratic": ["(e - a)*(e - c)", "e - b"],
+    "cubic with three integer roots": ["(e - a)*(e - b)*(e - 2)"],
+    "cubic with one integer root": ["(e - c)*(2*e - 1)*(e + b)"],
+    "cubic with no rational root": ["e^3 - 2*a^3"],
+    "cubic with an integer root only where d = 4": ["e^3 - 2*a^3*d"],
+    "cubic behind linear gates": ["e - a", "(a - b)*e + c - d", "(e - c)*(e - d)^2/5"],
+}
+
+
+@pytest.mark.parametrize("chain", ZERO_FINDER_GATES.values(), ids=ZERO_FINDER_GATES)
+def test_zero_finder_on_built_gates(chain):
+    variables = ("a", "b", "c", "d", "e")
+    _check_zero_finder([parse_poly(g, variables) for g in chain], 4)
 
 
 def _reference_sweep(cfg: SweepConfig, signs: str):

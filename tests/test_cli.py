@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from twistknots.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_jones_unknot_exception(capsys):
@@ -76,6 +82,31 @@ def test_crosscheck_lone_instance_flag_exits_2(flag, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_oracle_failure_exits_1(monkeypatch, capsys):
+    import twistknots.diagrams as diagrams
+
+    def broken(spec, tpl, n, budget):
+        raise diagrams.DiagramError("template must be a closed column arrangement")
+
+    monkeypatch.setattr(diagrams, "crosscheck", broken)
+    code = main(["crosscheck", "--family", "7_6", "--signs", "++-+-",
+                 "--twists", "1,2,1,1,1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "verification failed: template must be a closed column arrangement\n"
+
+
+def test_cli_import_leaves_out_the_oracle():
+    """check and jones never use the diagram oracle, so importing the CLI
+    does not import it."""
+    probe = ("import sys, twistknots.cli; "
+             "print(sorted(m for m in ('twistknots.diagrams', 'twistknots.pdcodes') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "[]"
 
 
 def test_usage_error_exit_codes(capsys):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import given
 
-from twistknots.laurent import HalfLaurent, falling_factorial
+from helpers import falling_factorial
+from twistknots.laurent import HalfLaurent
 
 HL = HalfLaurent
 
