@@ -1,26 +1,24 @@
 #!/usr/bin/env python3
 """Run the full verification pipeline and write reports to out/.
 
-For each family: the registry formula checks, the sweep over [1..N]^k with
-exception classification, and oracle spot checks.  Exits nonzero if anything
-fails.  Usage:  python3 scripts/run_verification.py [--range N] [--root5]
+For each family, three CLI runs: ``verify-paper`` (the registry formula
+checks, written to ``<family>-formulas.json``), ``sweep`` over [1..N]^k with
+exception classification (``<family>-sweep.json``) and ``crosscheck`` (the
+oracle battery).  Exits 1 if any run fails.
+Usage:  python3 scripts/run_verification.py [--range N] [--root5] [--out DIR]
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from twistknots.casework import SweepConfig, full_report, load_registry, verify_paper_case  # noqa: E402
-from twistknots.diagrams import crosscheck, load_template  # noqa: E402
-from twistknots.families import load_family  # noqa: E402
-
-FAMILIES = ("7_6", "10_58", "8_12")
+from twistknots import cli  # noqa: E402
+from twistknots.families import FAMILIES  # noqa: E402
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--range", type=int, default=4)
     parser.add_argument("--root5", action="store_true")
@@ -30,41 +28,19 @@ def main():
     out_dir = Path(args.out)
     out_dir.mkdir(exist_ok=True)
     failures = 0
-
     for family in FAMILIES:
-        registry = load_registry(family)
-        formula_results = []
-        for signs in sorted(registry.cases):
-            for rec in verify_paper_case(family, signs, registry):
-                formula_results.append({"signs": signs, **rec})
-                if rec["status"] != "PASS":
-                    failures += 1
-        (out_dir / f"{family}-formulas.json").write_text(
-            json.dumps(formula_results, indent=1, sort_keys=True) + "\n")
-        print(f"{family}: {len(formula_results)} formula checks")
-
-        cfg = SweepConfig(family, n_range=args.range, use_root5=args.root5)
-        report = full_report(cfg)
-        (out_dir / f"{family}-sweep.json").write_text(
-            json.dumps(report, indent=1, sort_keys=True) + "\n")
-        summary = report["summary"]
-        print(f"{family}: {summary['instances']} instances, "
-              f"{summary['exceptions']} exceptions, "
-              f"{summary['unmatched_exceptions']} unmatched")
-        failures += summary["unmatched_exceptions"] + summary["formula_failures"]
-
-        fam = load_family(family)
-        tpl = load_template(family)
-        k = len(fam.with_signs("+" * 5).active_bands)
-        for signs in ("+" * 5, "++-+-"):
-            spec = fam.with_signs(signs)
-            for i in range(k + 1):
-                n = tuple(2 if j == i else 1 for j in range(k))
-                if not crosscheck(spec, tpl, n):
-                    print(f"{family}[{signs}]({n}): ORACLE MISMATCH")
-                    failures += 1
-        print(f"{family}: oracle spot checks done")
-
+        runs = (
+            ["verify-paper", "--family", family,
+             "--output", str(out_dir / f"{family}-formulas.json")],
+            ["sweep", "--family", family, "--range", str(args.range)]
+            + (["--root5"] if args.root5 else [])
+            + ["--output", str(out_dir / f"{family}-sweep.json")],
+            ["crosscheck", "--family", family],
+        )
+        for run in runs:
+            if cli.main(run) != 0:
+                print(f"FAILED: twistknots {' '.join(run)}")
+                failures += 1
     print("FAILURES:", failures)
     return 1 if failures else 0
 

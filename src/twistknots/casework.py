@@ -20,7 +20,10 @@ do not depend on how the zeros are found.
 The optional root-of-unity gate comes last, so an instance an earlier gate
 excludes is counted there whatever its value at the root of unity: a
 ``use_root5`` sweep runs the same gate loop, and only its survivors, assembled
-anyway, reach that gate in ``cosmetic_gate``.
+anyway, reach that gate in ``cosmetic_gate``.  Every survivor has leading, a2,
+d3 and d4 equal to 0, and so d2 = -6 a2 too; if ``cosmetic_gate``, which reads
+the Seifert route and the assembled polynomial, excludes it by any gate but
+root5, two routes disagree and the sweep raises ``AssertionError``.
 
 The formula registry is a data file of verbatim case expressions; each entry is
 checked against the computed symbolic quantity, either as a plain polynomial
@@ -53,7 +56,8 @@ from .families import FamilySpec, assemble_jones, load_family, symbolic_derivs
 from .laurent import HalfLaurent
 from .multipoly import MultiPoly, parse_poly
 from .obstruction import GATE_ORDER, ObstructionVerdict, cosmetic_gate
-from .seifert import conway_poly, conway_symbolic, leading_coeff_symbolic, template_for
+from .seifert import (SeifertTemplate, conway_poly, conway_symbolic, leading_coeff_symbolic,
+                      template_for)
 
 ALL_CASES = ["".join(p) for p in product("+-", repeat=5)]
 
@@ -144,6 +148,7 @@ class SymbolicCase:
     leading: MultiPoly
     a2: MultiPoly
     derivs: tuple[MultiPoly, ...]     # k = 0..4
+    template: SeifertTemplate         # the Seifert matrix leading and a2 come from
 
     @property
     def c3(self) -> MultiPoly:
@@ -155,7 +160,7 @@ class SymbolicCase:
 def symbolic_case(family: str, signs: str) -> SymbolicCase:
     fam = load_family(family)
     spec = fam.with_signs(signs)
-    tpl = template_for(family, tuple(b.sign for b in spec.bands))
+    tpl = template_for(family, signs)
     lead = leading_coeff_symbolic(tpl)
     cz = conway_symbolic(tpl)
     zero = MultiPoly.zero(spec.variables)
@@ -166,7 +171,7 @@ def symbolic_case(family: str, signs: str) -> SymbolicCase:
     derivs = tuple(symbolic_derivs(spec, 4))
     if derivs[2] != a2.scale(-6):
         raise AssertionError(f"V''(1) != -6 a2 for {family} {signs}")
-    return SymbolicCase(spec, lead, a2, derivs)
+    return SymbolicCase(spec, lead, a2, derivs, tpl)
 
 
 # --- formula verification -------------------------------------------------------
@@ -332,7 +337,6 @@ def sweep_case(cfg: SweepConfig, signs: str,
     k = len(spec.variables)
     exclusions = {g: 0 for g in GATE_ORDER}
     exceptions: list[ObstructionVerdict] = []
-    tpl = template_for(cfg.family, tuple(b.sign for b in spec.bands))
 
     # gate order as in cosmetic_gate; d2 needs no gate of its own, since
     # V''(1) = -6 a2 is checked in symbolic_case
@@ -351,17 +355,21 @@ def sweep_case(cfg: SweepConfig, signs: str,
         for v in alive:   # every gate polynomial, the lead included, is 0 here
             n = prefix + (v,)
             jones = assemble_jones(spec, n)
-            conway = conway_poly(tpl, n)
+            conway = conway_poly(sym.template, n)
             verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway, 0,
                                     use_root5=cfg.use_root5,
                                     instance=instance_id(cfg.family, signs, n), twists=n)
-            if verdict.is_exception:
-                if jones != HalfLaurent.one() or not conway.is_trivial():
-                    raise AssertionError(
-                        f"exception instance {verdict.instance} is not certified trivial")
-                exceptions.append(verdict)
+            if verdict.excluded_by == "root5":
+                exclusions["root5"] += 1
+            elif not verdict.is_exception:
+                raise AssertionError(
+                    f"{verdict.instance} passed the gate loop but "
+                    f"{verdict.excluded_by} excludes it")
+            elif jones != HalfLaurent.one() or not conway.is_trivial():
+                raise AssertionError(
+                    f"exception instance {verdict.instance} is not certified trivial")
             else:
-                exclusions[verdict.excluded_by] += 1
+                exceptions.append(verdict)
 
     checks = []
     if signs in registry.cases:

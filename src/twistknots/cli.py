@@ -18,12 +18,11 @@ from .casework import (
     load_registry,
     verify_paper_case,
 )
-from .families import FamilyError, assemble_jones, check_twists, jones_derivs, load_family
+from .families import (FAMILIES, FamilyError, assemble_jones, check_twists, jones_derivs,
+                       load_family)
 from .obstruction import cosmetic_gate
 from .seifert import (SeifertError, alexander_poly, conway_poly, leading_coeff_symbolic,
                       template_for)
-
-FAMILIES = ("7_6", "10_58", "8_12")
 
 
 def _spec(args):
@@ -48,8 +47,7 @@ def cmd_jones(args) -> int:
 def cmd_alexander(args) -> int:
     spec = _spec(args)
     n = _twists(args, spec)
-    signs = tuple(b.sign for b in spec.bands)
-    tpl = template_for(args.family, signs)
+    tpl = template_for(args.family, args.signs)
     delta = alexander_poly(tpl, n)
     series = conway_poly(tpl, n)
     print(f"alexander: {delta.format()}")
@@ -62,8 +60,7 @@ def cmd_alexander(args) -> int:
 def cmd_check(args) -> int:
     spec = _spec(args)
     n = _twists(args, spec)
-    signs = tuple(b.sign for b in spec.bands)
-    tpl = template_for(args.family, signs)
+    tpl = template_for(args.family, args.signs)
     jones = assemble_jones(spec, n)
     verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway_poly(tpl, n),
                             leading_coeff_symbolic(tpl).eval(dict(zip(tpl.variables, n))),

@@ -330,13 +330,13 @@ def _parse_compose_expr(expr: str) -> tuple:
     return tuple(factors)
 
 
-BUILTIN_FAMILIES = {"7_6": "SEVEN_SIX", "10_58": "TEN_FIFTY_EIGHT", "8_12": "EIGHT_TWELVE"}
+FAMILIES = ("7_6", "10_58", "8_12")   # the families shipped with the package
 
 
 @lru_cache(maxsize=None)
 def load_family(name: str) -> FamilyDef:
     """Load a family definition shipped with the package, or from a path."""
-    if name in BUILTIN_FAMILIES:
+    if name in FAMILIES:
         data = resources.files("twistknots").joinpath(f"data/families/{name}.family")
         return parse_family_file(data.read_text())
     with open(name) as fh:

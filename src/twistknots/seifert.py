@@ -1,7 +1,14 @@
 """Parametric Seifert matrices, Alexander and Conway polynomials.
 
-Each family ships a 4x4 template whose entries are affine polynomials in the
-twist parameters with the band signs baked in.  The Alexander polynomial of an
+``SKELETONS`` holds one raw 4x4 Seifert matrix per skeleton, each entry an
+affine expression in the signed crossing counts n1..nk of the bands, written
+in the grammar of ``multipoly.parse_poly`` and parsed once, on first use.  A
+family maps to its skeleton's matrix; 8_12 maps to 10_58's, whose band 5 it
+freezes.  ``template_for`` specialises the matrix to a sign case by the band
+rule of ``families``: band i with sign s_i and parity m_i carries
+n_i = s_i (2 v - m_i) crossings when v is its twist variable, and a frozen
+band carries none, n_i = 0.  The result is the family's template, a 4x4
+matrix affine in the twist parameters.  The Alexander polynomial of an
 instance is det(S - t S^T); the Conway polynomial is det(u S - u^(-1) S^T) with
 u = t^(1/2), rewritten exactly in powers of z = u - u^(-1).  Both routes, at an
 instance and symbolically in the parameters, use one cofactor-expansion
@@ -14,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .families import PARAM_LETTERS
+from .families import load_family
 from .laurent import HalfLaurent
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, parse_poly
 
 
 class SeifertError(ValueError):
@@ -45,96 +53,60 @@ class SeifertTemplate:
         return tuple(out)
 
 
-def _signs5(signs) -> tuple[int, ...]:
-    signs = tuple(signs)
-    if len(signs) != 5 or any(s not in (+1, -1) for s in signs):
-        raise SeifertError("need 5 band signs")
-    return signs
+# Raw Seifert matrices in the signed crossing counts n1..n5 of the bands.
+# 8_12 is 10_58 with band 5 frozen, which ``template_for`` sets to n5 = 0.
+SKELETONS = {
+    "7_6": (
+        ("-(n1+n2)/2", "-(n1+1)/2", "0", "1"),
+        ("-(n1-1)/2", "-(n1+n3)/2", "0", "1"),
+        ("0", "0", "-n4/2", "1"),
+        ("0", "0", "0", "-n5/2"),
+    ),
+    "10_58": (
+        ("-(n1+n5)/2", "n1/2", "1", "0"),
+        ("n1/2", "-(n1+n4)/2", "0", "1"),
+        ("0", "0", "-n2/2", "0"),
+        ("0", "0", "0", "-n3/2"),
+    ),
+}
+SKELETONS["8_12"] = SKELETONS["10_58"]
 
 
-def template_7_6(signs) -> SeifertTemplate:
-    """Genus-2 matrix for the three-odd/two-even skeleton.
-
-    Built from the unsubstituted self-linking matrix in the raw twist counts
-    n_i, then specialized with n_i = s_i (2 t_i - 1) on the odd bands and
-    n_i = 2 s_i t_i on the even bands.
-    """
-    s = _signs5(signs)
-    V = PARAM_LETTERS
-    half = Fraction(1, 2)
-
-    def odd(i):   # n_i as a polynomial in t_i for odd bands 1..3
-        return MultiPoly.var(V, V[i]).scale(2 * s[i]) - MultiPoly.const(V, s[i])
-
-    def even(i):  # n_i for even bands 4..5
-        return MultiPoly.var(V, V[i]).scale(2 * s[i])
-
-    n1, n2, n3 = odd(0), odd(1), odd(2)
-    n4, n5 = even(3), even(4)
-    one = MultiPoly.const(V, 1)
-    zero = MultiPoly.zero(V)
-    rows = (
-        ((n1 + n2).scale(-half), (n1 + one).scale(-half), zero, one),
-        ((n1 - one).scale(-half), (n1 + n3).scale(-half), zero, one),
-        (zero, zero, n4.scale(-half), one),
-        (zero, zero, zero, n5.scale(-half)),
-    )
-    return SeifertTemplate("7_6", V, rows)
-
-
-def template_10_58(signs) -> SeifertTemplate:
-    """Genus-2 matrix for the all-even skeleton; n_i = 2 s_i t_i throughout."""
-    s = _signs5(signs)
-    V = PARAM_LETTERS
-
-    # every band is even, so self-linking counts full twists: s_i t_i per band
-    def ns(i):
-        return MultiPoly.var(V, V[i]).scale(s[i])
-
-    m1, m2, m3, m4, m5 = (ns(i) for i in range(5))
-    one = MultiPoly.const(V, 1)
-    zero = MultiPoly.zero(V)
-    rows = (
-        (-(m1 + m5), m1, one, zero),
-        (m1, -(m1 + m4), zero, one),
-        (zero, zero, -m2, zero),
-        (zero, zero, zero, -m3),
-    )
-    return SeifertTemplate("10_58", V, rows)
-
-
-def template_8_12(signs) -> SeifertTemplate:
-    """The all-even matrix with the fifth band at zero twists."""
-    signs = tuple(signs)
-    if len(signs) == 4:
-        signs = signs + (+1,)
-    s = _signs5(signs)
-    V = PARAM_LETTERS[:4]
-
-    def ns(i):
-        return MultiPoly.var(V, V[i]).scale(s[i])
-
-    m1, m2, m3, m4 = (ns(i) for i in range(4))
-    one = MultiPoly.const(V, 1)
-    zero = MultiPoly.zero(V)
-    rows = (
-        (-m1, m1, one, zero),
-        (m1, -(m1 + m4), zero, one),
-        (zero, zero, -m2, zero),
-        (zero, zero, zero, -m3),
-    )
-    return SeifertTemplate("8_12", V, rows)
-
-
-TEMPLATE_BUILDERS = {"7_6": template_7_6, "10_58": template_10_58, "8_12": template_8_12}
+@lru_cache(maxsize=None)
+def _skeleton(family: str) -> tuple[tuple[MultiPoly, ...], ...]:
+    """The family's skeleton matrix parsed over n1..nk, once per family."""
+    try:
+        rows = SKELETONS[family]
+    except KeyError:
+        raise SeifertError(f"no Seifert template for family {family!r}") from None
+    counts = tuple(f"n{i + 1}" for i in range(len(load_family(family).parities)))
+    return tuple(tuple(parse_poly(entry, counts) for entry in row) for row in rows)
 
 
 def template_for(family: str, signs) -> SeifertTemplate:
-    try:
-        builder = TEMPLATE_BUILDERS[family]
-    except KeyError:
-        raise SeifertError(f"no Seifert template for family {family!r}")
-    return builder(signs)
+    """The skeleton matrix with n_i = s_i (2 v - m_i) on an active band whose
+    twist variable is v, and n_i = 0 on a frozen band."""
+    skeleton = _skeleton(family)
+    spec = load_family(family).with_signs(signs)
+    V = spec.variables
+    zero = MultiPoly.zero(V)
+    counts = [zero] * len(spec.bands)
+    for v, i in zip(V, spec.active_bands):
+        band = spec.bands[i]
+        counts[i] = (MultiPoly.var(V, v).scale(2 * band.sign)
+                     - MultiPoly.const(V, band.sign * band.parity))
+
+    def specialise(entry: MultiPoly) -> MultiPoly:
+        out = zero
+        for mono, c in entry.terms.items():
+            term = MultiPoly.const(V, c)
+            for n, e in zip(counts, mono):
+                for _ in range(e):
+                    term = term * n
+            out = out + term
+        return out
+
+    return SeifertTemplate(family, V, tuple(tuple(map(specialise, row)) for row in skeleton))
 
 
 # --- determinant and z-rewrite ----------------------------------------------

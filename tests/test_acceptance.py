@@ -162,7 +162,7 @@ def test_criterion_4_casework_10_58(sweep_10_58):
 def test_criterion_5_8_12_corollary():
     start = time.time()
     for signs in product((1, -1), repeat=4):
-        lead = leading_coeff_symbolic(template_for("8_12", signs))
+        lead = leading_coeff_symbolic(template_for("8_12", signs + (1,)))
         assert len(lead.terms) == 1
         (mono, coeff), = lead.terms.items()
         assert mono == (1, 1, 1, 1) and abs(coeff) == 1

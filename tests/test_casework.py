@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -51,6 +52,19 @@ def test_sweep_case_exception_family():
     assert len(report.exceptions) == 2   # b = e+1 = 2, d in {1,2}
     total = sum(report.exclusions.values()) + len(report.exceptions)
     assert total == 32
+
+
+def test_sweep_survivor_excluded_by_another_gate_raises(monkeypatch):
+    # a survivor of the gate loop has a2 = 0, so a Seifert route that reads
+    # a2 = 1 there disagrees with it; that must fail, not count as excluded
+    def nontrivial(tpl, n):
+        return dataclasses.replace(conway_poly(tpl, n), a2=Fraction(1))
+
+    monkeypatch.setattr(casework, "conway_poly", nontrivial)
+    with pytest.raises(AssertionError,
+                       match=re.escape("7_6[++-+-](1,2,1,1,1) passed the gate loop "
+                                       "but conway excludes it")):
+        sweep_case(SweepConfig("7_6", n_range=2), "++-+-")
 
 
 def test_exception_classification_patterns():
@@ -119,7 +133,8 @@ def test_certify_sign_fallback():
     entry = RegistryEntry("leading", None, (), None, "1", "positive", None)
     for lead, status, check in (("(a-b)^2 + 1", "FAIL", "uncertified"),
                                 ("a*b + 1", "PASS", "certificate")):
-        sym = SymbolicCase(spec, parse_poly(lead, spec.variables), zero, [zero] * 5)
+        sym = SymbolicCase(spec, parse_poly(lead, spec.variables), zero, [zero] * 5,
+                           template_for("8_12", "+++++"))
         assert verify_entry(sym, entry) == {
             "quantity": "leading", "status": status, "checks": [f"sign positive: {check}"]}
 

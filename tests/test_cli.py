@@ -136,6 +136,22 @@ def test_route_disagreement_exits_1(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_sweep_survivor_disagreement_exits_1(monkeypatch, capsys):
+    import dataclasses
+    from fractions import Fraction
+
+    import twistknots.casework as casework
+
+    real = casework.conway_poly
+    monkeypatch.setattr(casework, "conway_poly",
+                        lambda tpl, n: dataclasses.replace(real(tpl, n), a2=Fraction(1)))
+    code = main(["sweep", "--family", "7_6", "--range", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("verification failed: 7_6[")
+    assert "passed the gate loop but conway excludes it" in err
+
+
 def test_jones_assembles_once(monkeypatch, capsys):
     import twistknots.families as families
     assemble = families.assemble_jones

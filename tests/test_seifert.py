@@ -15,9 +15,6 @@ from twistknots.seifert import (
     conway_poly,
     conway_symbolic,
     leading_coeff_symbolic,
-    template_7_6,
-    template_8_12,
-    template_10_58,
     template_for,
 )
 
@@ -28,7 +25,7 @@ twist_tuples = st.tuples(*[st.integers(min_value=1, max_value=4)] * 5)
 
 
 def test_template_7_6_entries():
-    tpl = template_7_6((1, 1, 1, 1, 1))
+    tpl = template_for("7_6", (1, 1, 1, 1, 1))
     assert tpl.rows[0][0] == parse_poly("-a - b + 1", V5)
     assert tpl.rows[1][0] == parse_poly("-a + 1", V5)
     assert tpl.rows[0][1] == parse_poly("-a", V5)
@@ -38,14 +35,14 @@ def test_template_7_6_entries():
 
 
 def test_template_7_6_signed_entries():
-    tpl = template_7_6((-1, 1, -1, 1, -1))
+    tpl = template_for("7_6", (-1, 1, -1, 1, -1))
     assert tpl.rows[0][0] == parse_poly("a - b", V5)       # -(s1(2a-1)+s2(2b-1))/2
     assert tpl.rows[1][1] == parse_poly("a + c - 1", V5)
     assert tpl.rows[3][3] == parse_poly("e", V5)           # -s5 t5 with s5 = -1
 
 
 def test_template_10_58_entries():
-    tpl = template_10_58((1, 1, 1, 1, 1))
+    tpl = template_for("10_58", (1, 1, 1, 1, 1))
     assert tpl.rows[0][1] == parse_poly("a", V5)
     assert tpl.rows[0][0] == parse_poly("-a - e", V5)
     assert tpl.rows[2][3] == MultiPoly.zero(V5)
@@ -53,22 +50,33 @@ def test_template_10_58_entries():
 
 
 def test_template_8_12_entries():
-    tpl = template_8_12((1, 1, 1, 1))
+    tpl = template_for("8_12", (1, 1, 1, 1, 1))
     assert tpl.rows[0][0] == parse_poly("-a", ("a", "b", "c", "d"))
 
 
+def test_template_for_unknown_family():
+    with pytest.raises(SeifertError, match="no Seifert template"):
+        template_for("3_1", (1, 1, 1, 1, 1))
+
+
+def test_8_12_ignores_frozen_band_sign():
+    # band 5 of 8_12 is frozen: n5 = 0 whatever its sign
+    for signs in product((1, -1), repeat=4):
+        assert template_for("8_12", signs + (1,)) == template_for("8_12", signs + (-1,))
+
+
 def test_leading_terms_match_published_cases():
-    assert leading_coeff_symbolic(template_7_6((1,) * 5)) == parse_poly(
+    assert leading_coeff_symbolic(template_for("7_6", (1,) * 5)) == parse_poly(
         "((b-1)*(c-1) + a*(b+c-1))*d*e", V5)
-    assert leading_coeff_symbolic(template_7_6((1, 1, -1, 1, 1))) == parse_poly(
+    assert leading_coeff_symbolic(template_for("7_6", (1, 1, -1, 1, 1))) == parse_poly(
         "(a*b - c*(a+b-1))*d*e", V5)
-    assert leading_coeff_symbolic(template_10_58((1,) * 5)) == parse_poly(
+    assert leading_coeff_symbolic(template_for("10_58", (1,) * 5)) == parse_poly(
         "(a*d + a*e + d*e)*b*c", V5)
 
 
 def test_8_12_leading_is_single_monomial():
     for signs in product((1, -1), repeat=4):
-        lead = leading_coeff_symbolic(template_8_12(signs))
+        lead = leading_coeff_symbolic(template_for("8_12", signs + (1,)))
         assert len(lead.terms) == 1
         (mono, coeff), = lead.terms.items()
         assert mono == (1, 1, 1, 1)
@@ -76,7 +84,7 @@ def test_8_12_leading_is_single_monomial():
 
 
 def test_alexander_unknot_exception_is_unit():
-    tpl = template_7_6((1, 1, -1, 1, -1))
+    tpl = template_for("7_6", (1, 1, -1, 1, -1))
     delta = alexander_poly(tpl, (1, 2, 1, 1, 1))
     assert delta.equal_up_to_unit(HalfLaurent.one())
 
@@ -120,8 +128,9 @@ def test_cross_identity_second_derivative(name, signs, n):
 
 def test_conway_symbolic_matches_instances():
     # 7_6 builds its entries by halving the raw twist counts; 8_12 has four variables
-    for tpl in [template_10_58((1, 1, -1, 1, -1)), template_7_6((1, -1, 1, 1, -1)),
-                template_8_12((-1, 1, 1, -1))]:
+    for tpl in [template_for("10_58", (1, 1, -1, 1, -1)),
+                template_for("7_6", (1, -1, 1, 1, -1)),
+                template_for("8_12", (-1, 1, 1, -1, 1))]:
         sym = conway_symbolic(tpl)
         zero = MultiPoly.zero(tpl.variables)
         for n in [(1, 1, 1, 1, 1), (2, 3, 1, 2, 1)]:
@@ -135,7 +144,7 @@ def test_conway_symbolic_matches_instances():
 
 def test_symbolic_a4_equals_leading():
     for signs in [(1, 1, 1, 1, 1), (1, -1, 1, -1, 1), (-1, -1, 1, 1, -1)]:
-        tpl = template_10_58(signs)
+        tpl = template_for("10_58", signs)
         sym = conway_symbolic(tpl)
         assert sym.get(4, MultiPoly.zero(V5)) == leading_coeff_symbolic(tpl)
 
@@ -143,7 +152,7 @@ def test_symbolic_a4_equals_leading():
 def test_conway_telescope_is_band_independent():
     """Skein telescope: [Conway(n_i) - Conway(n_i - 1)] / z does not depend on n_i."""
     signs = (1, -1, 1, 1, -1)
-    tpl = template_10_58(signs)
+    tpl = template_for("10_58", signs)
 
     def nabla(n):
         s = conway_poly(tpl, n)
@@ -163,7 +172,7 @@ def test_conway_telescope_is_band_independent():
 
 
 def test_alexander_rejects_bad_matrix():
-    tpl = template_10_58((1, 1, 1, 1, 1))
+    tpl = template_for("10_58", (1, 1, 1, 1, 1))
     broken = tpl.rows[0][0] + MultiPoly.const(V5, Fraction(1, 2))
     rows = ((broken,) + tpl.rows[0][1:],) + tpl.rows[1:]
     import dataclasses
