@@ -35,22 +35,26 @@ uncertified.
 ``symbolic_case`` is memoised in an LRU cache of ``len(ALL_CASES)`` entries,
 one family's 32 sign cases (about 16 KB each, so at most about 0.5 MB), so
 ``verify_paper_case`` followed by ``sweep_case`` on the same case computes the
-symbolic data once.  A case whose route checks fail raises on every call, since
-exceptions are not cached.  Every caller shares the cached ``SymbolicCase``,
-so it is frozen and its ``derivs`` is a tuple.
+symbolic data and the registry's formula checks once.  A case whose route
+checks fail raises on every call, since exceptions are not cached; FAIL formula
+checks are results and are cached.  Every caller shares the cached
+``SymbolicCase``, so it is frozen, its ``derivs`` and checks are tuples, and
+``formula_records`` hands out fresh record dicts.  ``load_registry`` is
+memoised per family and read-only, since package data never changes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from importlib import resources
 from itertools import product
 from math import lcm
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .families import FamilySpec, assemble_jones, load_family, symbolic_derivs
 from .laurent import HalfLaurent
@@ -110,11 +114,12 @@ class RegistryEntry:
 @dataclass(frozen=True)
 class CaseRegistry:
     family: str
-    cases: dict[str, tuple[RegistryEntry, ...]]
-    exceptions: dict[str, tuple[dict, ...]]
-    d4_demo: dict[str, tuple[int, ...]]
+    cases: Mapping[str, tuple[RegistryEntry, ...]]
+    exceptions: Mapping[str, tuple[dict, ...]]
+    d4_demo: Mapping[str, tuple[int, ...]]
 
 
+@lru_cache(maxsize=None)
 def load_registry(family: str) -> CaseRegistry:
     data = resources.files("twistknots").joinpath(f"data/registry/{family}.json")
     raw = json.loads(data.read_text())
@@ -134,7 +139,7 @@ def load_registry(family: str) -> CaseRegistry:
         cases[signs] = tuple(parsed)
     exceptions = {signs: tuple(rows) for signs, rows in raw.get("exceptions", {}).items()}
     d4_demo = {signs: tuple(v) for signs, v in raw.get("d4_demo", {}).items()}
-    return CaseRegistry(raw["family"], cases, exceptions, d4_demo)
+    return CaseRegistry(raw["family"], *map(MappingProxyType, (cases, exceptions, d4_demo)))
 
 
 @dataclass(frozen=True)
@@ -149,11 +154,18 @@ class SymbolicCase:
     a2: MultiPoly
     derivs: tuple[MultiPoly, ...]     # k = 0..4
     template: SeifertTemplate         # the Seifert matrix leading and a2 come from
+    # (quantity, status, checks) of each registry entry, in registry order
+    formula_checks: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
 
     @property
     def c3(self) -> MultiPoly:
         # second Alexander coefficient: a2 - 4 * a4 with a4 the leading term
         return self.a2 - self.leading.scale(4)
+
+    def formula_records(self) -> list[dict]:
+        """The formula checks as fresh ``verify_entry`` records."""
+        return [{"quantity": q, "status": status, "checks": list(checks)}
+                for q, status, checks in self.formula_checks]
 
 
 @lru_cache(maxsize=len(ALL_CASES))
@@ -171,7 +183,10 @@ def symbolic_case(family: str, signs: str) -> SymbolicCase:
     derivs = tuple(symbolic_derivs(spec, 4))
     if derivs[2] != a2.scale(-6):
         raise AssertionError(f"V''(1) != -6 a2 for {family} {signs}")
-    return SymbolicCase(spec, lead, a2, derivs, tpl)
+    sym = SymbolicCase(spec, lead, a2, derivs, tpl)
+    records = (verify_entry(sym, e) for e in load_registry(family).cases.get(signs, ()))
+    return replace(sym, formula_checks=tuple(
+        (r["quantity"], r["status"], tuple(r["checks"])) for r in records))
 
 
 # --- formula verification -------------------------------------------------------
@@ -241,11 +256,11 @@ def verify_entry(sym: SymbolicCase, entry: RegistryEntry) -> dict:
 
 def verify_paper_case(family: str, signs: str,
                       registry: Optional[CaseRegistry] = None) -> list[dict]:
-    registry = registry or load_registry(family)
-    if signs not in registry.cases:
+    """Fresh formula-check records of a registered case; ``registry`` decides
+    only whether it is registered, the checks come from ``symbolic_case``."""
+    if signs not in (registry or load_registry(family)).cases:
         raise KeyError(f"no registered formulas for {family} {signs}")
-    sym = symbolic_case(family, signs)
-    return [verify_entry(sym, e) for e in registry.cases[signs]]
+    return symbolic_case(family, signs).formula_records()
 
 
 # --- exceptions -------------------------------------------------------------------
@@ -331,7 +346,8 @@ def _line_zeros(coeffs: list[int], alive):
 
 def sweep_case(cfg: SweepConfig, signs: str,
                registry: Optional[CaseRegistry] = None) -> CaseReport:
-    registry = registry or load_registry(cfg.family)
+    """One sign case's gate histogram, exceptions and formula checks;
+    ``registry`` is unused, the checks come from ``symbolic_case``."""
     sym = symbolic_case(cfg.family, signs)
     spec = sym.spec
     k = len(spec.variables)
@@ -356,7 +372,7 @@ def sweep_case(cfg: SweepConfig, signs: str,
             n = prefix + (v,)
             jones = assemble_jones(spec, n)
             conway = conway_poly(sym.template, n)
-            verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway, 0,
+            verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway, conway.a4,
                                     use_root5=cfg.use_root5,
                                     instance=instance_id(cfg.family, signs, n), twists=n)
             if verdict.excluded_by == "root5":
@@ -371,10 +387,8 @@ def sweep_case(cfg: SweepConfig, signs: str,
             else:
                 exceptions.append(verdict)
 
-    checks = []
-    if signs in registry.cases:
-        checks = [verify_entry(sym, e) for e in registry.cases[signs]]
-    report = CaseReport(signs, cfg.n_range ** k, exclusions, exceptions, checks)
+    report = CaseReport(signs, cfg.n_range ** k, exclusions, exceptions,
+                        sym.formula_records())
     report.check()
     return report
 
@@ -385,15 +399,12 @@ def instance_id(family: str, signs: str, n) -> str:
 
 def sweep(cfg: SweepConfig) -> list[CaseReport]:
     """All 32 sign cases; deterministic order and content."""
-    registry = load_registry(cfg.family)
     workers = min(int(os.environ.get("TWISTKNOTS_WORKERS", "1")), len(ALL_CASES))
     if workers > 1:
         import multiprocessing
         with multiprocessing.Pool(workers) as pool:
-            reports = pool.map(partial(sweep_case, cfg), ALL_CASES)
-    else:
-        reports = [sweep_case(cfg, s, registry) for s in ALL_CASES]
-    return reports
+            return pool.map(partial(sweep_case, cfg), ALL_CASES)
+    return [sweep_case(cfg, s) for s in ALL_CASES]
 
 
 def classify_exceptions(cfg: SweepConfig, reports: list[CaseReport],

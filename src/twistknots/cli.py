@@ -21,8 +21,7 @@ from .casework import (
 from .families import (FAMILIES, FamilyError, assemble_jones, check_twists, jones_derivs,
                        load_family)
 from .obstruction import cosmetic_gate
-from .seifert import (SeifertError, alexander_poly, conway_poly, leading_coeff_symbolic,
-                      template_for)
+from .seifert import SeifertError, alexander_poly, conway_poly, template_for
 
 
 def _spec(args):
@@ -52,8 +51,7 @@ def cmd_alexander(args) -> int:
     series = conway_poly(tpl, n)
     print(f"alexander: {delta.format()}")
     print(f"conway: a2 = {series.a2}, a4 = {series.a4}, a6 = {series.a6}")
-    lead = leading_coeff_symbolic(tpl).eval(dict(zip(tpl.variables, n)))
-    print(f"leading coefficient: {lead}")
+    print(f"leading coefficient: {series.a4}")
     return 0
 
 
@@ -62,8 +60,8 @@ def cmd_check(args) -> int:
     n = _twists(args, spec)
     tpl = template_for(args.family, args.signs)
     jones = assemble_jones(spec, n)
-    verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway_poly(tpl, n),
-                            leading_coeff_symbolic(tpl).eval(dict(zip(tpl.variables, n))),
+    conway = conway_poly(tpl, n)
+    verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway, conway.a4,
                             use_root5=args.root5,
                             instance=instance_id(args.family, args.signs, n),
                             twists=n)

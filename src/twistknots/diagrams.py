@@ -224,19 +224,6 @@ class DiagramTemplate:
     mult: tuple[int, ...]     # per-band handedness calibration
     base_pd: str              # the diagram at unit twists, all-plus signs
 
-    def bands(self) -> list[int]:
-        found = []
-
-        def walk(node):
-            if node[0] == "band":
-                found.append(node[1])
-            else:
-                for child in node[1:]:
-                    if isinstance(child, tuple):
-                        walk(child)
-        walk(self.structure)
-        return sorted(found)
-
 
 def build_diagram(tpl: DiagramTemplate, spec: FamilySpec, twists,
                   resolved: frozenset[int] = frozenset(),

@@ -12,7 +12,7 @@ matrix affine in the twist parameters.  The Alexander polynomial of an
 instance is det(S - t S^T); the Conway polynomial is det(u S - u^(-1) S^T) with
 u = t^(1/2), rewritten exactly in powers of z = u - u^(-1).  Both routes, at an
 instance and symbolically in the parameters, use one cofactor-expansion
-determinant and one z-rewrite; the symbolic Conway coefficients come from
+determinant and one z-rewrite; the Conway coefficients come from
 det(u S - u^(-1) S^T) = u^(-size) * Delta(u^2), Delta = det(S - t S^T), which
 holds because the size is even.
 """
@@ -191,13 +191,16 @@ class ConwaySeries:
         return not (self.a2 or self.a4 or self.a6)
 
 
+def _conway_from_delta(delta: dict, size: int) -> dict:
+    """Conway z-coefficients from Delta = det(S - t S^T) as {p: coefficient of
+    t^p}: det(u S - u^(-1) S^T) = u^(-size) * Delta(u^2), so t^p reads as
+    u^(2p - size), rewritten in z."""
+    return _rewrite_in_z({2 * p - size: c for p, c in delta.items()})
+
+
 def conway_poly(tpl: SeifertTemplate, twists) -> ConwaySeries:
     """det(t^(1/2) S - t^(-1/2) S^T) rewritten in z; normalized so a0 = 1."""
-    S = tpl.instantiate(twists)
-    size = len(S)
-    entries = [[HalfLaurent({1: S[i][j], -1: -S[j][i]}) for j in range(size)]
-               for i in range(size)]
-    z_coeffs = _rewrite_in_z(_det(entries, HalfLaurent.zero()).terms)
+    z_coeffs = _conway_from_delta(alexander_coeffs(tpl, twists), len(tpl.rows))
     if any(d % 2 for d in z_coeffs):
         raise SeifertError("odd z-powers in a knot Conway polynomial")
     if z_coeffs.get(0, 0) != 1:
@@ -212,11 +215,8 @@ def leading_coeff_symbolic(tpl: SeifertTemplate) -> MultiPoly:
 
 
 def conway_symbolic(tpl: SeifertTemplate) -> dict[int, MultiPoly]:
-    """Conway z-coefficients as polynomials in the twist parameters.
-
-    Takes det(S - t S^T) over the parameters and t, then reads t^p as
-    u^(2p - size) (size is even) and rewrites in z.
-    """
+    """Conway z-coefficients as polynomials in the twist parameters, from
+    det(S - t S^T) taken over the parameters and t."""
     size = len(tpl.rows)
     ring = tpl.variables + ("t",)
     t = MultiPoly.var(ring, "t")
@@ -227,6 +227,6 @@ def conway_symbolic(tpl: SeifertTemplate) -> dict[int, MultiPoly]:
     rows = [[lift(tpl.rows[i][j]) - t * lift(tpl.rows[j][i]) for j in range(size)]
             for i in range(size)]
     delta = _det(rows, MultiPoly.zero(ring))
-    laurent = {2 * p - size: MultiPoly(tpl.variables, {m[:-1]: c for m, c in coeff.terms.items()})
-               for p, coeff in delta.coefficients_in("t").items()}
-    return _rewrite_in_z(laurent)
+    return _conway_from_delta(
+        {p: MultiPoly(tpl.variables, {m[:-1]: c for m, c in coeff.terms.items()})
+         for p, coeff in delta.coefficients_in("t").items()}, size)

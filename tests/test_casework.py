@@ -339,14 +339,53 @@ def test_symbolic_case_computed_once_per_case(monkeypatch):
     assert calls == ["+++++"]
 
 
+def test_formula_checks_run_once_per_entry(monkeypatch):
+    symbolic_case.cache_clear()
+    real = casework.verify_entry
+    calls = []
+
+    def counting(sym, entry):
+        calls.append(entry)
+        return real(sym, entry)
+
+    monkeypatch.setattr(casework, "verify_entry", counting)
+    records = verify_paper_case("10_58", "+-+-+")
+    report = sweep_case(SweepConfig("10_58", n_range=2), "+-+-+")
+    assert calls == list(load_registry("10_58").cases["+-+-+"])
+    assert report.formula_checks == records and len(records) == 5
+
+
+def test_formula_records_are_fresh():
+    symbolic_case.cache_clear()
+    cfg = SweepConfig("7_6", n_range=2)
+    expected = verify_paper_case("7_6", "+++++")
+    for records in (verify_paper_case("7_6", "+++++"),
+                    sweep_case(cfg, "+++++").formula_checks):
+        records[0]["status"] = "FAIL"
+        records[0]["checks"].append("tampered")
+        records.append({})
+    assert verify_paper_case("7_6", "+++++") == expected
+    assert sweep_case(cfg, "+++++").formula_checks == expected
+
+
 def test_cached_symbolic_case_is_immutable():
     symbolic_case.cache_clear()
     sym = symbolic_case("7_6", "+++++")
     assert symbolic_case("7_6", "+++++") is sym
     assert isinstance(sym.derivs, tuple)
-    for name in ("spec", "leading", "a2", "derivs"):
+    assert sym.formula_checks and all(
+        isinstance(c, tuple) and isinstance(c[2], tuple) for c in sym.formula_checks)
+    for name in ("spec", "leading", "a2", "derivs", "formula_checks"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(sym, name, None)
+
+
+def test_registry_is_read_once_and_read_only():
+    registry = load_registry("7_6")
+    assert load_registry("7_6") is registry
+    for mapping in (registry.cases, registry.exceptions, registry.d4_demo):
+        with pytest.raises(TypeError):
+            mapping["+++++"] = ()
 
 
 def test_failing_route_check_is_not_cached(monkeypatch):
