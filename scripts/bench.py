@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the symbolic engine, the sweep's gate loop, whole box sweeps, instance
-assembly and the root-of-unity evaluation; write the rows as JSON.
+assembly, the root-of-unity evaluation and the formula parser; write the rows
+as JSON.
 
 Rows:
 
@@ -25,6 +26,11 @@ Rows:
   4 on every registered sign case of the family, as the benchmark's
   paper-casework workload does per operation; ``s`` is the median over
   ``REPEAT`` runs of the time for all of them.
+- ``parse_poly``: ``multipoly.parse_poly`` on every expression string of the
+  package data (registry formulas, chains, targets, shifts and exception
+  constraints, ``seifert.SKELETONS`` entries per family, family ``count``
+  rows); ``ms`` is the median over ``REPEAT`` runs of the time for all of
+  them, ``us_per_string`` that median per string.
 - ``bracket.c<C>``: ``pdcodes.kauffman_bracket`` on the C-crossing diagrams of
   the first round of the benchmark's oracle-crosscheck workload at seed 1
   (two per row); ``ms`` is the median over ``REPEAT`` runs of the mean time per
@@ -199,6 +205,51 @@ def paper_case_row(casework, family: str) -> dict:
             **summary(runs, "s")}
 
 
+def expression_strings(casework) -> list:
+    """(text, variables) of every ``parse_poly`` string in the package data:
+    the registry's formulas and exception constraints, the Seifert skeleton
+    entries and the family files' ``count`` rows."""
+    from importlib import resources
+    from twistknots.seifert import SKELETONS
+
+    out = []
+    for family in PAPER_CASES:
+        fam = casework.load_family(family)
+        variables = fam.with_signs(casework.ALL_CASES[0]).variables
+        registry = casework.load_registry(family)
+        for entry in (e for entries in registry.cases.values() for e in entries):
+            texts = [entry.expr]
+            texts += [entry.target_num, entry.target_den] if entry.target_num is not None else []
+            texts += [text for _, num, den in entry.chain for text in (num, den)]
+            texts += [entry.shift[1]] if entry.shift else []
+            out += [(text, variables) for text in texts if text is not None]
+        out += [(text, variables) for rows in registry.exceptions.values()
+                for row in rows for text in row["constraints"].values()]
+        counts = tuple(f"n{i + 1}" for i in range(len(fam.parities)))
+        out += [(text, counts) for row in SKELETONS[family] for text in row]
+        states = tuple(f"x{i + 1}" for i in range(len(fam.parities)))
+        lines = resources.files("twistknots").joinpath(
+            f"data/families/{family}.family").read_text().splitlines()
+        out += [(line.partition("->")[2].strip(), states)
+                for line in lines if line.startswith("count ")]
+    return out
+
+
+def parse_poly_row(casework) -> dict:
+    from twistknots.multipoly import parse_poly
+
+    texts = expression_strings(casework)
+
+    def all_texts():
+        for text, variables in texts:
+            parse_poly(text, variables)
+
+    runs = [timed(all_texts) for _ in range(REPEAT)]
+    row = {"strings": len(texts), **summary(runs, "ms", 1e3)}
+    row["us_per_string"] = round(1e3 * row["ms"] / len(texts), 3)
+    return row
+
+
 def bracket_rows() -> dict:
     from twistknots.diagrams import build_diagram, load_template
     from twistknots.families import load_family
@@ -253,6 +304,7 @@ def main() -> int:
         rows[f"eval_root5.n{n}"] = eval_root5_row(casework, family, signs, n)
     for family in PAPER_CASES:
         rows[f"paper_case.{family}"] = paper_case_row(casework, family)
+    rows["parse_poly"] = parse_poly_row(casework)
     rows.update(bracket_rows())
     result = {"revision": git_revision(src), "nproc": os.cpu_count(),
               "python": platform.python_version(), "repeat": REPEAT, "rows": rows}

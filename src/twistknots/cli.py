@@ -163,13 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "knots and machine-checked cosmetic-surgery casework.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_instance_flags(p, twists_required=True):
+    def add_instance_flags(p):
         p.add_argument("--family", required=True, choices=FAMILIES)
-        p.add_argument("--signs", required=twists_required,
-                       help="sign case, e.g. ++-+-")
-        if twists_required:
-            p.add_argument("--twists", required=True,
-                           help="comma-separated positive twist counts")
+        p.add_argument("--signs", required=True, help="sign case, e.g. ++-+-")
+        p.add_argument("--twists", required=True,
+                       help="comma-separated positive twist counts")
 
     p = sub.add_parser("jones", help="Jones polynomial and derivatives at 1")
     add_instance_flags(p)

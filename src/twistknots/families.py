@@ -85,10 +85,6 @@ class FamilySpec:
     def signs_str(self) -> str:
         return "".join("+" if b.sign > 0 else "-" for b in self.bands)
 
-    def mirrored(self) -> "FamilySpec":
-        flipped = tuple(BandSpec(-b.sign, b.parity, b.frozen) for b in self.bands)
-        return FamilySpec(self.name, flipped, self.provider)
-
 
 def parse_signs(text: str, k: int) -> tuple[int, ...]:
     if len(text) != k or any(ch not in "+-" for ch in text):

@@ -92,10 +92,6 @@ class HalfLaurent:
             n >>= 1
         return out
 
-    def mirror(self) -> "HalfLaurent":
-        """t -> t^(-1); mirror image on Jones polynomials."""
-        return HalfLaurent({-e: c for e, c in self.terms.items()})
-
     def is_knot_valued(self) -> bool:
         """True when every power of t is integral."""
         return all(e % 2 == 0 for e in self.terms)
@@ -127,17 +123,6 @@ class HalfLaurent:
         for e, c in self.terms.items():
             s[e // 2 % 5] += c
         return tuple(x - s[4] for x in s[:4])
-
-    def equal_up_to_unit(self, other: "HalfLaurent") -> bool:
-        """True when other = ±t^(k/2) * self for some k."""
-        if not self.terms or not other.terms:
-            return self.terms == other.terms
-        if len(self.terms) != len(other.terms):
-            return False
-        e0 = min(self.terms)
-        f0 = min(other.terms)
-        shifted = self.shift(f0 - e0)
-        return shifted == other or shifted == -other
 
     def format(self) -> str:
         """Canonical text form, exponents descending: '-t^(5/2) - t^(1/2)'."""

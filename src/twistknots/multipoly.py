@@ -3,11 +3,14 @@
 Used for symbolic twist-parameter computations: derivative polynomials in the
 twist counts, leading Alexander coefficients, and the per-case formula checks.
 Substitution of a rational expression for a variable is done fraction-free by
-clearing the denominator.
+clearing the denominator.  ``parse_poly`` reads the formula text of the package
+data through Python's ``ast`` parser and builds the polynomial from a whitelist
+of its nodes.
 """
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
@@ -223,115 +226,62 @@ class ExprError(ValueError):
     pass
 
 
+_RING_OPS = {ast.Add: MultiPoly.__add__, ast.Sub: MultiPoly.__sub__, ast.Mult: MultiPoly.__mul__}
+
+
 def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     """Parse '+', '-', '*', '/', '^', parentheses, integers and variable names.
 
-    Division is only allowed by constant subexpressions (the parsed divisor
-    must be a rational constant); everything else stays polynomial.
+    Python's own parser reads the text, with '^' as '**'; the walk over its
+    tree accepts only the nodes of this grammar and evaluates nothing else.
+    Integers are ASCII decimal literals, an exponent is an integer literal,
+    and division is only by a nonzero constant subexpression.
     """
     variables = tuple(variables)
-    tokens = _tokenize(text)
-    pos = 0
+    # Python reads '**' as a power and fullwidth letters as ASCII names (NFKC)
+    if not text.isascii() or "**" in text:
+        raise ExprError(f"non-ASCII character or '**' in {text!r}")
+    source = " ".join(text.split()).replace("^", "**")
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        raise ExprError(f"{exc.msg} in {text!r}") from None
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
+    def piece(node) -> str:
+        return source[node.col_offset:node.end_col_offset].replace("**", "^")
 
-    def take(expected=None):
-        nonlocal pos
-        tok = peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ExprError(f"unexpected token {tok!r} in {text!r}")
-        pos += 1
-        return tok
+    def literal(node) -> int:
+        # the parser also reads 0x10, 1_000, 1.5, 1e3 and True as numbers
+        if isinstance(node, ast.Constant) and type(node.value) is int and piece(node).isdigit():
+            return node.value
+        raise ExprError(f"expected an integer literal, got {piece(node)!r} in {text!r}")
 
-    def parse_expr() -> MultiPoly:
-        node = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def parse_term() -> MultiPoly:
-        node = parse_factor()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_factor()
-            if op == "*":
-                node = node * rhs
-            else:
+    def walk(node) -> MultiPoly:
+        if isinstance(node, ast.BinOp):
+            op = type(node.op)
+            if op is ast.Pow:
+                return walk(node.left) ** literal(node.right)
+            if op in _RING_OPS:
+                return _RING_OPS[op](walk(node.left), walk(node.right))
+            if op is ast.Div:
+                lhs, rhs = walk(node.left), walk(node.right)
                 if rhs.total_degree() != 0:
                     raise ExprError(f"division by non-constant in {text!r}")
-                const = rhs.terms.get((0,) * len(variables), Fraction(0))
-                if not const:
+                if not rhs:
                     raise ExprError(f"division by zero in {text!r}")
-                node = node.scale(Fraction(1) / const)
-        return node
+                return lhs.scale(Fraction(1) / rhs.terms[(0,) * len(variables)])
+        elif isinstance(node, ast.UnaryOp) and type(node.op) in (ast.USub, ast.UAdd):
+            operand = walk(node.operand)
+            return -operand if type(node.op) is ast.USub else operand
+        elif isinstance(node, ast.Constant):
+            return MultiPoly.const(variables, literal(node))
+        elif isinstance(node, ast.Name):
+            if node.id not in variables:
+                raise ExprError(f"unknown variable {node.id!r} in {text!r}")
+            return MultiPoly.var(variables, node.id)
+        raise ExprError(f"unsupported expression {piece(node)!r} in {text!r}")
 
-    def parse_factor() -> MultiPoly:
-        if peek() == "-":
-            take()
-            return -parse_factor()
-        if peek() == "+":
-            take()
-            return parse_factor()
-        node = parse_atom()
-        while peek() == "^":
-            take()
-            expo = take()
-            if not isinstance(expo, int):
-                raise ExprError(f"exponent must be an integer in {text!r}")
-            node = node ** expo
-        return node
-
-    def parse_atom() -> MultiPoly:
-        tok = peek()
-        if tok == "(":
-            take()
-            node = parse_expr()
-            take(")")
-            return node
-        if isinstance(tok, int):
-            take()
-            return MultiPoly.const(variables, tok)
-        if isinstance(tok, str) and tok not in "+-*/^()":
-            take()
-            if tok not in variables:
-                raise ExprError(f"unknown variable {tok!r} in {text!r}")
-            return MultiPoly.var(variables, tok)
-        raise ExprError(f"unexpected token {tok!r} in {text!r}")
-
-    node = parse_expr()
-    if pos != len(tokens):
-        raise ExprError(f"trailing input in {text!r}")
-    return node
-
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ExprError(f"bad character {ch!r} in {text!r}")
-    return tokens
+    return walk(tree.body)
 
 
 # --- standard symbolic helpers ----------------------------------------------

@@ -106,17 +106,15 @@ class ObstructionVerdict:
     d4: Fraction
     j4: Fraction
     root5: Optional[Root5Verdict]
-    classification: str
+    excluded_by: Optional[str]        # the first gate that excludes, None if none does
 
     @property
     def is_exception(self) -> bool:
-        return self.classification == "EXCEPTION"
+        return self.excluded_by is None
 
     @property
-    def excluded_by(self) -> Optional[str]:
-        if self.is_exception:
-            return None
-        return self.classification[len("EXCLUDED("):-1]
+    def classification(self) -> str:
+        return "EXCEPTION" if self.is_exception else f"EXCLUDED({self.excluded_by})"
 
     def to_dict(self) -> dict:
         return {
@@ -146,19 +144,9 @@ def cosmetic_gate(jones: HalfLaurent, derivs: Sequence[Fraction],
     j4 = h_coeffs_from_derivs(derivs, 4)[4]
     root5 = root5_gate(jones) if use_root5 else None
 
-    if alex_leading != 0:
-        classification = "EXCLUDED(alexander_leading)"
-    elif not conway.is_trivial():
-        classification = "EXCLUDED(conway)"
-    elif d2 != 0:
-        classification = "EXCLUDED(d2)"
-    elif d3 != 0:
-        classification = "EXCLUDED(d3)"
-    elif d4 != 0:
-        classification = "EXCLUDED(d4)"
-    elif root5 is Root5Verdict.EXCLUDES:
-        classification = "EXCLUDED(root5)"
-    else:
-        classification = "EXCEPTION"
-    return ObstructionVerdict(instance, tuple(twists), alex_leading, conway.is_trivial(),
-                              d2, d3, d4, j4, root5, classification)
+    conway_trivial = conway.is_trivial()
+    excludes = (alex_leading != 0, not conway_trivial, d2 != 0, d3 != 0, d4 != 0,
+                root5 is Root5Verdict.EXCLUDES)
+    excluded_by = next((gate for gate, e in zip(GATE_ORDER, excludes) if e), None)
+    return ObstructionVerdict(instance, tuple(twists), alex_leading, conway_trivial,
+                              d2, d3, d4, j4, root5, excluded_by)

@@ -3,6 +3,8 @@ use to check the engines, and that no engine needs."""
 
 from fractions import Fraction
 
+from twistknots.families import BandSpec, FamilySpec
+from twistknots.laurent import HalfLaurent
 from twistknots.pdcodes import PDCode
 
 
@@ -12,6 +14,27 @@ def falling_factorial(x: Fraction, k: int) -> Fraction:
     for r in range(k):
         out *= x - r
     return out
+
+
+def mirror(p: HalfLaurent) -> HalfLaurent:
+    """t -> t^(-1); mirror image on Jones polynomials."""
+    return HalfLaurent({-e: c for e, c in p.terms.items()})
+
+
+def equal_up_to_unit(p: HalfLaurent, q: HalfLaurent) -> bool:
+    """True when q = ±t^(k/2) * p for some k."""
+    if not p.terms or not q.terms:
+        return p.terms == q.terms
+    if len(p.terms) != len(q.terms):
+        return False
+    shifted = p.shift(min(q.terms) - min(p.terms))
+    return shifted == q or shifted == -q
+
+
+def mirrored(spec: FamilySpec) -> FamilySpec:
+    """The family with every band sign flipped."""
+    flipped = tuple(BandSpec(-b.sign, b.parity, b.frozen) for b in spec.bands)
+    return FamilySpec(spec.name, flipped, spec.provider)
 
 
 def disjoint_union(p1: PDCode, p2: PDCode) -> PDCode:

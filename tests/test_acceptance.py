@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+from helpers import equal_up_to_unit, mirror, mirrored
 from twistknots.casework import (
     SweepConfig,
     classify_exceptions,
@@ -224,10 +225,10 @@ def test_criterion_7_property_suite(sweep_7_6, sweep_10_58):
     for reports in (sweep_7_6, sweep_10_58):
         by_signs = {r.signs: r for r in reports}
         for signs, r in by_signs.items():
-            mirror = by_signs["".join("-" if c == "+" else "+" for c in signs)]
-            assert r.exclusions == mirror.exclusions
+            flipped = by_signs["".join("-" if c == "+" else "+" for c in signs)]
+            assert r.exclusions == flipped.exclusions
             assert sorted(v.twists for v in r.exceptions) == \
-                   sorted(v.twists for v in mirror.exceptions)
+                   sorted(v.twists for v in flipped.exceptions)
 
     # per-instance checks on a sample grid: unit Alexander value, Conway
     # normalization, mirror of the assembled polynomial, skein recursion
@@ -240,11 +241,11 @@ def test_criterion_7_property_suite(sweep_7_6, sweep_10_58):
             tpl = template_for(family, tuple(b.sign for b in spec.bands))
             for n in [(1,) * k, (2, 1, 2, 1, 1)[:k], (1, 2, 1, 2, 2)[:k]]:
                 delta = alexander_poly(tpl, n)       # asserts unit value at 1
-                assert delta.equal_up_to_unit(delta.mirror())
+                assert equal_up_to_unit(delta, mirror(delta))
                 series = conway_poly(tpl, n)         # asserts normalization
                 v = assemble_jones(spec, n)
                 assert v.derivs_at_one(2)[2] == -6 * series.a2
-                assert assemble_jones(spec.mirrored(), n) == v.mirror()
+                assert assemble_jones(mirrored(spec), n) == mirror(v)
                 for band in range(len(spec.bands)):
                     if spec.bands[band].frozen:
                         continue

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from helpers import mirror, mirrored
 from twistknots.families import (
     FamilyError,
     assemble_jones,
@@ -132,7 +133,7 @@ def test_xn_base_values():
 def test_xn_two_and_three():
     assert xn_jones([+1, +1]) == HL({5: -1, 1: -1})          # positive Hopf link
     assert xn_jones([+1, +1, +1]) == HL({8: -1, 6: 1, 2: 1})  # right trefoil
-    assert xn_jones([-1, -1, -1]) == xn_jones([1, 1, 1]).mirror()
+    assert xn_jones([-1, -1, -1]) == mirror(xn_jones([1, 1, 1]))
 
 
 def test_xn_cancellation():
@@ -193,10 +194,10 @@ def test_unknot_exception_instances():
 
 def test_assembly_matches_mirror_family():
     spec = SEVEN.with_signs("++-+-")
-    mirror = spec.mirrored()
-    assert mirror.signs_str() == "--+-+"
+    flipped = mirrored(spec)
+    assert flipped.signs_str() == "--+-+"
     n = (1, 2, 2, 1, 3)
-    assert assemble_jones(mirror, n) == assemble_jones(spec, n).mirror()
+    assert assemble_jones(flipped, n) == mirror(assemble_jones(spec, n))
 
 
 @settings(max_examples=25, deadline=None)
@@ -211,7 +212,7 @@ def test_assembly_properties(name, signs, raw_n):
     assert v.is_knot_valued()
     assert v.eval_at_one() == 1
     assert v.derivs_at_one(1)[1] == 0
-    assert assemble_jones(spec.mirrored(), n) == v.mirror()
+    assert assemble_jones(mirrored(spec), n) == mirror(v)
 
 
 @settings(max_examples=10, deadline=None)

@@ -76,6 +76,30 @@ def test_parse_rejects_nonconstant_division():
         parse_poly("a / b", ABC)
 
 
+@pytest.mark.parametrize("text, value", [
+    (" a + b ", "a + b"),
+    ("a\n+ b", "a + b"),
+    ("-a^2", "-(a^2)"),
+    ("a--b", "a + b"),
+    ("+a", "a"),
+    ("a/(b-b+2)", "a/2"),
+    ("x2^0", "1"),
+    ("a^(2)", "a^2"),
+    ("1 + ", None), ("(x2", None), ("abs(x2)", None), ("x9", None), ("a**2", None),
+    ("0x10", None), ("1_000", None), ("1.5", None), ("1e3", None), ("True", None),
+    ("a.b", None), ("a[0]", None), ("(a)(b)", None), ("a)+(b", None), ("2a", None),
+    ("a b", None), ("a^-1", None), ("1/0", None), ("a / b", None), ("\u00b2", None),
+    ("a^2^3", None),  # write a power of a power as (a^2)^3
+])
+def test_parse_grammar(text, value):
+    variables = ("a", "b", "x2")
+    if value is None:
+        with pytest.raises(ExprError):
+            parse_poly(text, variables)
+    else:
+        assert parse_poly(text, variables) == parse_poly(value, variables)
+
+
 @pytest.mark.parametrize("m", range(0, 6))
 def test_power_sums_match_enumeration(m):
     s = power_sum_poly(m, ("n",), "n")
