@@ -32,8 +32,9 @@ Rows:
   rows); ``ms`` is the median over ``REPEAT`` runs of the time for all of
   them, ``us_per_string`` that median per string.
 - ``bracket.c<C>``: ``pdcodes.kauffman_bracket`` on the C-crossing diagrams of
-  the first round of the benchmark's oracle-crosscheck workload at seed 1
-  (two per row); ``ms`` is the median over ``REPEAT`` runs of the mean time per
+  the first round of the benchmark's oracle-crosscheck workload at seed 1: C =
+  12, 14, 16 are 8_12 and 10_58 (two per row), C = 13 and 15 are 7_6 (two and
+  one); ``ms`` is the median over ``REPEAT`` runs of the mean time per
   diagram.  The diagrams are built outside the timing.
 
 Every timed run of a sweep or paper-case row starts with an empty
@@ -89,7 +90,7 @@ ROW_BUDGET_S = 60.0
 EVAL_ROOT5 = ("7_6", "++-+-", (20, 200))
 ROOT5_CALLS = 20
 PAPER_CASE_RANGE = 4
-BRACKET = (12, 14, 16)      # crossing counts
+BRACKET = (12, 13, 14, 15, 16)      # crossing counts
 BRACKET_SEED = 1
 
 

@@ -4,13 +4,12 @@
 The engine is anchored to the published case formulas by the symbolic checks,
 so a template is accepted only when the state-sum Jones polynomial of its
 expansion matches the engine's assembly on a battery of sign cases and twist
-vectors.  Two candidate spaces are searched:
-
-* column arrangements of continued-fraction tangles (three columns closed
-  cyclically), which fits the three-odd-band family;
-* two-disk band layouts (three connecting bands plus two self-bands with
-  per-foot attachment flips), which fits the all-even family, with the
-  four-band family inheriting that skeleton with a frozen fifth band.
+vectors.  Every family is drawn as a two-disk band layout: each disk's
+boundary visits band feet in some cyclic order, and each foot may attach
+flipped.  ``fit_disks`` searches those orders and flips for one family, given
+the feet on each disk (bands joining the disks have a foot on both, a
+self-band two feet on one).  The four-band family inherits the skeleton of the
+all-even family with a frozen fifth band.
 
 Run from the repository root:  python3 scripts/fit_templates.py
 """
@@ -24,7 +23,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from twistknots.diagrams import DiagramTemplate, DiagramError, build_diagram  # noqa: E402
 from twistknots.families import assemble_jones, base_case_jones, load_family  # noqa: E402
-from twistknots.laurent import unlink_factor  # noqa: E402
 from twistknots.pdcodes import format_pd, jones_from_pd  # noqa: E402
 
 BATTERY_CASES = ["+++++", "++-+-", "-+-++", "+----", "--+++", "+-+-+"]
@@ -49,92 +47,41 @@ def passes_battery(tpl, fam) -> bool:
     return True
 
 
-# --- candidate space 1: continued-fraction columns -------------------------------
-
-def tangle_chain(bands, kinds):
-    node = ("band", bands[0])
-    for band, kind in zip(bands[1:], kinds):
-        node = (kind, node, ("band", band))
-    return node
-
-
-def structures_7_6():
-    for order in permutations((1, 5, 4)):
-        for kinds in product(("bottom", "right", "left", "top"), repeat=2):
-            t1 = tangle_chain(order, kinds)
-            for cols in [(("band", 2), ("band", 3)), (("band", 3), ("band", 2))]:
-                yield ("montesinos", t1) + cols
-
-
-def fit_columns(name, structures):
-    fam = load_family(name)
-    spec = fam.with_signs(BATTERY_CASES[0])
-    base_n = BATTERY_VECTORS[5][0]
-    target = assemble_jones(spec, base_n)
-    for structure in structures:
-        for mult in product((1, -1), repeat=5):
-            tpl = DiagramTemplate(name, structure, mult, "")
-            try:
-                if jones_from_pd(build_diagram(tpl, spec, base_n)) != target:
-                    continue
-            except DiagramError:
-                continue
-            if passes_battery(tpl, fam):
-                return tpl
-    return None
-
-
-# --- candidate space 2: two-disk band layouts ------------------------------------
-
-def expected_leaf_counts(fam):
+def component_counts_ok(tpl, fam) -> bool:
+    """Each base link of the skein, drawn by resolving the bands in state 0
+    and leaving the others at one twist, has the component count c that its
+    Jones polynomial gives through V(1) = (-2)^(c-1)."""
     spec = fam.with_signs("+++++")
-    delta = unlink_factor()
-    out = {}
+    unit = (1,) * len(spec.active_bands)
     for state in product((0, 1), repeat=len(spec.active_bands)):
-        v = base_case_jones(spec, state)
-        for count in range(1, 9):
-            if delta ** (count - 1) == v:
-                out[state] = count
-                break
-    return out
-
-
-def leaf_counts_ok(tpl, fam, expected):
-    spec = fam.with_signs("+++++")
-    base_n = (1,) * len(spec.active_bands)
-    for state, cnt in expected.items():
-        res = frozenset(i for i, x in enumerate(state) if x == 0)
-        zer = frozenset(i for i, x in enumerate(state) if x == 1)
+        cut = frozenset(i for i, x in zip(spec.active_bands, state) if x == 0)
         try:
-            pd = build_diagram(tpl, spec, base_n, resolved=res, zeroed=zer)
+            pd = build_diagram(tpl, spec, unit, resolved=cut)
         except DiagramError:
             return False
-        if pd.n_components() != cnt:
+        if (-2) ** (pd.n_components() - 1) != sum(base_case_jones(spec, state).terms.values()):
             return False
     return True
 
 
-def fit_disks_10_58():
-    """Self-band 2 interleaves the feet of bands 5 and 1 on one disk; self-band
-    3 interleaves bands 1 and 4 on the other (forced by the curve-intersection
-    pattern of the self-linking matrix)."""
-    fam = load_family("10_58")
+def fit_disks(name, feet_a, feet_b):
+    """The first two-disk layout, in search order, that passes the component
+    counts, the all-plus unit instance and the battery.  ``feet_a`` and
+    ``feet_b`` list (band, end) feet; each disk's walk starts at its first
+    foot, and the first foot on disk A never flips (a global mirror)."""
+    fam = load_family(name)
     spec = fam.with_signs("+++++")
-    base_n = (1, 1, 1, 1, 1)
+    base_n = (1,) * len(spec.active_bands)
     target = assemble_jones(spec, base_n)
-    expected = expected_leaf_counts(fam)
-    feetT = [(2, 0), (2, 1), (5, 0), (1, 0), (4, 0)]
-    feetB = [(3, 0), (3, 1), (5, 1), (1, 1), (4, 1)]
-    permsT = [p for p in permutations(feetT) if p[0] == (5, 0)]
-    permsB = [p for p in permutations(feetB) if p[0] == (5, 1)]
-    for pT in permsT:
-        for pB in permsB:
-            for bitsT in product((0, 1), repeat=len(pT) - 1):
-                fT = tuple((b, e, f) for (b, e), f in zip(pT, (0,) + bitsT))
-                for bitsB in product((0, 1), repeat=len(pB)):
-                    fB = tuple((b, e, f) for (b, e), f in zip(pB, bitsB))
-                    tpl = DiagramTemplate("10_58", ("disks", fT, fB), (1,) * 5, "")
-                    if not leaf_counts_ok(tpl, fam, expected):
+    for rest_a in permutations(feet_a[1:]):
+        for rest_b in permutations(feet_b[1:]):
+            walk_a, walk_b = (feet_a[0],) + rest_a, (feet_b[0],) + rest_b
+            for bits_a in product((0, 1), repeat=len(walk_a) - 1):
+                fa = tuple((b, e, f) for (b, e), f in zip(walk_a, (0,) + bits_a))
+                for bits_b in product((0, 1), repeat=len(walk_b)):
+                    fb = tuple((b, e, f) for (b, e), f in zip(walk_b, bits_b))
+                    tpl = DiagramTemplate(name, ("disks", fa, fb), "")
+                    if not component_counts_ok(tpl, fam):
                         continue
                     try:
                         if jones_from_pd(build_diagram(tpl, spec, base_n)) != target:
@@ -152,7 +99,6 @@ def write_template(tpl, name, out_dir):
     base = build_diagram(tpl, spec, (1,) * len(spec.active_bands))
     data = {"family": name,
             "structure": tpl.structure,
-            "mult": {str(i + 1): m for i, m in enumerate(tpl.mult)},
             "base_pd": format_pd(base).strip().split("\n")}
     path = out_dir / f"{name}.pdt"
     path.write_text(json.dumps(data, indent=1, default=list) + "\n")
@@ -161,17 +107,24 @@ def write_template(tpl, name, out_dir):
 
 def main():
     out_dir = Path(__file__).resolve().parent.parent / "src" / "twistknots" / "data" / "templates"
-    tpl76 = fit_columns("7_6", structures_7_6())
+    # loops 3 and 4 of the Seifert skeleton, through self-bands 4 and 5, are
+    # linked, so both self-bands interleave on one disk; bands 1-3 join the disks
+    tpl76 = fit_disks("7_6", [(1, 0), (4, 0), (5, 0), (4, 1), (2, 0), (3, 0), (5, 1)],
+                      [(1, 1), (2, 1), (3, 1)])
     if tpl76 is None:
         raise SystemExit("no 7_6 template found")
     write_template(tpl76, "7_6", out_dir)
 
-    tpl10 = fit_disks_10_58()
+    # self-band 2 interleaves the feet of bands 5 and 1 on one disk; self-band
+    # 3 interleaves bands 1 and 4 on the other (forced by the
+    # curve-intersection pattern of the self-linking matrix)
+    tpl10 = fit_disks("10_58", [(5, 0), (2, 0), (2, 1), (1, 0), (4, 0)],
+                      [(5, 1), (3, 0), (3, 1), (1, 1), (4, 1)])
     if tpl10 is None:
         raise SystemExit("no 10_58 template found")
     write_template(tpl10, "10_58", out_dir)
 
-    tpl8 = DiagramTemplate("8_12", tpl10.structure, tpl10.mult, "")
+    tpl8 = DiagramTemplate("8_12", tpl10.structure, "")
     if not passes_battery(tpl8, load_family("8_12")):
         raise SystemExit("8_12 does not inherit the 10_58 skeleton")
     write_template(tpl8, "8_12", out_dir)

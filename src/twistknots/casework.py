@@ -265,22 +265,22 @@ def verify_paper_case(family: str, signs: str,
 
 # --- exceptions -------------------------------------------------------------------
 
-def _pattern_matches(constraints: dict, point: dict) -> bool:
-    for var, expr in constraints.items():
-        target = parse_poly(expr, tuple(point)).eval(point)
-        if point[var] != target:
-            return False
-    return True
+def _parsed_patterns(registry: CaseRegistry, signs: str, variables) -> list:
+    """The sign case's exception patterns as (tuple, [(variable, polynomial)])."""
+    return [(row["tuple"], [(var, parse_poly(expr, variables))
+                            for var, expr in row["constraints"].items()])
+            for row in registry.exceptions.get(signs, ())]
+
+
+def _matching(patterns: list, n: tuple[int, ...], variables) -> list[str]:
+    point = dict(zip(variables, n))
+    return [pattern for pattern, constraints in patterns
+            if all(point[var] == poly.eval(point) for var, poly in constraints)]
 
 
 def match_exception(registry: CaseRegistry, signs: str, n: tuple[int, ...],
                     variables) -> list[str]:
-    point = dict(zip(variables, n))
-    out = []
-    for row in registry.exceptions.get(signs, ()):
-        if _pattern_matches(row["constraints"], point):
-            out.append(row["tuple"])
-    return out
+    return _matching(_parsed_patterns(registry, signs, variables), n, variables)
 
 
 # --- sweeping ----------------------------------------------------------------------
@@ -413,10 +413,11 @@ def classify_exceptions(cfg: SweepConfig, reports: list[CaseReport],
     fam = load_family(cfg.family)
     records: dict[tuple[str, Optional[str]], ExceptionRecord] = {}
     for report in reports:
-        spec = fam.with_signs(report.signs)
+        variables = fam.with_signs(report.signs).variables
+        parsed = _parsed_patterns(registry, report.signs, variables)
         for verdict in report.exceptions:
             n = verdict.twists
-            patterns = match_exception(registry, report.signs, n, spec.variables)
+            patterns = _matching(parsed, n, variables)
             if not patterns:
                 key = (report.signs, None)
                 rec = records.setdefault(key, ExceptionRecord(report.signs, None))

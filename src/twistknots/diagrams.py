@@ -1,12 +1,10 @@
 """Diagram templates: build planar diagrams for twist families and expand twists.
 
-Templates are recipes whose leaves are the twist regions, one per band.  Two
-layouts exist: columns of continued-fraction tangles closed cyclically (layer
-attachments twist the south/east/north/west leg pairs of a tangle), and
-two-disk band layouts where each disk's boundary visits band feet in a given
-cyclic order.  Expanding a template at a sign case and twist vector rebuilds
-the diagram with s_i (2 n_i - m_i) crossings in band i's region (times a
-per-band handedness calibration recorded in the template file).
+A template draws a family's genus-2 Seifert surface as two disks joined by
+bands: each disk's boundary visits band feet in a given cyclic order, and each
+band carries one twist region.  Expanding a template at a sign case and twist
+vector rebuilds the diagram with s_i (2 n_i - m_i) crossings in band i's
+region.
 
 Strand orientations are recovered by traversal; a twist region along a band of
 a spanning surface has anti-parallel strands, and for links the component
@@ -89,28 +87,6 @@ class _Builder:
                 self.weld(prev[SE], slots[NE])
             prev = slots
         return (first[NW], first[NE], prev[SW], prev[SE])
-
-    def horizontal_region(self, count: int, band: int | None = None):
-        """Ports (nw, ne, sw, se) of the block; strands run sideways."""
-        if count == 0:
-            ports = [self.new_port() for _ in range(4)]
-            self.weld(ports[NW], ports[NE])
-            self.weld(ports[SW], ports[SE])
-            return tuple(ports)
-        over = "L" if count > 0 else "R"
-        first = None
-        prev = None
-        for _ in range(abs(count)):
-            slots = self.add_crossing(over)
-            if band is not None:
-                self.regions.setdefault(band, []).append(len(self.crossings) - 1)
-            if prev is None:
-                first = slots
-            else:
-                self.weld(prev[NE], slots[NW])
-                self.weld(prev[SE], slots[SW])
-            prev = slots
-        return (first[NW], prev[NE], first[SW], prev[SE])
 
     def cut_region(self):
         """Oriented smoothing of a band: cap the top ports, cup the bottom ones."""
@@ -220,103 +196,45 @@ class _Builder:
 @dataclass(frozen=True)
 class DiagramTemplate:
     family: str
-    structure: tuple          # nested tuples; leaves ("band", i)
-    mult: tuple[int, ...]     # per-band handedness calibration
+    structure: tuple          # ("disks", feet_a, feet_b); feet are (band, end, flip)
     base_pd: str              # the diagram at unit twists, all-plus signs
 
 
 def build_diagram(tpl: DiagramTemplate, spec: FamilySpec, twists,
-                  resolved: frozenset[int] = frozenset(),
-                  zeroed: frozenset[int] = frozenset()) -> PDCode:
+                  resolved: frozenset[int] = frozenset()) -> PDCode:
     """Instantiate the template at a sign case and twist vector.
 
-    ``resolved`` lists 0-based band indices replaced by the oriented smoothing
-    (the cut band); ``zeroed`` bands keep their strands but drop all crossings.
-    Both are used for skein and base-case cross-checks.
+    The template lays out two fat vertices; each foot of a band occupies two
+    consecutive ports along a disk boundary, and boundary arcs join
+    consecutive feet.  ``resolved`` lists 0-based band indices replaced by the
+    oriented smoothing (the cut band), for skein cross-checks.
     """
+    if tpl.structure[0] != "disks":
+        raise DiagramError("template must be a two-disk band layout")
     n = check_twists(spec, twists)
     by_band = dict(zip(spec.active_bands, n))
     builder = _Builder()
+    ports: dict[int, tuple] = {}
 
-    def band_count(i0: int) -> int:
-        band = spec.bands[i0]
-        if band.frozen or i0 in zeroed:
-            return 0
-        return tpl.mult[i0] * band.sign * (2 * by_band[i0] - band.parity)
-
-    def instantiate(node, kind: str):
-        head = node[0]
-        if head == "band":
-            i0 = node[1] - 1
+    def region(i0: int):
+        if i0 not in ports:
+            band = spec.bands[i0]
             if i0 in resolved:
-                return builder.cut_region()
-            count = band_count(i0)
-            if kind == "h":
-                return builder.horizontal_region(count, band=i0)
-            return builder.vertical_region(count, band=i0)
-        if head == "bottom":
-            # twist the two south legs around each other: a vertical layer below
-            t = instantiate(node[1], "v")
-            r = instantiate(node[2], "v")
-            builder.weld(t[2], r[0])   # t.sw -> r.nw
-            builder.weld(t[3], r[1])   # t.se -> r.ne
-            return (t[0], t[1], r[2], r[3])
-        if head == "right":
-            # twist the two east legs around each other: a horizontal layer
-            t = instantiate(node[1], "v")
-            r = instantiate(node[2], "h")
-            builder.weld(t[1], r[0])   # t.ne -> r.nw (west end of the top rail)
-            builder.weld(t[3], r[2])   # t.se -> r.sw (west end of the bottom rail)
-            return (t[0], r[1], t[2], r[3])
-        if head == "top":
-            # twist the two north legs: a vertical layer above
-            t = instantiate(node[1], "v")
-            r = instantiate(node[2], "v")
-            builder.weld(r[2], t[0])   # r.sw -> t.nw
-            builder.weld(r[3], t[1])   # r.se -> t.ne
-            return (r[0], r[1], t[2], t[3])
-        if head == "left":
-            # twist the two west legs: a horizontal layer on the west side
-            t = instantiate(node[1], "v")
-            r = instantiate(node[2], "h")
-            builder.weld(r[1], t[0])   # r.ne -> t.nw
-            builder.weld(r[3], t[2])   # r.se -> t.sw
-            return (r[0], t[1], r[2], t[3])
-        raise DiagramError(f"unknown template node {head!r}")
+                ports[i0] = builder.cut_region()
+            else:
+                count = 0 if band.frozen else band.sign * (2 * by_band[i0] - band.parity)
+                ports[i0] = builder.vertical_region(count, band=i0)
+        return ports[i0]
 
-    if tpl.structure[0] == "montesinos":
-        columns = [instantiate(child, "v") for child in tpl.structure[1:]]
-        m = len(columns)
-        for i in range(m):
-            nxt = columns[(i + 1) % m]
-            builder.weld(columns[i][1], nxt[0])   # ne -> nw
-            builder.weld(columns[i][3], nxt[2])   # se -> sw
-        return builder.realize()
-    if tpl.structure[0] == "disks":
-        # two fat vertices; each foot of a band occupies two consecutive ports
-        # along a disk boundary, and boundary arcs join consecutive feet
-        ports: dict[int, tuple] = {}
-
-        def region(bd: int):
-            i0 = bd - 1
-            if i0 not in ports:
-                if i0 in resolved:
-                    ports[i0] = builder.cut_region()
-                else:
-                    ports[i0] = builder.vertical_region(band_count(i0), band=i0)
-            return ports[i0]
-
-        for feet in tpl.structure[1:]:
-            walk = []
-            for band_no, end, flip in feet:
-                p = region(band_no)
-                pair = (p[NW], p[NE]) if end == 0 else (p[SW], p[SE])
-                walk.append(pair if not flip else (pair[1], pair[0]))
-            for k, (left, right) in enumerate(walk):
-                nxt = walk[(k + 1) % len(walk)]
-                builder.weld(right, nxt[0])
-        return builder.realize()
-    raise DiagramError("template must be a closed column arrangement")
+    for feet in tpl.structure[1:]:
+        walk = []
+        for band_no, end, flip in feet:
+            p = region(band_no - 1)
+            pair = (p[NW], p[NE]) if end == 0 else (p[SW], p[SE])
+            walk.append(pair if not flip else (pair[1], pair[0]))
+        for k, (_, right) in enumerate(walk):
+            builder.weld(right, walk[(k + 1) % len(walk)][0])
+    return builder.realize()
 
 
 def pretzel_pd(*counts: int) -> PDCode:
@@ -352,11 +270,8 @@ def _to_tuple(node):
 
 def parse_template(text: str) -> DiagramTemplate:
     data = json.loads(text)
-    mult_map = {int(k): int(v) for k, v in data["mult"].items()}
-    k = max(mult_map)
-    mult = tuple(mult_map.get(i, 1) for i in range(1, k + 1))
     return DiagramTemplate(data["family"], _to_tuple(data["structure"]),
-                           mult, data.get("base_pd", ""))
+                           data.get("base_pd", ""))
 
 
 def load_template(family: str) -> DiagramTemplate:

@@ -76,10 +76,6 @@ class HalfLaurent:
     def scale(self, k) -> "HalfLaurent":
         return HalfLaurent({e: k * c for e, c in self.terms.items()})
 
-    def shift(self, e2: int) -> "HalfLaurent":
-        """Multiply by t^(e2/2)."""
-        return HalfLaurent({e + e2: c for e, c in self.terms.items()})
-
     def __pow__(self, n: int) -> "HalfLaurent":
         if n < 0:
             raise ValueError("negative powers not supported")

@@ -171,17 +171,14 @@ class MultiPoly:
             out = out + coeff * num ** j * den ** (d - j)
         return out, d
 
-    def shifted_by_one(self, names: Iterable[str] | None = None) -> "MultiPoly":
-        """Substitute v -> v + 1 for the given variables (default: all).
+    def shifted_by_one(self) -> "MultiPoly":
+        """Substitute v -> v + 1 for every variable.
 
         All-nonnegative coefficients of the result with a positive constant
-        certify strict positivity on the region where those variables are >= 1.
+        certify strict positivity on the region where every variable is >= 1.
         """
-        names = tuple(names) if names is not None else self.vars
-        assignment = {}
-        for v in names:
-            assignment[v] = MultiPoly.var(self.vars, v) + MultiPoly.const(self.vars, 1)
-        return self.substitute(assignment)
+        one = MultiPoly.const(self.vars, 1)
+        return self.substitute({v: MultiPoly.var(self.vars, v) + one for v in self.vars})
 
     # --- formatting -------------------------------------------------------
 
@@ -246,6 +243,9 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ExprError(f"{exc.msg} in {text!r}") from None
+    except (MemoryError, RecursionError):
+        # the parser's own stack limit on deeply nested input
+        raise ExprError(f"expression nested too deeply in {text!r}") from None
 
     def piece(node) -> str:
         return source[node.col_offset:node.end_col_offset].replace("**", "^")
@@ -281,7 +281,10 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             return MultiPoly.var(variables, node.id)
         raise ExprError(f"unsupported expression {piece(node)!r} in {text!r}")
 
-    return walk(tree.body)
+    try:
+        return walk(tree.body)
+    except RecursionError:
+        raise ExprError(f"expression nested too deeply in {text!r}") from None
 
 
 # --- standard symbolic helpers ----------------------------------------------

@@ -3,6 +3,7 @@ use to check the engines, and that no engine needs."""
 
 from fractions import Fraction
 
+from twistknots.diagrams import DiagramTemplate
 from twistknots.families import BandSpec, FamilySpec
 from twistknots.laurent import HalfLaurent
 from twistknots.pdcodes import PDCode
@@ -21,13 +22,18 @@ def mirror(p: HalfLaurent) -> HalfLaurent:
     return HalfLaurent({-e: c for e, c in p.terms.items()})
 
 
+def shift(p: HalfLaurent, e2: int) -> HalfLaurent:
+    """p times t^(e2/2)."""
+    return HalfLaurent({e + e2: c for e, c in p.terms.items()})
+
+
 def equal_up_to_unit(p: HalfLaurent, q: HalfLaurent) -> bool:
     """True when q = ±t^(k/2) * p for some k."""
     if not p.terms or not q.terms:
         return p.terms == q.terms
     if len(p.terms) != len(q.terms):
         return False
-    shifted = p.shift(min(q.terms) - min(p.terms))
+    shifted = shift(p, min(q.terms) - min(p.terms))
     return shifted == q or shifted == -q
 
 
@@ -84,3 +90,10 @@ def connected_sum(p1: PDCode, p2: PDCode, arc1: int, arc2: int) -> PDCode:
                  p1.free_loops + p2.free_loops)
     out.validate_orientation()
     return out
+
+
+def flipped_foot(tpl: DiagramTemplate, band: int = 1) -> DiagramTemplate:
+    """The template with the band's foot on the second disk attached flipped."""
+    tag, feet_a, feet_b = tpl.structure
+    feet_b = tuple((b, e, 1 - f if b == band else f) for b, e, f in feet_b)
+    return DiagramTemplate(tpl.family, (tag, feet_a, feet_b), tpl.base_pd)

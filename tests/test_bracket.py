@@ -1,9 +1,8 @@
 import pytest
 
-from helpers import connected_sum, disjoint_union
+from helpers import connected_sum, disjoint_union, flipped_foot
 from twistknots.diagrams import (
     DiagramError,
-    DiagramTemplate,
     _Builder,
     build_diagram,
     crosscheck,
@@ -183,9 +182,7 @@ def test_crosscheck_agrees(family, signs, n):
 
 
 def test_crosscheck_negative_control():
-    tpl = load_template("7_6")
-    corrupted = DiagramTemplate(tpl.family, tpl.structure,
-                                (-tpl.mult[0],) + tpl.mult[1:], tpl.base_pd)
+    corrupted = flipped_foot(load_template("7_6"))
     spec = load_family("7_6").with_signs("+++++")
     assert crosscheck(spec, corrupted, (1, 1, 1, 1, 1)) is False
 
@@ -197,11 +194,12 @@ def test_crosscheck_budget():
         crosscheck(spec, tpl, (4, 4, 4, 4, 4), budget=18)
 
 
-def test_resolved_band_matches_partial_assembly():
+@pytest.mark.parametrize("family", ["7_6", "10_58", "8_12"])
+def test_resolved_band_matches_partial_assembly(family):
     from twistknots.families import assemble_partial
-    tpl = load_template("10_58")
-    spec = load_family("10_58").with_signs("++-+-")
-    n = (1, 1, 1, 1, 1)
-    for band in range(5):
+    tpl = load_template(family)
+    spec = load_family(family).with_signs("++-+-")
+    n = (1,) * len(spec.active_bands)
+    for band in spec.active_bands:
         pd = build_diagram(tpl, spec, n, resolved=frozenset({band}))
         assert jones_from_pd(pd) == assemble_partial(spec, n, {band: 0})

@@ -78,6 +78,25 @@ def test_exception_classification_patterns():
     assert all(r.pattern is not None for r in records)
 
 
+def test_classify_exceptions_parses_each_pattern_once(monkeypatch):
+    # 7_6 ++-+- has one registered pattern of three constraint strings and
+    # 30 exceptions in [1..6]^5
+    cfg = SweepConfig("7_6", n_range=6)
+    report = sweep_case(cfg, "++-+-")
+    assert len(report.exceptions) == 30
+    real = casework.parse_poly
+    calls = []
+
+    def counting(text, variables):
+        calls.append(text)
+        return real(text, variables)
+
+    monkeypatch.setattr(casework, "parse_poly", counting)
+    records = classify_exceptions(cfg, [report])
+    assert [r.pattern for r in records] == ["(1,e+1,-1,d,-e)"]
+    assert len(calls) <= 3
+
+
 def test_match_exception_overlap():
     # (1,1,1,d,1) satisfies both patterns of the (+--++) case
     registry = load_registry("7_6")

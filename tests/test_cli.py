@@ -88,14 +88,14 @@ def test_oracle_failure_exits_1(monkeypatch, capsys):
     import twistknots.diagrams as diagrams
 
     def broken(spec, tpl, n, budget):
-        raise diagrams.DiagramError("template must be a closed column arrangement")
+        raise diagrams.DiagramError("template must be a two-disk band layout")
 
     monkeypatch.setattr(diagrams, "crosscheck", broken)
     code = main(["crosscheck", "--family", "7_6", "--signs", "++-+-",
                  "--twists", "1,2,1,1,1"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err == "verification failed: template must be a closed column arrangement\n"
+    assert err == "verification failed: template must be a two-disk band layout\n"
 
 
 def test_cli_import_leaves_out_the_oracle():

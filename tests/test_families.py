@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from helpers import mirror, mirrored
+from helpers import mirror, mirrored, shift
 from twistknots.families import (
     FamilyError,
     assemble_jones,
@@ -76,7 +76,7 @@ def test_prefactor_resolved_small():
 
 def test_prefactor_geometric_growth():
     # n=2 adds one full twist worth of exponent shift
-    assert prefactor(+1, 0, 2) == prefactor(+1, 0, 1) + prefactor(+1, 0, 1).shift(4)
+    assert prefactor(+1, 0, 2) == prefactor(+1, 0, 1) + shift(prefactor(+1, 0, 1), 4)
 
 
 # The published derivative table for the prefactors, k = 0..4; upper signs for

@@ -90,6 +90,8 @@ def test_parse_rejects_nonconstant_division():
     ("a.b", None), ("a[0]", None), ("(a)(b)", None), ("a)+(b", None), ("2a", None),
     ("a b", None), ("a^-1", None), ("1/0", None), ("a / b", None), ("\u00b2", None),
     ("a^2^3", None),  # write a power of a power as (a^2)^3
+    pytest.param("-" * 2000 + "a", None, id="signs-2000"),
+    pytest.param("-" * 20000 + "a", None, id="signs-20000"),
 ])
 def test_parse_grammar(text, value):
     variables = ("a", "b", "x2")
