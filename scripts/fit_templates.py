@@ -68,7 +68,7 @@ def fit_disks(name, feet_a, feet_b):
     """The first two-disk layout, in search order, that passes the component
     counts, the all-plus unit instance and the battery.  ``feet_a`` and
     ``feet_b`` list (band, end) feet; each disk's walk starts at its first
-    foot, and the first foot on disk A never flips (a global mirror)."""
+    foot, and the first foot on disk A is attached unflipped."""
     fam = load_family(name)
     spec = fam.with_signs("+++++")
     base_n = (1,) * len(spec.active_bands)
