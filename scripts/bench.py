@@ -28,9 +28,9 @@ Rows:
   ``REPEAT`` runs of the time for all of them.
 - ``parse_poly``: ``multipoly.parse_poly`` on every expression string of the
   package data (registry formulas, chains, targets, shifts and exception
-  constraints, ``seifert.SKELETONS`` entries per family, family ``count``
-  rows); ``ms`` is the median over ``REPEAT`` runs of the time for all of
-  them, ``us_per_string`` that median per string.
+  constraints, ``seifert.SKELETONS`` entries once per skeleton, family
+  ``count`` rows); ``ms`` is the median over ``REPEAT`` runs of the time for
+  all of them, ``us_per_string`` that median per string.
 - ``bracket.c<C>``: ``pdcodes.kauffman_bracket`` on the C-crossing diagrams of
   the first round of the benchmark's oracle-crosscheck workload at seed 1: C =
   12, 14, 16 are 8_12 and 10_58 (two per row), C = 13 and 15 are 7_6 (two and
@@ -226,13 +226,14 @@ def expression_strings(casework) -> list:
             out += [(text, variables) for text in texts if text is not None]
         out += [(text, variables) for rows in registry.exceptions.values()
                 for row in rows for text in row["constraints"].values()]
-        counts = tuple(f"n{i + 1}" for i in range(len(fam.parities)))
-        out += [(text, counts) for row in SKELETONS[family] for text in row]
         states = tuple(f"x{i + 1}" for i in range(len(fam.parities)))
         lines = resources.files("twistknots").joinpath(
             f"data/families/{family}.family").read_text().splitlines()
         out += [(line.partition("->")[2].strip(), states)
                 for line in lines if line.startswith("count ")]
+    for name, rows in SKELETONS.items():
+        counts = tuple(f"n{i + 1}" for i in range(len(casework.load_family(name).parities)))
+        out += [(text, counts) for row in rows for text in row]
     return out
 
 

@@ -4,12 +4,13 @@
 The engine is anchored to the published case formulas by the symbolic checks,
 so a template is accepted only when the state-sum Jones polynomial of its
 expansion matches the engine's assembly on a battery of sign cases and twist
-vectors.  Every family is drawn as a two-disk band layout: each disk's
+vectors.  Every skeleton is drawn as a two-disk band layout: each disk's
 boundary visits band feet in some cyclic order, and each foot may attach
 flipped.  ``fit_disks`` searches those orders and flips for one family, given
 the feet on each disk (bands joining the disks have a foot on both, a
-self-band two feet on one).  The four-band family inherits the skeleton of the
-all-even family with a frozen fifth band.
+self-band two feet on one).  A family derived by freezing bands (8_12, from
+10_58) has no template of its own: ``diagrams.load_template`` gives it its
+parent's.
 
 Run from the repository root:  python3 scripts/fit_templates.py
 """
@@ -80,7 +81,7 @@ def fit_disks(name, feet_a, feet_b):
                 fa = tuple((b, e, f) for (b, e), f in zip(walk_a, (0,) + bits_a))
                 for bits_b in product((0, 1), repeat=len(walk_b)):
                     fb = tuple((b, e, f) for (b, e), f in zip(walk_b, bits_b))
-                    tpl = DiagramTemplate(name, ("disks", fa, fb), "")
+                    tpl = DiagramTemplate(("disks", fa, fb), ())
                     if not component_counts_ok(tpl, fam):
                         continue
                     try:
@@ -97,8 +98,7 @@ def write_template(tpl, name, out_dir):
     fam = load_family(name)
     spec = fam.with_signs("+++++")
     base = build_diagram(tpl, spec, (1,) * len(spec.active_bands))
-    data = {"family": name,
-            "structure": tpl.structure,
+    data = {"structure": tpl.structure,
             "base_pd": format_pd(base).strip().split("\n")}
     path = out_dir / f"{name}.pdt"
     path.write_text(json.dumps(data, indent=1, default=list) + "\n")
@@ -123,11 +123,6 @@ def main():
     if tpl10 is None:
         raise SystemExit("no 10_58 template found")
     write_template(tpl10, "10_58", out_dir)
-
-    tpl8 = DiagramTemplate("8_12", tpl10.structure, "")
-    if not passes_battery(tpl8, load_family("8_12")):
-        raise SystemExit("8_12 does not inherit the 10_58 skeleton")
-    write_template(tpl8, "8_12", out_dir)
 
 
 if __name__ == "__main__":

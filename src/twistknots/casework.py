@@ -278,11 +278,6 @@ def _matching(patterns: list, n: tuple[int, ...], variables) -> list[str]:
             if all(point[var] == poly.eval(point) for var, poly in constraints)]
 
 
-def match_exception(registry: CaseRegistry, signs: str, n: tuple[int, ...],
-                    variables) -> list[str]:
-    return _matching(_parsed_patterns(registry, signs, variables), n, variables)
-
-
 # --- sweeping ----------------------------------------------------------------------
 
 def _line_coefficients(poly: MultiPoly):

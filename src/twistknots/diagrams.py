@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import product
 
-from .families import FamilySpec, assemble_jones, check_twists
+from .families import FamilySpec, assemble_jones, check_twists, load_family
 from .pdcodes import BudgetExceeded, PDCode, jones_from_pd
 
 # slot indices inside a crossing
@@ -195,9 +195,8 @@ class _Builder:
 
 @dataclass(frozen=True)
 class DiagramTemplate:
-    family: str
     structure: tuple          # ("disks", feet_a, feet_b); feet are (band, end, flip)
-    base_pd: str              # the diagram at unit twists, all-plus signs
+    base_pd: tuple[str, ...]  # lines of the diagram at unit twists, all-plus signs
 
 
 def build_diagram(tpl: DiagramTemplate, spec: FamilySpec, twists,
@@ -270,10 +269,11 @@ def _to_tuple(node):
 
 def parse_template(text: str) -> DiagramTemplate:
     data = json.loads(text)
-    return DiagramTemplate(data["family"], _to_tuple(data["structure"]),
-                           data.get("base_pd", ""))
+    return DiagramTemplate(_to_tuple(data["structure"]), _to_tuple(data.get("base_pd", [])))
 
 
 def load_template(family: str) -> DiagramTemplate:
-    data = resources.files("twistknots").joinpath(f"data/templates/{family}.pdt")
+    """The template of the family's skeleton, a derived family's parent's."""
+    name = load_family(family).skeleton
+    data = resources.files("twistknots").joinpath(f"data/templates/{name}.pdt")
     return parse_template(data.read_text())

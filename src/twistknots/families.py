@@ -239,6 +239,7 @@ class FamilyDef:
     parities: tuple[int, ...]
     frozen: tuple[bool, ...]
     provider: BaseCaseProvider
+    skeleton: str   # the family whose Seifert matrix and diagram template this one uses
 
     def with_signs(self, signs) -> FamilySpec:
         if isinstance(signs, str):
@@ -252,8 +253,8 @@ class FamilyDef:
 
 def parse_family_file(text: str) -> FamilyDef:
     name = None
+    heads: list[str] = []
     parities: list[int] = []
-    frozen: list[bool] = []
     base_kind = None
     compose_rows: list[tuple[tuple[int, ...], tuple]] = []
     count_rows: list[tuple[tuple[int, ...], str]] = []
@@ -266,33 +267,36 @@ def parse_family_file(text: str) -> FamilyDef:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        heads.append(head)
         if head == "family":
             name = rest
+        elif head == "from":
+            derivation = line
         elif head == "band":
             fields = rest.split()
-            if len(fields) < 2 or fields[1] not in ("odd", "even") \
-                    or fields[2:] not in ([], ["frozen"]):
-                raise FamilyError(f"bad band line {line!r}: want 'band i odd|even [frozen]'")
-            idx = int(fields[0])
-            if idx != len(parities) + 1:
+            if len(fields) != 2 or fields[1] not in ("odd", "even"):
+                raise FamilyError(f"bad band line {line!r}: want 'band i odd|even'")
+            if _ints(fields[:1], line) != (len(parities) + 1,):
                 raise FamilyError("bands must be listed in order starting at 1")
             parities.append(1 if fields[1] == "odd" else 0)
-            frozen.append(fields[2:] == ["frozen"])
         elif head == "base":
             base_kind = rest
         elif head == "order":
-            order = tuple(int(v) - 1 for v in rest.split())
+            order = tuple(i - 1 for i in _ints(rest.split(), line))
         elif head == "compose":
             key_text, _, expr = rest.partition("->")
-            key = tuple(int(v) for v in key_text.split())
-            compose_rows.append((key, _parse_compose_expr(expr.strip())))
+            compose_rows.append((_ints(key_text.split(), line),
+                                 _parse_compose_expr(expr.strip(), line)))
         elif head == "count":
             key_text, _, expr = rest.partition("->")
-            key = tuple(int(v) for v in key_text.split())
-            count_rows.append((key, expr.strip()))
+            count_rows.append((_ints(key_text.split(), line), expr.strip()))
         else:
             raise FamilyError(f"unknown directive {head!r}")
 
+    if "from" in heads:
+        if sorted(heads) != ["family", "from"]:
+            raise FamilyError("a 'from' file has a 'family' line, one 'from' line and nothing else")
+        return _derive(name, derivation)
     if name is None or base_kind is None:
         raise FamilyError("family file needs 'family' and 'base' lines")
     if base_kind == "compose":
@@ -308,10 +312,32 @@ def parse_family_file(text: str) -> FamilyDef:
                                               for key, expr in count_rows))
     else:
         raise FamilyError(f"unknown base-case provider {base_kind!r}")
-    return FamilyDef(name, tuple(parities), tuple(frozen), provider)
+    return FamilyDef(name, tuple(parities), (False,) * len(parities), provider, name)
 
 
-def _parse_compose_expr(expr: str) -> tuple:
+def _derive(name: str, line: str) -> FamilyDef:
+    """The family of ``from <parent> freeze <i> ...``: the parent's bands, base
+    cases and skeleton, with the named bands frozen as well as the parent's."""
+    fields = line.split()
+    if len(fields) < 4 or fields[2] != "freeze":
+        raise FamilyError(f"bad from line {line!r}: want 'from <family> freeze <i> ...'")
+    parent, bands = load_family(fields[1]), _ints(fields[3:], line)
+    for i in bands:
+        if not 1 <= i <= len(parent.parities) or parent.parities[i - 1] != 0:
+            raise FamilyError(f"bad from line {line!r}: {parent.name} has no even band {i}")
+    frozen = tuple(f or i + 1 in bands for i, f in enumerate(parent.frozen))
+    return FamilyDef(name, parent.parities, frozen, parent.provider, parent.skeleton)
+
+
+def _ints(fields, line: str) -> tuple[int, ...]:
+    """The fields of a family-file line as plain ASCII digit strings turned into
+    integers, or a load error naming the line."""
+    if not all(v.isascii() and v.isdigit() for v in fields):
+        raise FamilyError(f"bad {line.split()[0]} line {line!r}: want integers")
+    return tuple(int(v) for v in fields)
+
+
+def _parse_compose_expr(expr: str, line: str) -> tuple:
     factors = []
     for chunk in expr.split("#"):
         for token in chunk.split():
@@ -319,8 +345,7 @@ def _parse_compose_expr(expr: str) -> tuple:
             if token == "U":
                 factors.append(("U",))
             elif token.startswith("X(") and token.endswith(")"):
-                bands = tuple(int(v) for v in token[2:-1].split(","))
-                factors.append(("X", bands))
+                factors.append(("X", _ints(token[2:-1].split(","), line)))
             else:
                 raise FamilyError(f"bad base-case factor {token!r}")
     return tuple(factors)
@@ -331,12 +356,11 @@ FAMILIES = ("7_6", "10_58", "8_12")   # the families shipped with the package
 
 @lru_cache(maxsize=None)
 def load_family(name: str) -> FamilyDef:
-    """Load a family definition shipped with the package, or from a path."""
-    if name in FAMILIES:
-        data = resources.files("twistknots").joinpath(f"data/families/{name}.family")
-        return parse_family_file(data.read_text())
-    with open(name) as fh:
-        return parse_family_file(fh.read())
+    """Load a family definition shipped with the package."""
+    if name not in FAMILIES:
+        raise FamilyError(f"unknown family {name!r}; shipped: {', '.join(FAMILIES)}")
+    data = resources.files("twistknots").joinpath(f"data/families/{name}.family")
+    return parse_family_file(data.read_text())
 
 
 # --- assembly ----------------------------------------------------------------

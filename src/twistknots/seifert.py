@@ -3,11 +3,12 @@
 ``SKELETONS`` holds one raw 4x4 Seifert matrix per skeleton, each entry an
 affine expression in the signed crossing counts n1..nk of the bands, written
 in the grammar of ``multipoly.parse_poly`` and parsed once, on first use.  A
-family maps to its skeleton's matrix; 8_12 maps to 10_58's, whose band 5 it
-freezes.  ``template_for`` specialises the matrix to a sign case by the band
-rule of ``families``: band i with sign s_i and parity m_i carries
-n_i = s_i (2 v - m_i) crossings when v is its twist variable, and a frozen
-band carries none, n_i = 0.  The result is the family's template, a 4x4
+family uses the matrix of its skeleton, ``load_family(family).skeleton``: its
+own for a base family, its parent's for a family derived by freezing bands,
+as 8_12 is from 10_58.  ``template_for`` specialises the matrix to a sign
+case by the band rule of ``families``: band i with sign s_i and parity m_i
+carries n_i = s_i (2 v - m_i) crossings when v is its twist variable, and a
+frozen band carries none, n_i = 0.  The result is the family's template, a 4x4
 matrix affine in the twist parameters.  The Alexander polynomial of an
 instance is det(S - t S^T); the Conway polynomial is det(u S - u^(-1) S^T) with
 u = t^(1/2), rewritten exactly in powers of z = u - u^(-1).  Both routes, at an
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .families import load_family
+from .families import FamilyError, load_family
 from .laurent import HalfLaurent
 from .multipoly import MultiPoly, parse_poly
 
@@ -54,7 +55,6 @@ class SeifertTemplate:
 
 
 # Raw Seifert matrices in the signed crossing counts n1..n5 of the bands.
-# 8_12 is 10_58 with band 5 frozen, which ``template_for`` sets to n5 = 0.
 SKELETONS = {
     "7_6": (
         ("-(n1+n2)/2", "-(n1+1)/2", "0", "1"),
@@ -69,25 +69,24 @@ SKELETONS = {
         ("0", "0", "0", "-n3/2"),
     ),
 }
-SKELETONS["8_12"] = SKELETONS["10_58"]
 
 
 @lru_cache(maxsize=None)
-def _skeleton(family: str) -> tuple[tuple[MultiPoly, ...], ...]:
-    """The family's skeleton matrix parsed over n1..nk, once per family."""
-    try:
-        rows = SKELETONS[family]
-    except KeyError:
-        raise SeifertError(f"no Seifert template for family {family!r}") from None
-    counts = tuple(f"n{i + 1}" for i in range(len(load_family(family).parities)))
-    return tuple(tuple(parse_poly(entry, counts) for entry in row) for row in rows)
+def _skeleton(name: str) -> tuple[tuple[MultiPoly, ...], ...]:
+    """The skeleton matrix parsed over n1..nk, once per skeleton."""
+    counts = tuple(f"n{i + 1}" for i in range(len(load_family(name).parities)))
+    return tuple(tuple(parse_poly(entry, counts) for entry in row) for row in SKELETONS[name])
 
 
 def template_for(family: str, signs) -> SeifertTemplate:
     """The skeleton matrix with n_i = s_i (2 v - m_i) on an active band whose
     twist variable is v, and n_i = 0 on a frozen band."""
-    skeleton = _skeleton(family)
-    spec = load_family(family).with_signs(signs)
+    try:
+        fam = load_family(family)
+        skeleton = _skeleton(fam.skeleton)
+    except (FamilyError, KeyError):
+        raise SeifertError(f"no Seifert template for family {family!r}") from None
+    spec = fam.with_signs(signs)
     V = spec.variables
     zero = MultiPoly.zero(V)
     counts = [zero] * len(spec.bands)

@@ -3,6 +3,7 @@ use to check the engines, and that no engine needs."""
 
 from fractions import Fraction
 
+from twistknots.casework import CaseRegistry, _matching, _parsed_patterns
 from twistknots.diagrams import DiagramTemplate
 from twistknots.families import BandSpec, FamilySpec
 from twistknots.laurent import HalfLaurent
@@ -96,4 +97,10 @@ def flipped_foot(tpl: DiagramTemplate, band: int = 1) -> DiagramTemplate:
     """The template with the band's foot on the second disk attached flipped."""
     tag, feet_a, feet_b = tpl.structure
     feet_b = tuple((b, e, 1 - f if b == band else f) for b, e, f in feet_b)
-    return DiagramTemplate(tpl.family, (tag, feet_a, feet_b), tpl.base_pd)
+    return DiagramTemplate((tag, feet_a, feet_b), tpl.base_pd)
+
+
+def match_exception(registry: CaseRegistry, signs: str, n: tuple[int, ...],
+                    variables) -> list[str]:
+    """The registered exception patterns of the sign case that n satisfies."""
+    return _matching(_parsed_patterns(registry, signs, variables), n, variables)

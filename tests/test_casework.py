@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 import twistknots.casework as casework
+from helpers import match_exception
 from twistknots.casework import (
     ALL_CASES,
     RegistryEntry,
@@ -22,7 +23,6 @@ from twistknots.casework import (
     full_report,
     instance_id,
     load_registry,
-    match_exception,
     sweep_case,
     symbolic_case,
     verify_entry,

@@ -334,11 +334,55 @@ def test_family_file_errors():
         parse_family_file("family x\nband 1 odd\nbase count\n")
 
 
+# bands are frozen by a 'from' line, never by a word on a band line
 @pytest.mark.parametrize("band", ["band 1 od", "band 1 even frozn", "band 1 even frozen frozen",
-                                  "band 1"])
+                                  "band 1 even frozen", "band 1", "band one odd"])
 def test_family_file_rejects_malformed_band_lines(band):
     with pytest.raises(FamilyError, match="bad band line"):
         parse_family_file(f"family x\n{band}\nbase count\norder 1\ncount 0 -> 1\n")
+
+
+@pytest.mark.parametrize("body,match", [
+    ("band 1 even\nbase count\norder 1 x\ncount 0 -> 1", "bad order line"),
+    ("band 1 even\nbase count\norder +1\ncount 0_0 -> 1", "bad order line"),
+    ("band 1 even\nbase count\norder 1\ncount \uff10 -> 1", "bad count line"),
+    ("band 1 even\nbase count\norder 1\ncount a -> 1", "bad count line"),
+    ("band 1 odd\nbase compose\ncompose 0 -> X(a)", "bad compose line"),
+])
+def test_family_file_rejects_non_integer_fields(body, match):
+    with pytest.raises(FamilyError, match=match):
+        parse_family_file(f"family x\n{body}\n")
+
+
+def test_derived_family_uses_its_parents_skeleton():
+    assert EIGHT.skeleton == TEN.skeleton == "10_58"
+    assert EIGHT.frozen == (False,) * 4 + (True,)
+    assert EIGHT.provider is TEN.provider
+    # a derived parent's frozen bands carry over
+    twice = parse_family_file("family y\nfrom 8_12 freeze 4\n")
+    assert (twice.skeleton, twice.frozen) == ("10_58", (False,) * 3 + (True, True))
+
+
+@pytest.mark.parametrize("text,match", [
+    ("from 3_1 freeze 1", "unknown family"),
+    ("from 7_6 freeze 1", "no even band 1"),
+    ("from 10_58 freeze 6", "no even band 6"),
+    ("from 10_58 freeze 0", "no even band 0"),
+    ("from 10_58 freeze x", "bad from line"),
+    ("from 10_58 freeze", "bad from line"),
+    ("from 10_58 5", "bad from line"),
+    ("from 10_58 freeze 5\nband 1 even", "nothing else"),
+    ("from 10_58 freeze 5\nbase count", "nothing else"),
+    ("from 10_58 freeze 5\nfrom 10_58 freeze 4", "nothing else"),
+])
+def test_family_file_rejects_bad_derivations(text, match):
+    with pytest.raises(FamilyError, match=match):
+        parse_family_file(f"family x\n{text}\n")
+
+
+def test_load_family_takes_shipped_names_only():
+    with pytest.raises(FamilyError, match="unknown family"):
+        load_family("src/twistknots/data/families/7_6.family")
 
 
 @pytest.mark.parametrize("order", ["order 1 7", "order 0", "order 2"])
