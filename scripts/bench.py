@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the symbolic engine, the sweep's gate loop, whole box sweeps, instance
-assembly, the root-of-unity evaluation and the formula parser; write the rows
-as JSON.
+assembly, the root-of-unity evaluation, the formula parser and whole CLI
+processes; write the rows as JSON.
 
 Rows:
 
@@ -36,6 +36,17 @@ Rows:
   12, 14, 16 are 8_12 and 10_58 (two per row), C = 13 and 15 are 7_6 (two and
   one); ``ms`` is the median over ``REPEAT`` runs of the mean time per
   diagram.  The diagrams are built outside the timing.
+- ``cli.sweep.<family>``, ``cli.verify_paper.<family>``: a whole
+  ``twistknots sweep --family F --range 4`` or ``twistknots verify-paper
+  --family F`` process per run, for 7_6, 10_58 and 8_12.
+- ``cli.check``, ``cli.jones``: a whole ``twistknots check`` or ``twistknots
+  jones`` process on 7_6 ``++-+-`` at twists 1,2,1,2,1.
+
+Each ``cli.*`` row starts ``CLI_RUNS`` processes of ``python3 -m
+twistknots.cli`` one after another, with ``--src`` as ``PYTHONPATH`` and
+``TWISTKNOTS_WORKERS`` unset; ``s`` is the median wall time, not normalised,
+since the speed probe runs in this process and cannot be taken out of a
+child's time.
 
 Every timed run of a sweep or paper-case row starts with an empty
 ``casework.symbolic_case`` memo, so each run pays for its symbolic set-up and
@@ -92,6 +103,8 @@ ROOT5_CALLS = 20
 PAPER_CASE_RANGE = 4
 BRACKET = (12, 13, 14, 15, 16)      # crossing counts
 BRACKET_SEED = 1
+CLI_RUNS = 3
+CLI_INSTANCE = ("--family", "7_6", "--signs", "++-+-", "--twists", "1,2,1,2,1")
 
 
 def git_revision(src: Path) -> str:
@@ -276,6 +289,22 @@ def bracket_rows() -> dict:
     return rows
 
 
+def cli_row(src: Path, *argv: str) -> dict:
+    """Median wall time of CLI_RUNS whole ``twistknots`` processes."""
+    env = {k: v for k, v in os.environ.items() if k != "TWISTKNOTS_WORKERS"}
+    env["PYTHONPATH"] = str(src)
+    runs = []
+    for _ in range(CLI_RUNS):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "twistknots.cli", *argv],
+                              env=env, capture_output=True)
+        runs.append(time.perf_counter() - start)
+        if proc.returncode != 0:
+            raise RuntimeError(f"twistknots {' '.join(argv)} exited {proc.returncode}")
+    return {"argv": list(argv), "s": round(statistics.median(runs), 4),
+            "runs_s": [round(r, 4) for r in runs]}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
@@ -308,6 +337,12 @@ def main() -> int:
         rows[f"paper_case.{family}"] = paper_case_row(casework, family)
     rows["parse_poly"] = parse_poly_row(casework)
     rows.update(bracket_rows())
+    for family in PAPER_CASES:
+        rows[f"cli.sweep.{family}"] = cli_row(src, "sweep", "--family", family,
+                                              "--range", str(PAPER_CASE_RANGE))
+        rows[f"cli.verify_paper.{family}"] = cli_row(src, "verify-paper", "--family", family)
+    rows["cli.check"] = cli_row(src, "check", *CLI_INSTANCE)
+    rows["cli.jones"] = cli_row(src, "jones", *CLI_INSTANCE)
     result = {"revision": git_revision(src), "nproc": os.cpu_count(),
               "python": platform.python_version(), "repeat": REPEAT, "rows": rows}
 

@@ -27,9 +27,9 @@ linear in the twists (``assemble_jones``).
 
 The derivatives at t=1, as polynomials in n_1..n_k, come from the state sum by
 an independent route: every prefactor and every V_x becomes its Taylor series
-in (t - 1), and the states are summed out one band at a time
-(``symbolic_derivs``).  It never uses the T-form, so ``jones_derivs`` compares
-two constructions.
+in (t - 1), and the states are summed out one band at a time, in integers
+over one common denominator (``symbolic_derivs``).  It never uses the T-form,
+so ``jones_derivs`` compares two constructions.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
 from .laurent import HalfLaurent, unlink_factor
 from .multipoly import MultiPoly, falling_factorial_poly, parse_poly, power_sum_poly
@@ -105,31 +105,38 @@ def check_twists(spec: FamilySpec, twists) -> tuple[int, ...]:
 # --- prefactor derivatives ---------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _prefactor_deriv_cached(s: int, x: int, k: int, variables: tuple[str, ...], name: str) -> MultiPoly:
+def prefactor_deriv_poly(s: int, x: int, k: int) -> MultiPoly:
+    """d^k/dt^k of the band prefactor at t=1, as an exact polynomial in the
+    twist parameter n.  Derived symbolically, never transcribed from a table."""
+    if not 0 <= k <= 8:
+        raise FamilyError(f"derivative order {k} is outside 0..8")
+    nv = ("n",)
     if x == 1:
         # k-th derivative of t^(2sn) at 1 is the falling factorial of 2sn
-        lin = MultiPoly.var(variables, name).scale(2 * s)
-        return falling_factorial_poly(lin, k)
+        return falling_factorial_poly(MultiPoly.var(nv, "n").scale(2 * s), k)
     # resolved band: sum over the geometric expansion, term exponents s(2j + 3/2)
     # and s(2j + 1/2); the j-sum becomes a power-sum polynomial in n
     jv = ("j",)
     j = MultiPoly.var(jv, "j")
     hi = falling_factorial_poly((j.scale(2) + MultiPoly.const(jv, Fraction(3, 2))).scale(s), k)
     lo = falling_factorial_poly((j.scale(2) + MultiPoly.const(jv, Fraction(1, 2))).scale(s), k)
-    per_j = hi - lo
-    out = MultiPoly.zero(variables)
-    for mono, coeff in per_j.terms.items():
-        out = out + power_sum_poly(mono[0], variables, name).scale(coeff)
+    out = MultiPoly.zero(nv)
+    for mono, coeff in (hi - lo).terms.items():
+        out = out + power_sum_poly(mono[0], nv, "n").scale(coeff)
     return out
 
 
-def prefactor_deriv_poly(s: int, x: int, k: int, variables: tuple[str, ...] = ("n",),
-                         name: str = "n") -> MultiPoly:
-    """d^k/dt^k of the band prefactor at t=1, as an exact polynomial in the
-    twist parameter.  Derived symbolically, never transcribed from a table."""
-    if k > 8:
-        raise FamilyError("k > 8 not supported")
-    return _prefactor_deriv_cached(s, x, k, tuple(variables), name)
+@lru_cache(maxsize=None)
+def _prefactor_series(s: int, kmax: int) -> tuple[int, tuple]:
+    """Taylor series in (t - 1), up to (t - 1)^kmax, of the two prefactors of a
+    band of sign s, over one common denominator D: (D, series), where
+    series[x][k] lists the (exponent of n, integer) pairs of D times the
+    prefactor's k-th derivative at 1 over k!."""
+    coeffs = [[prefactor_deriv_poly(s, x, k).scale(Fraction(1, factorial(k)))
+               for k in range(kmax + 1)] for x in (0, 1)]
+    den = lcm(*(c.denominator for row in coeffs for p in row for c in p.terms.values()))
+    return den, tuple(tuple(tuple((m[0], int(c * den)) for m, c in p.terms.items())
+                            for p in row) for row in coeffs)
 
 
 # --- base-case links --------------------------------------------------------
@@ -460,33 +467,44 @@ def assemble_partial(spec: FamilySpec, twists, forced: dict[int, int]) -> HalfLa
 
 def symbolic_derivs(spec: FamilySpec, kmax: int = 4) -> list[MultiPoly]:
     """d^k/dt^k of the family Jones polynomial at t=1 as polynomials in the
-    twist parameters, for k = 0..kmax.
+    twist parameters, for k = 0..kmax (0 <= kmax <= 8).
 
     Each band prefactor and each base-link value becomes its Taylor series in
     (t - 1) up to (t - 1)^kmax, whose coefficient k is the k-th derivative at 1
     over k!.  The 0/1 states are summed out one band at a time, from the last
-    active band to the first, and coefficient k is multiplied back by k!."""
-    variables = spec.variables
+    active band to the first, in integers over one common denominator: that of
+    the base series times each band's ``_prefactor_series`` denominator.  A
+    layer entry holds, per k, a map from monomials in the bands summed so far
+    to integers; a band's series is in that band's own variable alone, so its
+    products only prepend an exponent to the monomials below.  Coefficient k is
+    divided by the denominator and multiplied back by k! once, at the end."""
+    if not 0 <= kmax <= 8:
+        raise FamilyError(f"kmax {kmax} is outside 0..8")
     active = spec.active_bands
-    zero = MultiPoly.zero(variables)
-
-    def series(derivs) -> list[MultiPoly]:
-        return [d.scale(Fraction(1, factorial(k))) for k, d in enumerate(derivs)]
-
-    def times(p, q) -> list[MultiPoly]:
-        return [sum((p[i] * q[k - i] for i in range(k + 1)), zero) for k in range(kmax + 1)]
-
-    layer = {x: series([MultiPoly.const(variables, d)
-                        for d in base_case_jones(spec, x).derivs_at_one(kmax)])
-             for x in product((0, 1), repeat=len(active))}
+    base = {x: base_case_jones(spec, x).derivs_at_one(kmax)
+            for x in product((0, 1), repeat=len(active))}
+    den = lcm(*(d.denominator * factorial(k) for ds in base.values() for k, d in enumerate(ds)))
+    layer = {x: [{(): d.numerator * (den // (d.denominator * factorial(k)))}
+                 for k, d in enumerate(ds)] for x, ds in base.items()}
     for j in reversed(range(len(active))):
-        sign = spec.bands[active[j]].sign
-        pre = [series([prefactor_deriv_poly(sign, b, k, variables, variables[j])
-                       for k in range(kmax + 1)]) for b in (0, 1)]
-        layer = {x: [u + v for u, v in zip(times(pre[0], layer[x + (0,)]),
-                                           times(pre[1], layer[x + (1,)]))]
-                 for x in product((0, 1), repeat=j)}
-    return [c.scale(factorial(k)) for k, c in enumerate(layer[()])]
+        band_den, pre = _prefactor_series(spec.bands[active[j]].sign, kmax)
+        den *= band_den
+        summed = {}
+        for x in product((0, 1), repeat=j):
+            out: list[dict] = [{} for _ in range(kmax + 1)]
+            for b in (0, 1):
+                below = layer[x + (b,)]
+                for i, terms in enumerate(pre[b]):
+                    for k in range(i, kmax + 1):
+                        acc = out[k]
+                        for m, c in below[k - i].items():
+                            for e, a in terms:
+                                key = (e,) + m
+                                acc[key] = acc.get(key, 0) + a * c
+            summed[x] = out
+        layer = summed
+    return [MultiPoly(spec.variables, {m: Fraction(c * factorial(k), den) for m, c in terms.items()})
+            for k, terms in enumerate(layer[()])]
 
 
 def jones_derivs(spec: FamilySpec, twists,

@@ -96,13 +96,13 @@ class HalfLaurent:
         return sum(self.terms.values())
 
     def derivs_at_one(self, kmax: int) -> list[Fraction]:
-        """Exact d^k/dt^k at t=1 for k = 0..kmax (kmax <= 8).
+        """Exact d^k/dt^k at t=1 for k = 0..kmax (0 <= kmax <= 8).
 
         The k-th derivative of t^(e/2) at 1 is the falling factorial
         (e/2)(e/2 - 1)...(e/2 - k + 1) = prod_{r<k} (e - 2r) / 2^k, so the
         products are summed in integers and divided by 2^k once per k."""
-        if kmax > 8:
-            raise ValueError("kmax > 8")
+        if not 0 <= kmax <= 8:
+            raise ValueError(f"kmax {kmax} is outside 0..8")
         totals = [0] * (kmax + 1)
         for e, c in self.terms.items():
             for k in range(kmax + 1):

@@ -174,11 +174,21 @@ class MultiPoly:
     def shifted_by_one(self) -> "MultiPoly":
         """Substitute v -> v + 1 for every variable.
 
-        All-nonnegative coefficients of the result with a positive constant
-        certify strict positivity on the region where every variable is >= 1.
+        A binomial Taylor shift, one variable at a time: each term c*v^e
+        becomes the sum over r = 0..e of C(e, r)*c*v^r.  All-nonnegative
+        coefficients of the result with a positive constant certify strict
+        positivity on the region where every variable is >= 1.
         """
-        one = MultiPoly.const(self.vars, 1)
-        return self.substitute({v: MultiPoly.var(self.vars, v) + one for v in self.vars})
+        terms = self.terms
+        for i in range(len(self.vars)):
+            out: dict[Monomial, object] = {}
+            for m, c in terms.items():
+                head, tail = m[:i], m[i + 1:]
+                for r in range(m[i] + 1):
+                    key = head + (r,) + tail
+                    out[key] = out.get(key, 0) + comb(m[i], r) * c
+            terms = out
+        return MultiPoly(self.vars, terms)
 
     # --- formatting -------------------------------------------------------
 

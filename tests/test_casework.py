@@ -137,6 +137,22 @@ def test_d4_demo_instances_reach_fourth_derivative():
         assert sym.derivs[4].eval(point) != 0
 
 
+@pytest.mark.parametrize("text,zero", [
+    ("a + b - 2", (1, 1)),              # shifted: a + b, constant 0
+    ("a*b - 2*a", (3, 2)),              # a*(b - 2)
+    ("(a - 2)^2 + (b - 1)^2", (2, 1)),
+    ("a*b - a - b + 1", (1, 5)),        # shifted: a*b, constant 0
+])
+def test_certify_sign_rejects_a_zero(text, zero):
+    # negative control: a polynomial that vanishes at a point with every
+    # variable >= 1 is neither positive nor negative there
+    variables = ("a", "b")
+    poly = parse_poly(text, variables)
+    assert poly.eval(dict(zip(variables, zero))) == 0
+    assert _certify_sign(poly, "positive", None, variables) is False
+    assert _certify_sign(-poly, "negative", None, variables) is False
+
+
 def test_certify_sign_fallback():
     # there is no numeric fallback: a true claim the shifted-positivity test
     # cannot prove is uncertified, and verify_entry reports it as FAIL

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -306,6 +307,51 @@ def test_symbolic_evaluates_to_instance_derivs():
         for n in vectors:
             point = dict(zip(spec.variables, n))
             assert [p.eval(point) for p in sd] == jones_derivs(spec, n)[1]
+
+
+def test_symbolic_derivs_match_assembly_in_every_case():
+    # the state-sum route against the T-form route, at two seeded twist
+    # vectors in each of the 96 (family, sign case) pairs
+    rng = random.Random(17)
+    for fam in FAMILIES.values():
+        for signs in ALL_SIGNS:
+            spec = fam.with_signs(signs)
+            sd = symbolic_derivs(spec, 4)
+            for _ in range(2):
+                n = tuple(rng.randint(1, 6) for _ in spec.variables)
+                point = dict(zip(spec.variables, n))
+                assert [p.eval(point) for p in sd] == \
+                    assemble_jones(spec, n).derivs_at_one(4), (fam.name, signs, n)
+
+
+# sha256 over the 96 (family, sign case) pairs, families in the order of
+# FAMILIES and sign cases in the order of ALL_SIGNS, of each polynomial of
+# symbolic_derivs(spec, 4) as ``format()`` text plus a newline; recorded from
+# the MultiPoly-product state sum that the integer contraction replaced
+SYMBOLIC_DERIVS_SHA256 = "9cf75aec307cc933b4a36d1ac8b9c67d1270c91afee79600eb0a8fa820a2af5c"
+
+
+def test_symbolic_derivs_digest():
+    digest = hashlib.sha256()
+    for fam in FAMILIES.values():
+        for signs in ALL_SIGNS:
+            for p in symbolic_derivs(fam.with_signs(signs), 4):
+                digest.update(p.format().encode() + b"\n")
+    assert digest.hexdigest() == SYMBOLIC_DERIVS_SHA256
+
+
+def test_derivative_order_bounds():
+    spec = EIGHT.with_signs("+-+-+")
+    n = (2, 1, 3, 2)
+    point = dict(zip(spec.variables, n))
+    jones = assemble_jones(spec, n)
+    assert [p.eval(point) for p in symbolic_derivs(spec, 8)] == jones.derivs_at_one(8)
+    assert symbolic_derivs(spec, 0) == [MultiPoly.const(spec.variables, 1)]
+    for kmax in (-1, 9):
+        with pytest.raises(FamilyError):
+            symbolic_derivs(spec, kmax)
+        with pytest.raises(ValueError):
+            jones_derivs(spec, n, kmax)
 
 
 # --- validation and file format --------------------------------------------------

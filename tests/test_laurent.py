@@ -2,6 +2,7 @@ import cmath
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from helpers import equal_up_to_unit, falling_factorial, mirror, shift
@@ -49,6 +50,15 @@ def test_derivs_at_one_monomial():
 
 def test_derivs_at_one_half_power():
     assert P({1: 1}).derivs_at_one(1)[1] == Fraction(1, 2)
+
+
+def test_derivs_at_one_order_bounds():
+    p = P({4: 1, -2: 3})
+    assert p.derivs_at_one(0) == [4]
+    assert len(p.derivs_at_one(8)) == 9
+    for kmax in (-1, 9):
+        with pytest.raises(ValueError):
+            p.derivs_at_one(kmax)
 
 
 def test_derivs_at_one_value():

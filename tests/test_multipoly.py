@@ -143,6 +143,21 @@ def test_shift_certificate():
     assert shifted.terms.get((0, 0, 0), 0) > 0
 
 
+def shifted_by_substitution(p):
+    return p.substitute({v: MultiPoly.var(p.vars, v) + MultiPoly.const(p.vars, 1)
+                         for v in p.vars})
+
+
+@given(int_polys)
+def test_shift_is_substitution_int(p):
+    assert p.shifted_by_one() == shifted_by_substitution(p)
+
+
+@given(polys)
+def test_shift_is_substitution_fraction(p):
+    assert p.shifted_by_one() == shifted_by_substitution(p)
+
+
 def test_format_graded_lex():
     p = parse_poly("b - a^2 + 3", ABC)
     assert p.format() == "-a^2 + b + 3"
