@@ -113,7 +113,6 @@ class RegistryEntry:
 
 @dataclass(frozen=True)
 class CaseRegistry:
-    family: str
     cases: Mapping[str, tuple[RegistryEntry, ...]]
     exceptions: Mapping[str, tuple[dict, ...]]
     d4_demo: Mapping[str, tuple[int, ...]]
@@ -139,7 +138,7 @@ def load_registry(family: str) -> CaseRegistry:
         cases[signs] = tuple(parsed)
     exceptions = {signs: tuple(rows) for signs, rows in raw.get("exceptions", {}).items()}
     d4_demo = {signs: tuple(v) for signs, v in raw.get("d4_demo", {}).items()}
-    return CaseRegistry(raw["family"], *map(MappingProxyType, (cases, exceptions, d4_demo)))
+    return CaseRegistry(*map(MappingProxyType, (cases, exceptions, d4_demo)))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ it with its residual -s_i m_i half-twists (state 1):
 
     V(n_1..n_k) = sum over states x of  (prod_i  pre(s_i, x_i, n_i)) * V_x
 
-where V_x is the Jones polynomial of the fully degenerate base link, supplied
-per family by a data-driven base-case provider.  With T_i = t^(2 s_i n_i) the
-prefactors are pre(s, 1, n) = T and
+where V_x is the Jones polynomial of the fully degenerate base link, looked up
+in the family's base-case table, which is built when its file loads.  With
+T_i = t^(2 s_i n_i) the prefactors are pre(s, 1, n) = T and
 
     pre(s, 0, n) = (1 + t^(2s) + ... + t^(2s(n-1))) (t^(3s/2) - t^(s/2))
                  = -t^(s/2) (1 - T) / (1 + t^s),
@@ -66,13 +66,21 @@ class BandSpec:
             raise FamilyError("frozen bands must be even")
 
 
+# The base links of a family, one entry per full band state x, at the index
+# that x reads as a binary number with band 1 the leading digit (the order of
+# product((0, 1), repeat=k)).  An entry (u, factors) is the link of u disjoint
+# unknots beside the connected sum of one two-circle pattern per factor, each
+# factor the 0-based indices of its odd bands: V_x = unlink^u * prod X(...).
+BaseTable = tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family with concrete band signs; twist parameters stay free."""
 
     name: str
     bands: tuple[BandSpec, ...]
-    provider: "BaseCaseProvider"
+    base: BaseTable
 
     @property
     def active_bands(self) -> tuple[int, ...]:
@@ -183,61 +191,6 @@ def xn_jones(args) -> HalfLaurent:
     return _x_chain(current[0], len(current))
 
 
-class BaseCaseProvider:
-    def jones(self, spec: FamilySpec, full_state: tuple[int, ...]) -> HalfLaurent:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ComposeProvider(BaseCaseProvider):
-    """Base links described as connected sums of two-circle patterns, plus
-    disjoint unknots, keyed by the states of the even bands."""
-
-    even_bands: tuple[int, ...]                       # 0-based indices
-    rows: tuple[tuple[tuple[int, ...], tuple], ...]   # (key, factors)
-
-    def jones(self, spec, full_state):
-        key = tuple(full_state[i] for i in self.even_bands)
-        for row_key, factors in self.rows:
-            if row_key == key:
-                break
-        else:
-            raise FamilyError(f"no base-case row for even-band states {key}")
-        value = HalfLaurent.one()
-        for factor in factors:
-            if factor[0] == "U":
-                value = value * unlink_factor()
-            else:
-                args = []
-                for band in factor[1]:
-                    i = band - 1
-                    args.append(0 if full_state[i] == 0 else -spec.bands[i].sign)
-                value = value * xn_jones(args)
-        return value
-
-
-@dataclass(frozen=True)
-class CountProvider(BaseCaseProvider):
-    """Base links that are disjoint unions of unknots; a table gives the
-    component count as a polynomial in the band states x1..xk."""
-
-    order: tuple[int, ...]                       # 0-based indices of the key bands
-    rows: tuple[tuple[tuple[int, ...], MultiPoly], ...]
-
-    def jones(self, spec, full_state):
-        key = tuple(full_state[i] for i in self.order)
-        for row_key, expr in self.rows:
-            if row_key == key:
-                break
-        else:
-            raise FamilyError(f"no unknot-count row for states {key}")
-        count = expr.eval(dict(zip(expr.vars, full_state)))
-        if count.denominator != 1 or count < 1:
-            raise FamilyError(f"unknot count {count} is not an integer >= 1 "
-                              f"for states {full_state}")
-        return unlink_factor() ** int(count - 1)
-
-
 # --- family definition files -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -245,7 +198,7 @@ class FamilyDef:
     name: str
     parities: tuple[int, ...]
     frozen: tuple[bool, ...]
-    provider: BaseCaseProvider
+    base: BaseTable
     skeleton: str   # the family whose Seifert matrix and diagram template this one uses
 
     def with_signs(self, signs) -> FamilySpec:
@@ -255,7 +208,7 @@ class FamilyDef:
             raise FamilyError("sign count does not match band count")
         bands = tuple(BandSpec(s, p, f)
                       for s, p, f in zip(signs, self.parities, self.frozen))
-        return FamilySpec(self.name, bands, self.provider)
+        return FamilySpec(self.name, bands, self.base)
 
 
 def parse_family_file(text: str) -> FamilyDef:
@@ -263,8 +216,7 @@ def parse_family_file(text: str) -> FamilyDef:
     heads: list[str] = []
     parities: list[int] = []
     base_kind = None
-    compose_rows: list[tuple[tuple[int, ...], tuple]] = []
-    count_rows: list[tuple[tuple[int, ...], str]] = []
+    rows: list[tuple[str, str]] = []   # (line, text after the directive) per base row
     order: tuple[int, ...] | None = None
 
     for raw in text.splitlines():
@@ -290,13 +242,8 @@ def parse_family_file(text: str) -> FamilyDef:
             base_kind = rest
         elif head == "order":
             order = tuple(i - 1 for i in _ints(rest.split(), line))
-        elif head == "compose":
-            key_text, _, expr = rest.partition("->")
-            compose_rows.append((_ints(key_text.split(), line),
-                                 _parse_compose_expr(expr.strip(), line)))
-        elif head == "count":
-            key_text, _, expr = rest.partition("->")
-            count_rows.append((_ints(key_text.split(), line), expr.strip()))
+        elif head in ("compose", "count"):
+            rows.append((line, rest))
         else:
             raise FamilyError(f"unknown directive {head!r}")
 
@@ -306,20 +253,49 @@ def parse_family_file(text: str) -> FamilyDef:
         return _derive(name, derivation)
     if name is None or base_kind is None:
         raise FamilyError("family file needs 'family' and 'base' lines")
-    if base_kind == "compose":
-        even = tuple(i for i, p in enumerate(parities) if p == 0)
-        provider: BaseCaseProvider = ComposeProvider(even, tuple(compose_rows))
-    elif base_kind == "count":
-        if order is None:
-            raise FamilyError("count provider needs an 'order' line")
-        if any(not 0 <= i < len(parities) for i in order):
-            raise FamilyError(f"'order' names a band outside 1..{len(parities)}")
-        states = tuple(f"x{i + 1}" for i in range(len(parities)))
-        provider = CountProvider(order, tuple((key, parse_poly(expr, states))
-                                              for key, expr in count_rows))
+    k = len(parities)
+    if base_kind == "compose" and order is None:
+        key_bands = tuple(i for i, p in enumerate(parities) if p == 0)
+    elif base_kind == "count" and order is not None:
+        if any(not 0 <= i < k for i in order):
+            raise FamilyError(f"'order' names a band outside 1..{k}")
+        if len(set(order)) != len(order):
+            raise FamilyError("'order' names a band twice")
+        key_bands = order
     else:
-        raise FamilyError(f"unknown base-case provider {base_kind!r}")
-    return FamilyDef(name, tuple(parities), (False,) * len(parities), provider, name)
+        raise FamilyError("family file needs 'base compose', or 'base count' "
+                          "with an 'order' line")
+    table: dict[tuple[int, ...], object] = {}
+    for line, rest in rows:
+        key_text, _, expr = rest.partition("->")
+        if line.split()[0] != base_kind:
+            raise FamilyError(f"{line!r} in a 'base {base_kind}' file")
+        value = (_compose_entry(expr, line, parities) if base_kind == "compose"
+                 else parse_poly(expr.strip(), tuple(f"x{i + 1}" for i in range(k))))
+        key = _ints(key_text.split(), line)
+        if len(key) != len(key_bands) or any(v > 1 for v in key):
+            raise FamilyError(f"bad {base_kind} line {line!r}: "
+                              f"want {len(key_bands)} states 0 or 1 before '->'")
+        if key in table:
+            raise FamilyError(f"two {base_kind} rows for states {key}")
+        table[key] = value
+    base = tuple(_base_entry(table, key_bands, x) for x in product((0, 1), repeat=k))
+    return FamilyDef(name, tuple(parities), (False,) * k, base, name)
+
+
+def _base_entry(table: dict, key_bands: tuple[int, ...], x: tuple[int, ...]):
+    """The base-table entry of full state x: its compose row, or, from a count
+    row, one unknot fewer than the count at x."""
+    key = tuple(x[i] for i in key_bands)
+    if key not in table:
+        raise FamilyError(f"no base-case row for states {key}")
+    row = table[key]
+    if not isinstance(row, MultiPoly):
+        return row
+    count = row.eval(dict(zip(row.vars, x)))
+    if count.denominator != 1 or count < 1:
+        raise FamilyError(f"unknot count {count} is not an integer >= 1 for states {x}")
+    return int(count) - 1, ()
 
 
 def _derive(name: str, line: str) -> FamilyDef:
@@ -333,7 +309,7 @@ def _derive(name: str, line: str) -> FamilyDef:
         if not 1 <= i <= len(parent.parities) or parent.parities[i - 1] != 0:
             raise FamilyError(f"bad from line {line!r}: {parent.name} has no even band {i}")
     frozen = tuple(f or i + 1 in bands for i, f in enumerate(parent.frozen))
-    return FamilyDef(name, parent.parities, frozen, parent.provider, parent.skeleton)
+    return FamilyDef(name, parent.parities, frozen, parent.base, parent.skeleton)
 
 
 def _ints(fields, line: str) -> tuple[int, ...]:
@@ -344,18 +320,22 @@ def _ints(fields, line: str) -> tuple[int, ...]:
     return tuple(int(v) for v in fields)
 
 
-def _parse_compose_expr(expr: str, line: str) -> tuple:
-    factors = []
-    for chunk in expr.split("#"):
-        for token in chunk.split():
-            token = token.strip()
-            if token == "U":
-                factors.append(("U",))
-            elif token.startswith("X(") and token.endswith(")"):
-                factors.append(("X", _ints(token[2:-1].split(","), line)))
-            else:
-                raise FamilyError(f"bad base-case factor {token!r}")
-    return tuple(factors)
+def _compose_entry(expr: str, line: str, parities) -> tuple:
+    """A compose row's factors as a base-table entry: the number of U factors,
+    and each X factor's bands, which must be odd, as 0-based indices."""
+    unknots, factors = 0, []
+    for token in expr.replace("#", " ").split():
+        if token == "U":
+            unknots += 1
+        elif token.startswith("X(") and token.endswith(")"):
+            bands = _ints(token[2:-1].split(","), line)
+            if any(not 1 <= b <= len(parities) or not parities[b - 1] for b in bands):
+                raise FamilyError(f"bad compose line {line!r}: "
+                                  f"X takes odd bands in 1..{len(parities)}")
+            factors.append(tuple(b - 1 for b in bands))
+        else:
+            raise FamilyError(f"bad base-case factor {token!r}")
+    return unknots, tuple(factors)
 
 
 FAMILIES = ("7_6", "10_58", "8_12")   # the families shipped with the package
@@ -380,7 +360,16 @@ def base_case_jones(spec: FamilySpec, resolution: tuple[int, ...]) -> HalfLauren
     full = [1] * len(spec.bands)
     for j, i in enumerate(active):
         full[i] = resolution[j]
-    return spec.provider.jones(spec, tuple(full))
+    index = 0
+    for v in full:
+        index = 2 * index + v
+    unknots, factors = spec.base[index]
+    value = HalfLaurent.one()
+    for _ in range(unknots):
+        value = value * unlink_factor()
+    for bands in factors:
+        value = value * xn_jones([0 if full[i] == 0 else -spec.bands[i].sign for i in bands])
+    return value
 
 
 @lru_cache(maxsize=None)

@@ -87,8 +87,6 @@ class PDCode:
                 cycle.append(arc)
                 a_inc = incid[arc]
                 nxt = a_inc[1] if prev == a_inc[0] else a_inc[0]
-                if prev is not None and nxt == prev:
-                    nxt = a_inc[1] if a_inc[0] == prev else a_inc[0]
                 ci, pos = nxt
                 out_pos = (pos + 2) % 4
                 arc_next = self.crossings[ci][out_pos]

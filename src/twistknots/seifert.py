@@ -35,7 +35,6 @@ class SeifertError(ValueError):
 
 @dataclass(frozen=True)
 class SeifertTemplate:
-    family: str
     variables: tuple[str, ...]
     rows: tuple[tuple[MultiPoly, ...], ...]   # 4x4, affine entries
 
@@ -105,7 +104,7 @@ def template_for(family: str, signs) -> SeifertTemplate:
             out = out + term
         return out
 
-    return SeifertTemplate(family, V, tuple(tuple(map(specialise, row)) for row in skeleton))
+    return SeifertTemplate(V, tuple(tuple(map(specialise, row)) for row in skeleton))
 
 
 # --- determinant and z-rewrite ----------------------------------------------

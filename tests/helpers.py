@@ -41,7 +41,7 @@ def equal_up_to_unit(p: HalfLaurent, q: HalfLaurent) -> bool:
 def mirrored(spec: FamilySpec) -> FamilySpec:
     """The family with every band sign flipped."""
     flipped = tuple(BandSpec(-b.sign, b.parity, b.frozen) for b in spec.bands)
-    return FamilySpec(spec.name, flipped, spec.provider)
+    return FamilySpec(spec.name, flipped, spec.base)
 
 
 def disjoint_union(p1: PDCode, p2: PDCode) -> PDCode:

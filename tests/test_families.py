@@ -340,6 +340,23 @@ def test_symbolic_derivs_digest():
     assert digest.hexdigest() == SYMBOLIC_DERIVS_SHA256
 
 
+# sha256 over the same 96 pairs, in the same order, of base_case_jones(spec, x)
+# as ``format()`` text plus a newline for every resolution vector x in the
+# order of product((0, 1), repeat=len(x)); recorded from the per-family row
+# scans that the load-time base tables replaced
+BASE_CASE_SHA256 = "208b5edfdde99c5aa3ea75d50cf890aaf7b33d6a5d93a05120859b54250584c7"
+
+
+def test_base_case_digest():
+    digest = hashlib.sha256()
+    for fam in FAMILIES.values():
+        for signs in ALL_SIGNS:
+            spec = fam.with_signs(signs)
+            for x in product((0, 1), repeat=len(spec.active_bands)):
+                digest.update(base_case_jones(spec, x).format().encode() + b"\n")
+    assert digest.hexdigest() == BASE_CASE_SHA256
+
+
 def test_derivative_order_bounds():
     spec = EIGHT.with_signs("+-+-+")
     n = (2, 1, 3, 2)
@@ -403,7 +420,7 @@ def test_family_file_rejects_non_integer_fields(body, match):
 def test_derived_family_uses_its_parents_skeleton():
     assert EIGHT.skeleton == TEN.skeleton == "10_58"
     assert EIGHT.frozen == (False,) * 4 + (True,)
-    assert EIGHT.provider is TEN.provider
+    assert EIGHT.base is TEN.base
     # a derived parent's frozen bands carry over
     twice = parse_family_file("family y\nfrom 8_12 freeze 4\n")
     assert (twice.skeleton, twice.frozen) == ("10_58", (False,) * 3 + (True, True))
@@ -445,10 +462,8 @@ order 1
 count 0 -> 0
 count 1 -> 1
 """
-    fam = parse_family_file(text)
-    spec = fam.with_signs("+")
-    with pytest.raises(FamilyError):
-        base_case_jones(spec, (0,))
+    with pytest.raises(FamilyError, match="not an integer >= 1"):
+        parse_family_file(text)
 
 
 def count_family(row: str) -> str:
@@ -472,7 +487,39 @@ def test_count_rows_are_parsed_at_load(row):
 
 @pytest.mark.parametrize("row", ["x2 - x3", "1/2 + x2"])
 def test_count_provider_rejects_non_counts(row):
-    # 0 and 1/2 at states (1, 0, 0) are not unknot counts
-    spec = parse_family_file(count_family(row)).with_signs("+++")
-    with pytest.raises(FamilyError):
-        base_case_jones(spec, (1, 0, 0))
+    # 0 and 1/2 at states (1, 0, 0) are not unknot counts; every state is
+    # evaluated when the file loads
+    with pytest.raises(FamilyError, match="not an integer >= 1"):
+        parse_family_file(count_family(row))
+
+
+TWO_ODD = "family bad\nband 1 odd\nband 2 odd\nbase compose\n"
+ODD_EVEN = "family bad\nband 1 odd\nband 2 even\nbase compose\n"
+TWO_EVEN = "family bad\nband 1 even\nband 2 even\nbase count\norder 2\n"
+
+
+# base rows that could never give a right base case fail when the file loads
+@pytest.mark.parametrize("text,match", [
+    (ODD_EVEN + "compose 0 -> X(1)\ncompose 0 -> X(1)\ncompose 1 -> X(1)", "two compose rows"),
+    (TWO_EVEN + "count 0 -> 1\ncount 0 -> 2\ncount 1 -> 1", "two count rows"),
+    (TWO_ODD + "compose -> X(9)", "X takes odd bands in 1..2"),
+    (TWO_ODD + "compose -> X(1,0)", "X takes odd bands in 1..2"),
+    (ODD_EVEN + "compose 0 -> X(2)\ncompose 1 -> X(1)", "X takes odd bands in 1..2"),
+    (ODD_EVEN + "compose 0 -> X(1)", "no base-case row for states \\(1,\\)"),
+    (TWO_EVEN + "count 1 -> 1", "no base-case row for states \\(0,\\)"),
+    (TWO_ODD + "compose 0 -> X(1,2)", "want 0 states"),
+    (ODD_EVEN + "compose 0 1 -> X(1)\ncompose 1 -> X(1)", "want 1 states"),
+    (ODD_EVEN + "compose 2 -> X(1)\ncompose 1 -> X(1)", "want 1 states"),
+    (TWO_EVEN + "count 0 -> 1\ncount 1 -> x1 - x2", "integer >= 1 for states \\(0, 1\\)"),
+    (TWO_EVEN + "count 0 -> 1\ncount 1 -> 1\ncompose 0 -> U", "in a 'base count' file"),
+    (ODD_EVEN + "compose 0 -> X(1)\ncompose 1 -> U\ncount 0 -> 1", "in a 'base compose' file"),
+    (ODD_EVEN + "order 2\ncompose 0 -> X(1)\ncompose 1 -> U", "needs 'base compose'"),
+    ("family bad\nband 1 even\nbase count\norder 1 1\ncount 0 0 -> 1\ncount 1 1 -> 1",
+     "names a band twice"),
+], ids=["duplicate-compose", "duplicate-count", "x-band-9", "x-band-0", "x-even-band",
+        "missing-compose", "missing-count", "long-key", "long-key-2", "key-state-2",
+        "count-below-1", "compose-in-count", "count-in-compose", "order-in-compose",
+        "order-repeats"])
+def test_family_file_rejects_base_rows_that_cannot_be_right(text, match):
+    with pytest.raises(FamilyError, match=match):
+        parse_family_file(text + "\n")
