@@ -41,12 +41,17 @@ Rows:
   --family F`` process per run, for 7_6, 10_58 and 8_12.
 - ``cli.check``, ``cli.jones``: a whole ``twistknots check`` or ``twistknots
   jones`` process on 7_6 ``++-+-`` at twists 1,2,1,2,1.
+- ``tier1``: one run of the Tier-1 suite (``python3 -m pytest -q
+  --continue-on-collection-errors``) of the checkout that holds ``--src``, in
+  that checkout, with ``--src`` first on ``PYTHONPATH``; ``s`` is its wall
+  time, ``passed`` and ``failed`` the counts of pytest's summary line and
+  ``exit`` its exit code.
 
 Each ``cli.*`` row starts ``CLI_RUNS`` processes of ``python3 -m
 twistknots.cli`` one after another, with ``--src`` as ``PYTHONPATH`` and
 ``TWISTKNOTS_WORKERS`` unset; ``s`` is the median wall time, not normalised,
 since the speed probe runs in this process and cannot be taken out of a
-child's time.
+child's time.  The ``tier1`` row is timed the same way.
 
 Every timed run of a sweep or paper-case row starts with an empty
 ``casework.symbolic_case`` memo, so each run pays for its symbolic set-up and
@@ -78,6 +83,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -105,6 +111,7 @@ BRACKET = (12, 13, 14, 15, 16)      # crossing counts
 BRACKET_SEED = 1
 CLI_RUNS = 3
 CLI_INSTANCE = ("--family", "7_6", "--signs", "++-+-", "--twists", "1,2,1,2,1")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def git_revision(src: Path) -> str:
@@ -289,10 +296,16 @@ def bracket_rows() -> dict:
     return rows
 
 
-def cli_row(src: Path, *argv: str) -> dict:
-    """Median wall time of CLI_RUNS whole ``twistknots`` processes."""
+def child_env(src: Path) -> dict:
+    """This process's environment with src as PYTHONPATH and no workers."""
     env = {k: v for k, v in os.environ.items() if k != "TWISTKNOTS_WORKERS"}
     env["PYTHONPATH"] = str(src)
+    return env
+
+
+def cli_row(src: Path, *argv: str) -> dict:
+    """Median wall time of CLI_RUNS whole ``twistknots`` processes."""
+    env = child_env(src)
     runs = []
     for _ in range(CLI_RUNS):
         start = time.perf_counter()
@@ -303,6 +316,20 @@ def cli_row(src: Path, *argv: str) -> dict:
             raise RuntimeError(f"twistknots {' '.join(argv)} exited {proc.returncode}")
     return {"argv": list(argv), "s": round(statistics.median(runs), 4),
             "runs_s": [round(r, 4) for r in runs]}
+
+
+def tier1_row(src: Path) -> dict:
+    """Wall time and outcome counts of one Tier-1 run of src's checkout."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=src.parent, env=child_env(src),
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    counts = {word: int(n) for n, word in
+              re.findall(r"(\d+) (passed|failed)", lines[-1] if lines else "")}
+    return {"argv": ["python3", *TIER1], "s": round(wall, 2),
+            "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "exit": proc.returncode}
 
 
 def main() -> int:
@@ -343,6 +370,7 @@ def main() -> int:
         rows[f"cli.verify_paper.{family}"] = cli_row(src, "verify-paper", "--family", family)
     rows["cli.check"] = cli_row(src, "check", *CLI_INSTANCE)
     rows["cli.jones"] = cli_row(src, "jones", *CLI_INSTANCE)
+    rows["tier1"] = tier1_row(src)
     result = {"revision": git_revision(src), "nproc": os.cpu_count(),
               "python": platform.python_version(), "repeat": REPEAT, "rows": rows}
 

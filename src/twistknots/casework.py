@@ -6,16 +6,24 @@ and Alexander-coefficient polynomials for speed.  Surviving instances are
 matched against the registered parametric exception patterns, and their Jones
 and Conway polynomials are certified trivial.
 
-The gates find their zeros a line at a time along the last twist axis.  For a
-prefix (n_1..n_{k-1}), each gate polynomial, its denominators cleared, becomes
-exact integer coefficients c_0..c_d in the last variable v.  If every c_e is
-0, every position still alive survives; at degree 0 none does; at degree 1 the
-only candidate is v = -c_0/c_1, kept when it is an integer and still alive;
-from degree 2 on, the gate is evaluated by Horner at the alive positions only.
-The leading coefficient and a2 have degree 1 in the last variable in every sign
-case, d3 degree 2 and d4 degree 3.  A gate runs only while positions are alive,
-and the survivors reach full assembly in the order of the box, so the reports
-do not depend on how the zeros are found.
+The first gate is solved a plane of lines at a time, and the later gates a
+line at a time on the lines it leaves.  A line is the last twist axis v at a
+prefix (n_1..n_{k-1}); a plane is the grid of lines over (n_{k-2}, n_{k-1})
+at an outer prefix (n_1..n_{k-3}), smaller when k < 3.  Each gate polynomial,
+its denominators cleared, becomes exact integer coefficients c_0..c_d in v:
+for the first gate, one row of c_e over the whole plane per outer prefix, from
+the terms grouped by exponent of v and by monomial in the plane variables,
+whose values over the grid are computed once per sweep; for a later gate, the
+same grouping over an empty plane, one line at a time.  At degree 1 a line is
+solved: where c_1 != 0 the only candidate is v = -c_0/c_1, kept when it is an
+integer still alive; where c_1 = 0 the line stays alive if c_0 = 0 and dies
+otherwise.  From degree 2 on, the gate is evaluated by Horner at the alive
+positions only.  The leading coefficient and a2 have degree 1 in the last
+variable in every sign case, d3 degree 2 and d4 degree 3.  So a line without a
+zero of the first gate is never touched one at a time, and the first gate's
+exclusions are the instances minus its zeros.  If the first gate is identically
+0, every line stays alive.  The survivors reach full assembly in the order of
+the box, so the reports do not depend on how the zeros are found.
 
 The optional root-of-unity gate comes last, so an instance an earlier gate
 excludes is counted there whatever its value at the root of unity: a
@@ -51,8 +59,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from importlib import resources
-from itertools import product
-from math import lcm
+from itertools import product, repeat
+from math import lcm, prod
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -279,63 +287,79 @@ def _matching(patterns: list, n: tuple[int, ...], variables) -> list[str]:
 
 # --- sweeping ----------------------------------------------------------------------
 
-def _line_coefficients(poly: MultiPoly):
-    """The coefficients of D * poly in the last variable, a prefix at a time.
+def _gate_rows(poly: MultiPoly, plane: list[tuple[int, ...]]):
+    """The coefficients of D * poly in the last variable over a plane of lines,
+    an outer prefix at a time.
 
     D is the lcm of the coefficient denominators, so every coefficient is an
-    exact int and D * poly has the sign and zero set of poly.  Returns
-    ``coeffs``: ``coeffs(prefix)`` takes the first k-1 twists and gives
-    [c_0, ..., c_d], with D * poly(prefix, v) = c_0 + c_1 v + ... + c_d v^d and
-    d the degree of poly in the last variable (trailing c_e may be 0).
+    exact int and D * poly has the sign and zero set of poly.  ``plane`` lists
+    the points of a grid over the j variables before the last (j =
+    len(plane[0]), which may be 0), and the outer prefix is the k-1-j variables
+    before them.  Returns ``rows``: ``rows(outer)`` gives [row_0, ..., row_d],
+    with D * poly(outer, plane[g], v) = row_0[g] + row_1[g] v + ... +
+    row_d[g] v^d and d the degree of poly in the last variable (trailing
+    entries may be 0).  The terms are grouped by their exponent of v and,
+    within a group, by their monomial in the plane variables, whose values
+    over the grid are computed here once.
     """
+    split = len(poly.vars) - 1 - len(plane[0])
     scale = lcm(*(c.denominator for c in poly.terms.values()))
     degree = max((m[-1] for m in poly.terms), default=0)
-    groups: list[list] = [[] for _ in range(degree + 1)]
+    groups: list[dict] = [{} for _ in range(degree + 1)]
     for mono, c in poly.terms.items():
-        # the prefix index i, repeated e times for the factor n_i^e
-        factors = tuple(i for i, e in enumerate(mono[:-1]) for _ in range(e))
-        groups[mono[-1]].append((int(c * scale), factors))
+        # the outer index i, repeated e times for the factor n_i^e
+        factors = tuple(i for i, e in enumerate(mono[:split]) for _ in range(e))
+        groups[mono[-1]].setdefault(mono[split:-1], []).append((int(c * scale), factors))
+    groups = [[(terms, [prod(map(pow, point, plane_mono)) for point in plane])
+               for plane_mono, terms in group.items()] for group in groups]
+    zero_row = [0] * len(plane)
 
-    def coeffs(prefix) -> list[int]:
+    def rows(outer) -> list[list[int]]:
         out = []
-        for terms in groups:
-            coeff = 0
-            for c, factors in terms:
-                for i in factors:
-                    c *= prefix[i]
-                coeff += c
-            out.append(coeff)
+        for group in groups:
+            row = None
+            for terms, values in group:
+                weight = 0
+                for c, factors in terms:
+                    for i in factors:
+                        c *= outer[i]
+                    weight += c
+                row = ([weight * x for x in values] if row is None else
+                       [r + weight * x for r, x in zip(row, values)])
+            out.append(zero_row if row is None else row)
         return out
 
-    return coeffs
+    return rows
 
 
-def _line_zeros(coeffs: list[int], alive):
-    """The positions v of ``alive`` (ascending ints) where
-    c_0 + c_1 v + ... + c_d v^d = 0, in ascending order.
+def _plane_zeros(rows: list[list[int]], alive) -> list:
+    """(g, zeros) for each grid point g whose line c_0 + c_1 v + ... + c_d v^d,
+    with c_e = rows[e][g], vanishes at some v of ``alive`` (ascending ints);
+    zeros lists those v in ascending order, and the pairs come in grid order.
 
-    When every c_e is 0, that is all of ``alive``; when only c_0 is nonzero,
-    none.  At degree 1 the only candidate is the root -c_0/c_1, kept when it is
-    an integer in ``alive``; from degree 2 on, Horner runs at each v of
-    ``alive``.
+    Up to degree 1 the line is solved: where c_1 != 0 the only candidate is
+    the root -c_0/c_1, kept when it is an integer in ``alive``; where c_1 = 0
+    (or d = 0) the zeros are all of ``alive`` if c_0 = 0, otherwise none.  From
+    degree 2 on,
+    Horner runs at each v of ``alive``, which again keeps all of them where
+    every c_e is 0.
     """
-    d = len(coeffs) - 1
-    while d > 0 and not coeffs[d]:
-        d -= 1
-    if d == 1:
-        v, r = divmod(-coeffs[0], coeffs[1])
-        return [v] if not r and v in alive else []
-    if d == 0:
-        return [] if coeffs[0] else alive
-    top = coeffs[d::-1]
-    zeros = []
-    for v in alive:
-        acc = 0
-        for c in top:
-            acc = acc * v + c
-        if not acc:
-            zeros.append(v)
-    return zeros
+    if len(rows) > 2:
+        out = []
+        for g, top in enumerate(zip(*reversed(rows))):
+            zeros = []
+            for v in alive:
+                acc = 0
+                for c in top:
+                    acc = acc * v + c
+                if not acc:
+                    zeros.append(v)
+            if zeros:
+                out.append((g, zeros))
+        return out
+    c0s, c1s = rows if len(rows) == 2 else (rows[0], repeat(0))
+    return [(g, [-c0 // c1] if c1 else alive) for g, (c0, c1) in enumerate(zip(c0s, c1s))
+            if (c1 and not c0 % c1 and -c0 // c1 in alive) or not (c0 or c1)]
 
 
 def sweep_case(cfg: SweepConfig, signs: str,
@@ -349,37 +373,47 @@ def sweep_case(cfg: SweepConfig, signs: str,
     exceptions: list[ObstructionVerdict] = []
 
     # gate order as in cosmetic_gate; d2 needs no gate of its own, since
-    # V''(1) = -6 a2 is checked in symbolic_case
-    gates = {key: _line_coefficients(poly) for key, poly in
-             (("alexander_leading", sym.leading), ("conway", sym.a2),
-              ("d3", sym.derivs[3]), ("d4", sym.derivs[4]))}
+    # V''(1) = -6 a2 is checked in symbolic_case.  The first gate is solved a
+    # plane of lines at a time, over the two twists before the last; the others
+    # a line at a time (an empty plane), on the lines the first one leaves.
     axis = range(1, cfg.n_range + 1)
-    for prefix in product(axis, repeat=k - 1):
-        alive = axis
-        for key, coeffs in gates.items():
-            zeros = _line_zeros(coeffs(prefix), alive)
-            exclusions[key] += len(alive) - len(zeros)
-            alive = zeros
-            if not alive:
-                break
-        for v in alive:   # every gate polynomial, the lead included, is 0 here
-            n = prefix + (v,)
-            jones = assemble_jones(spec, n)
-            conway = conway_poly(sym.template, n)
-            verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway, conway.a4,
-                                    use_root5=cfg.use_root5,
-                                    instance=instance_id(cfg.family, signs, n), twists=n)
-            if verdict.excluded_by == "root5":
-                exclusions["root5"] += 1
-            elif not verdict.is_exception:
-                raise AssertionError(
-                    f"{verdict.instance} passed the gate loop but "
-                    f"{verdict.excluded_by} excludes it")
-            elif jones != HalfLaurent.one() or not conway.is_trivial():
-                raise AssertionError(
-                    f"exception instance {verdict.instance} is not certified trivial")
-            else:
-                exceptions.append(verdict)
+    plane = list(product(axis, repeat=min(k - 1, 2)))
+    (first_key, first_poly), *rest = (
+        ("alexander_leading", sym.leading), ("conway", sym.a2),
+        ("d3", sym.derivs[3]), ("d4", sym.derivs[4]))
+    first = _gate_rows(first_poly, plane)
+    later = [(key, _gate_rows(poly, [()])) for key, poly in rest]
+    reached = 0     # instances at a zero of the first gate
+    for outer in product(axis, repeat=k - 1 - len(plane[0])):
+        for g, alive in _plane_zeros(first(outer), axis):
+            reached += len(alive)
+            prefix = outer + plane[g]
+            for key, rows in later:
+                line = _plane_zeros(rows(prefix), alive)
+                zeros = line[0][1] if line else []
+                exclusions[key] += len(alive) - len(zeros)
+                alive = zeros
+                if not alive:
+                    break
+            for v in alive:   # every gate polynomial, the lead included, is 0 here
+                n = prefix + (v,)
+                jones = assemble_jones(spec, n)
+                conway = conway_poly(sym.template, n)
+                verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway, conway.a4,
+                                        use_root5=cfg.use_root5,
+                                        instance=instance_id(cfg.family, signs, n), twists=n)
+                if verdict.excluded_by == "root5":
+                    exclusions["root5"] += 1
+                elif not verdict.is_exception:
+                    raise AssertionError(
+                        f"{verdict.instance} passed the gate loop but "
+                        f"{verdict.excluded_by} excludes it")
+                elif jones != HalfLaurent.one() or not conway.is_trivial():
+                    raise AssertionError(
+                        f"exception instance {verdict.instance} is not certified trivial")
+                else:
+                    exceptions.append(verdict)
+    exclusions[first_key] = cfg.n_range ** k - reached
 
     report = CaseReport(signs, cfg.n_range ** k, exclusions, exceptions,
                         sym.formula_records())

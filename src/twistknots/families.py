@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import product
 from math import factorial, lcm
@@ -82,7 +82,7 @@ class FamilySpec:
     bands: tuple[BandSpec, ...]
     base: BaseTable
 
-    @property
+    @cached_property
     def active_bands(self) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.bands) if not b.frozen)
 
@@ -352,24 +352,32 @@ def load_family(name: str) -> FamilyDef:
 
 # --- assembly ----------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _base_value(unknots: int, args: tuple[tuple[int, ...], ...]) -> HalfLaurent:
+    """unlink^unknots * prod of xn_jones(a) over the argument lists a of args.
+
+    The shipped families need 85 distinct keys over all their sign cases and
+    states, so the cache stays small."""
+    value = HalfLaurent.one()
+    for _ in range(unknots):
+        value = value * unlink_factor()
+    for a in args:
+        value = value * xn_jones(a)
+    return value
+
+
 def base_case_jones(spec: FamilySpec, resolution: tuple[int, ...]) -> HalfLaurent:
     """Base link value for one resolution vector over the active bands."""
-    active = spec.active_bands
-    if len(resolution) != len(active) or any(v not in (0, 1) for v in resolution):
+    if len(resolution) != len(spec.active_bands) or any(v not in (0, 1) for v in resolution):
         raise FamilyError("resolution vector must be 0/1 per active band")
-    full = [1] * len(spec.bands)
-    for j, i in enumerate(active):
-        full[i] = resolution[j]
+    states = iter(resolution)
+    full = [1 if band.frozen else next(states) for band in spec.bands]
     index = 0
     for v in full:
         index = 2 * index + v
     unknots, factors = spec.base[index]
-    value = HalfLaurent.one()
-    for _ in range(unknots):
-        value = value * unlink_factor()
-    for bands in factors:
-        value = value * xn_jones([0 if full[i] == 0 else -spec.bands[i].sign for i in bands])
-    return value
+    return _base_value(unknots, tuple(tuple(full[i] and -spec.bands[i].sign for i in bands)
+                                      for bands in factors))
 
 
 @lru_cache(maxsize=None)

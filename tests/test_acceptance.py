@@ -50,16 +50,6 @@ def announce(n, text):
     print(f"ACCEPTANCE {n} PASS: {text}")
 
 
-@pytest.fixture(scope="module")
-def sweep_7_6():
-    return sweep(SweepConfig("7_6", n_range=4))
-
-
-@pytest.fixture(scope="module")
-def sweep_10_58():
-    return sweep(SweepConfig("10_58", n_range=4))
-
-
 # The published derivative table of the band prefactors; upper signs first.
 DERIVATIVE_TABLE = {
     (+1, 0): ["0", "n", "2*n^2 - n", "n/4*(5 - 24*n + 16*n^2)",

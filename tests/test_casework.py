@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -17,12 +18,13 @@ from twistknots.casework import (
     SweepConfig,
     SymbolicCase,
     _certify_sign,
-    _line_coefficients,
-    _line_zeros,
+    _gate_rows,
+    _plane_zeros,
     classify_exceptions,
     full_report,
     instance_id,
     load_registry,
+    report_to_dict,
     sweep_case,
     symbolic_case,
     verify_entry,
@@ -238,46 +240,74 @@ def test_sweep_pool_capped_at_sign_cases(monkeypatch):
 
 @st.composite
 def axis_polys(draw):
-    """Random Fraction polynomials in 4 or 5 variables; with the factor
-    (a - b), they vanish along every last-axis line where a == b."""
-    variables = ("a", "b", "c", "d", "e")[:draw(st.sampled_from([4, 5]))]
-    monos = st.tuples(*[st.integers(min_value=0, max_value=3)] * len(variables))
+    """Random Fraction polynomials in 1 to 5 variables, of degree 0, 1 or 3 at
+    most in the last; with the factor (a - b), they vanish along every line
+    where a == b (and on the line v = a, when b is the last variable)."""
+    variables = ("a", "b", "c", "d", "e")[:draw(st.integers(min_value=1, max_value=5))]
+    last = draw(st.sampled_from([0, 1, 3]))
+    exponents = [st.integers(min_value=0, max_value=3)] * (len(variables) - 1)
+    monos = st.tuples(*exponents, st.integers(min_value=0, max_value=last))
     coeffs = st.fractions(min_value=-7, max_value=7, max_denominator=12)
     poly = MultiPoly(variables, draw(st.dictionaries(monos, coeffs, max_size=6)))
-    if draw(st.booleans()):
+    if len(variables) > 1 and draw(st.booleans()):
         poly = poly * (MultiPoly.var(variables, "a") - MultiPoly.var(variables, "b"))
     return poly, draw(st.integers(min_value=2, max_value=3))
 
 
 def _check_zero_finder(gates, n_range):
-    """Chain the gates as sweep_case does, a line at a time along the last
-    variable, and compare every line's coefficients and zeros with
-    MultiPoly.eval on the same box."""
+    """Chain the gates as sweep_case does, the first over the plane of the
+    (up to) two variables before the last and the others a line at a time on
+    the lines it leaves, and compare every line's coefficients, the lines the
+    plane solver picks and every zero with MultiPoly.eval on the same box."""
     variables = gates[0].vars
-    finders = [_line_coefficients(g) for g in gates]
-    scales = [lcm(*(c.denominator for c in g.terms.values())) for g in gates]
+    k = len(variables)
     axis = range(1, n_range + 1)
-    for prefix in product(axis, repeat=len(variables) - 1):
-        alive = axis
-        for gate, coeffs, scale in zip(gates, finders, scales):
-            cs = coeffs(prefix)
-            assert len(cs) == 1 + max((m[-1] for m in gate.terms), default=0)
-            assert all(type(c) is int for c in cs)
-            values = {v: gate.eval(dict(zip(variables, prefix + (v,)))) for v in axis}
-            assert all(sum(c * v ** e for e, c in enumerate(cs)) == scale * values[v]
-                       for v in axis)
-            zeros = _line_zeros(cs, alive)
-            assert list(zeros) == [v for v in alive if not values[v]]
-            alive = zeros
+    plane = list(product(axis, repeat=min(k - 1, 2)))
+    finders = [_gate_rows(gates[0], plane)] + [_gate_rows(g, [()]) for g in gates[1:]]
+    scales = [lcm(*(c.denominator for c in g.terms.values())) for g in gates]
+
+    def line_values(gate, rows, scale, prefix):
+        """The gate on the line at prefix, checked against the line's rows."""
+        values = [gate.eval(dict(zip(variables, prefix + (v,)))) for v in axis]
+        assert len(rows) == 1 + max((m[-1] for m in gate.terms), default=0)
+        assert all(type(c) is int for c in rows)
+        assert [sum(c * v ** e for e, c in enumerate(rows)) for v in axis] == \
+            [scale * value for value in values]
+        return values
+
+    for outer in product(axis, repeat=k - 1 - len(plane[0])):
+        rows = finders[0](outer)
+        assert all(len(row) == len(plane) for row in rows)
+        expected = []
+        for g, point in enumerate(plane):
+            values = line_values(gates[0], [row[g] for row in rows], scales[0],
+                                 outer + point)
+            zeros = [v for v in axis if not values[v - 1]]
+            if zeros:
+                expected.append((g, zeros))
+        lines = _plane_zeros(rows, axis)
+        assert [(g, list(alive)) for g, alive in lines] == expected
+        for g, alive in lines:
+            prefix = outer + plane[g]
+            for gate, coeffs, scale in zip(gates[1:], finders[1:], scales[1:]):
+                rows = coeffs(prefix)
+                assert all(len(row) == 1 for row in rows)
+                values = line_values(gate, [row[0] for row in rows], scale, prefix)
+                zeros = [v for v in alive if not values[v - 1]]
+                line = [(g, list(z)) for g, z in _plane_zeros(rows, alive)]
+                assert line == ([(0, zeros)] if zeros else [])
+                alive = zeros
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(axis_polys())
 def test_zero_finder_matches_eval(case):
     poly, n_range = case
     _check_zero_finder([poly], n_range)
     # behind a gate that leaves one position alive per line, v = a
     _check_zero_finder([parse_poly(f"{poly.vars[-1]} - a", poly.vars), poly], n_range)
+    # behind an identically zero gate, which leaves every line alive
+    _check_zero_finder([MultiPoly.zero(poly.vars), poly], n_range)
 
 
 ZERO_FINDER_GATES = {
@@ -297,6 +327,12 @@ ZERO_FINDER_GATES = {
     "cubic with no rational root": ["e^3 - 2*a^3"],
     "cubic with an integer root only where d = 4": ["e^3 - 2*a^3*d"],
     "cubic behind linear gates": ["e - a", "(a - b)*e + c - d", "(e - c)*(e - d)^2/5"],
+    "linear root c+d, outside the box for most of the plane": ["e - c - d"],
+    "linear root c*d/2, fractional where c*d is odd": ["2*e - c*d"],
+    "linear, degree 0 where c == d": ["(c - d)*e + a"],
+    "linear, zero where c == d": ["(c - d)*(e - a)", "e - b"],
+    "degree 0 in the last variable": ["(a - c)*(b - d)", "e - c"],
+    "identically zero first gate": ["0", "e - d", "(e - a)*(e - b)"],
 }
 
 
@@ -304,6 +340,29 @@ ZERO_FINDER_GATES = {
 def test_zero_finder_on_built_gates(chain):
     variables = ("a", "b", "c", "d", "e")
     _check_zero_finder([parse_poly(g, variables) for g in chain], 4)
+
+
+# chains in fewer variables than the outer prefix and plane of a 5-variable
+# gate: with k <= 3 the outer prefix is empty, with k <= 2 the plane too is
+# smaller than two variables
+FEW_VARIABLE_GATES = {
+    "one variable, linear": ("a", ["2*a - 4"]),
+    "one variable, root outside the box": ("a", ["a + 1"]),
+    "one variable, quadratic": ("a", ["(a - 1)*(a - 3)"]),
+    "one variable, identically zero": ("a", ["0", "a - 2"]),
+    "two variables, linear": ("ab", ["b - a", "b - 2"]),
+    "two variables, degree 0 where a == 2": ("ab", ["(a - 2)*b + a - 2"]),
+    "two variables, fractional root": ("ab", ["2*b - a"]),
+    "three variables, linear, zero where a == b": ("abc", ["(a - b)*(c - 1)", "c - a"]),
+    "three variables, quadratic": ("abc", ["(c - a)*(c - b)", "c - 2"]),
+    "four variables, linear behind nothing": ("abcd", ["d*(b - c) + a - 1"]),
+}
+
+
+@pytest.mark.parametrize("variables,chain", FEW_VARIABLE_GATES.values(),
+                         ids=FEW_VARIABLE_GATES)
+def test_zero_finder_in_few_variables(variables, chain):
+    _check_zero_finder([parse_poly(g, tuple(variables)) for g in chain], 4)
 
 
 def _reference_sweep(cfg: SweepConfig, signs: str):
@@ -355,6 +414,30 @@ def test_sweep_case_matches_brute_force(family, signs, n_range, root5):
         assert bool(exceptions) == (family == "7_6")
         assert all(v.alex_leading == Fraction(0) and v.root5 is not None
                    for v in report.exceptions)
+
+
+# sha256 of json.dumps(full_report(SweepConfig(f, n_range=4)), sort_keys=True)
+# plus a newline for f = 7_6, 10_58, 8_12, then of report_to_dict of
+# sweep_case(SweepConfig(f, n_range=8), signs) the same way for each pair of
+# REPORT_CASES; recorded from the line-at-a-time gate loop that solving the
+# first gate a plane at a time replaced
+SWEEP_REPORT_SHA256 = "630d6d92504f21387b0409e084dda59b47666c79269c1ab9e5dee56bd2aaab4a"
+REPORT_CASES = (("7_6", "+--++"), ("10_58", "+-+-+"), ("8_12", "-++-+"))
+
+
+def test_sweep_report_digest(monkeypatch, sweep_7_6, sweep_10_58):
+    real = casework.sweep
+    swept = {"7_6": sweep_7_6, "10_58": sweep_10_58}
+    # the fixtures are sweep(SweepConfig(f, n_range=4)) already
+    monkeypatch.setattr(casework, "sweep", lambda cfg: swept.get(cfg.family) or real(cfg))
+    digest = hashlib.sha256()
+    for family in ("7_6", "10_58", "8_12"):
+        blob = json.dumps(full_report(SweepConfig(family, n_range=4)), sort_keys=True)
+        digest.update(blob.encode() + b"\n")
+    for family, signs in REPORT_CASES:
+        report = sweep_case(SweepConfig(family, n_range=8), signs)
+        digest.update(json.dumps(report_to_dict(report), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == SWEEP_REPORT_SHA256
 
 
 # --- the symbolic_case memo ----------------------------------------------------------
