@@ -33,12 +33,11 @@ d3 and d4 equal to 0, and so d2 = -6 a2 too; if ``cosmetic_gate``, which reads
 the Seifert route and the assembled polynomial, excludes it by any gate but
 root5, two routes disagree and the sweep raises ``AssertionError``.
 
-The formula registry is a data file of verbatim case expressions; each entry is
-checked against the computed symbolic quantity, either as a plain polynomial
-identity or after a chain of fraction-free substitutions (clearing every
-denominator).  Sign claims are certified by shifting all variables by one and
-inspecting coefficient signs; a claim this certificate cannot prove fails as
-uncertified.
+The formula registry, one hand-written JSON file per family whose schema is in
+docs/registry-format.md, holds the published case formulas.  Each entry is
+checked against the computed symbolic quantity, as a plain identity or after a
+chain of fraction-free substitutions, and a sign claim is certified by
+shifting every variable by one and reading coefficient signs.
 
 ``symbolic_case`` is memoised in an LRU cache of ``len(ALL_CASES)`` entries,
 one family's 32 sign cases (about 16 KB each, so at most about 0.5 MB), so
@@ -126,27 +125,98 @@ class CaseRegistry:
     d4_demo: Mapping[str, tuple[int, ...]]
 
 
+class RegistryError(ValueError):
+    """A registry file that breaks the schema of docs/registry-format.md."""
+
+
+# What each key may hold: a JSON type, or a tuple of the allowed values.
+_TOP = {"family": str, "cases": dict, "exceptions": dict, "d4_demo": dict}
+_ENTRY = {"quantity": ("leading", "c3", "d2", "d3", "d4"), "expr": str, "chain": list,
+          "target_num": str, "target_den": str, "sign": ("positive", "negative"), "shift": list}
+_ROW = {"tuple": str, "constraints": dict}
+_JSON_NAMES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def parse_registry(text: str, family: str) -> CaseRegistry:
+    """The registry in ``text``, the JSON file of ``family``, checked for the
+    shape docs/registry-format.md sets out; formula strings are parsed only
+    when they are verified.  A fault raises ``RegistryError`` naming the
+    family, the sign case and the entry index."""
+    fam = load_family(family)
+    k = len(fam.parities)
+    variables = fam.with_signs("+" * k).variables
+
+    def fail(where: str, what: str):
+        raise RegistryError(f"{family} registry{where}: {what}")
+
+    def keys(obj, schema: dict, required, where: str):
+        if not isinstance(obj, dict):
+            fail(where, "want an object")
+        for what, names in (("missing", required - obj.keys()), ("unknown", obj.keys() - schema)):
+            if names:
+                fail(where, f"{what} key {', '.join(map(repr, sorted(names)))}")
+        for key, value in obj.items():
+            want = schema[key]
+            if isinstance(want, type) and not isinstance(value, want):
+                fail(where, f"{key} {value!r} is not {_JSON_NAMES[want]}")
+            if isinstance(want, tuple) and value not in want:
+                fail(where, f"{key} {value!r} is not one of {', '.join(want)}")
+
+    def headed(row, length: int, where: str) -> tuple:
+        if not (isinstance(row, list) and len(row) == length
+                and all(isinstance(v, str) for v in row) and row[0] in variables):
+            fail(where, f"{row!r} is not {length} strings headed by one of {', '.join(variables)}")
+        return tuple(row)
+
+    def sign_cases(name: str):
+        for signs, value in raw[name].items():
+            where = f", {name}[{signs!r}]"
+            if len(signs) != k or not set(signs) <= {"+", "-"} or not isinstance(value, list):
+                fail(where, f"want a sign case of {k} characters over +/- mapped to a list")
+            yield signs, value, where
+
+    try:
+        raw = json.loads(text)
+    except ValueError as exc:
+        raise RegistryError(f"{family} registry: not JSON ({exc})") from None
+    keys(raw, _TOP, _TOP.keys(), "")
+    if raw["family"] != family:
+        fail("", f"family field {raw['family']!r} is not {family!r}")
+    cases, exceptions, d4_demo = {}, {}, {}
+    for signs, entries, at in sign_cases("cases"):
+        parsed = []
+        for i, e in enumerate(entries):
+            keys(e, _ENTRY, {"quantity"}, f"{at}[{i}]")
+            for ok, what in (("expr" in e or "target_num" in e, "neither expr nor target_num"),
+                             ("target_num" in e or not {"chain", "target_den"} & e.keys(),
+                              "chain or target_den without target_num"),
+                             ("sign" in e or "shift" not in e, "shift without sign")):
+                if not ok:
+                    fail(f"{at}[{i}]", what)
+            parsed.append(RegistryEntry(
+                e["quantity"], e.get("expr"),
+                tuple(headed(row, 3, f"{at}[{i}] chain") for row in e.get("chain", [])),
+                e.get("target_num"), e.get("target_den", "1"), e.get("sign"),
+                headed(e["shift"], 2, f"{at}[{i}] shift") if "shift" in e else None))
+        cases[signs] = tuple(parsed)
+    for signs, rows, at in sign_cases("exceptions"):
+        for i, row in enumerate(rows):
+            where = f"{at}[{i}]"
+            keys(row, _ROW, _ROW.keys(), where)
+            keys(row["constraints"], dict.fromkeys(variables, str), set(), f"{where} constraints")
+        exceptions[signs] = tuple(rows)
+    for signs, n, at in sign_cases("d4_demo"):
+        if len(n) != len(variables) or not all(type(v) is int and v >= 1 for v in n):
+            fail(at, f"{n!r} is not {len(variables)} integers >= 1")
+        d4_demo[signs] = tuple(n)
+    return CaseRegistry(*map(MappingProxyType, (cases, exceptions, d4_demo)))
+
+
 @lru_cache(maxsize=None)
 def load_registry(family: str) -> CaseRegistry:
+    """The registry shipped with the package for ``family``, read once."""
     data = resources.files("twistknots").joinpath(f"data/registry/{family}.json")
-    raw = json.loads(data.read_text())
-    cases = {}
-    for signs, entries in raw.get("cases", {}).items():
-        parsed = []
-        for e in entries:
-            parsed.append(RegistryEntry(
-                quantity=e["quantity"],
-                expr=e.get("expr"),
-                chain=tuple((c[0], c[1], c[2]) for c in e.get("chain", [])),
-                target_num=e.get("target_num"),
-                target_den=e.get("target_den", "1"),
-                sign=e.get("sign"),
-                shift=tuple(e["shift"]) if e.get("shift") else None,
-            ))
-        cases[signs] = tuple(parsed)
-    exceptions = {signs: tuple(rows) for signs, rows in raw.get("exceptions", {}).items()}
-    d4_demo = {signs: tuple(v) for signs, v in raw.get("d4_demo", {}).items()}
-    return CaseRegistry(*map(MappingProxyType, (cases, exceptions, d4_demo)))
+    return parse_registry(data.read_text(), family)
 
 
 @dataclass(frozen=True)
@@ -214,22 +284,17 @@ def _certify_sign(poly: MultiPoly, claim: str, shift: Optional[tuple[str, str]],
 
 def verify_entry(sym: SymbolicCase, entry: RegistryEntry) -> dict:
     variables = sym.spec.variables
-    quantity = {
-        "leading": sym.leading,
-        "c3": sym.c3,
-        "d2": sym.derivs[2],
-        "d3": sym.derivs[3],
-        "d4": sym.derivs[4],
-    }[entry.quantity]
+    quantity = {"leading": sym.leading, "c3": sym.c3, "d2": sym.derivs[2],
+                "d3": sym.derivs[3], "d4": sym.derivs[4]}[entry.quantity]
     record = {"quantity": entry.quantity, "status": "PASS", "checks": []}
 
-    if entry.expr is not None:
-        expected = parse_poly(entry.expr, variables)
-        if quantity != expected:
+    def note(ok: bool, check: str, passed: str, failed: str):
+        record["checks"].append(f"{check}: {passed if ok else failed}")
+        if not ok:
             record["status"] = "FAIL"
-            record["checks"].append("identity: mismatch")
-        else:
-            record["checks"].append("identity: exact")
+
+    if entry.expr is not None:
+        note(quantity == parse_poly(entry.expr, variables), "identity", "exact", "mismatch")
 
     claimed = quantity   # what a sign claim is about
     if entry.target_num is not None:
@@ -245,19 +310,12 @@ def verify_entry(sym: SymbolicCase, entry: RegistryEntry) -> dict:
             den_acc = den_acc * den ** deg
         t_num = parse_poly(entry.target_num, variables)
         t_den = parse_poly(entry.target_den, variables)
-        if work * t_den == t_num * den_acc:
-            record["checks"].append("chained: exact")
-        else:
-            record["status"] = "FAIL"
-            record["checks"].append("chained: mismatch")
+        note(work * t_den == t_num * den_acc, "chained", "exact", "mismatch")
         claimed = t_num * t_den
 
     if entry.sign in ("positive", "negative") and record["status"] == "PASS":
-        if _certify_sign(claimed, entry.sign, entry.shift, variables):
-            record["checks"].append(f"sign {entry.sign}: certificate")
-        else:
-            record["status"] = "FAIL"
-            record["checks"].append(f"sign {entry.sign}: uncertified")
+        note(_certify_sign(claimed, entry.sign, entry.shift, variables),
+             f"sign {entry.sign}", "certificate", "uncertified")
     return record
 
 
@@ -396,12 +454,8 @@ def sweep_case(cfg: SweepConfig, signs: str,
                 if not alive:
                     break
             for v in alive:   # every gate polynomial, the lead included, is 0 here
-                n = prefix + (v,)
-                jones = assemble_jones(spec, n)
-                conway = conway_poly(sym.template, n)
-                verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway, conway.a4,
-                                        use_root5=cfg.use_root5,
-                                        instance=instance_id(cfg.family, signs, n), twists=n)
+                verdict, jones, conway = instance_verdict(spec, sym.template, prefix + (v,),
+                                                          cfg.use_root5)
                 if verdict.excluded_by == "root5":
                     exclusions["root5"] += 1
                 elif not verdict.is_exception:
@@ -425,6 +479,18 @@ def instance_id(family: str, signs: str, n) -> str:
     return f"{family}[{signs}]({','.join(str(v) for v in n)})"
 
 
+def instance_verdict(spec: FamilySpec, template: SeifertTemplate, n: tuple[int, ...],
+                     use_root5: bool):
+    """(verdict, jones, conway): the cosmetic-gate verdict of instance n, with
+    the assembled Jones and Conway polynomials it reads."""
+    jones = assemble_jones(spec, n)
+    conway = conway_poly(template, n)
+    verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway, conway.a4,
+                            use_root5=use_root5, twists=n,
+                            instance=instance_id(spec.name, spec.signs_str(), n))
+    return verdict, jones, conway
+
+
 def sweep(cfg: SweepConfig) -> list[CaseReport]:
     """All 32 sign cases; deterministic order and content."""
     workers = min(int(os.environ.get("TWISTKNOTS_WORKERS", "1")), len(ALL_CASES))
@@ -445,16 +511,9 @@ def classify_exceptions(cfg: SweepConfig, reports: list[CaseReport],
         parsed = _parsed_patterns(registry, report.signs, variables)
         for verdict in report.exceptions:
             n = verdict.twists
-            patterns = _matching(parsed, n, variables)
-            if not patterns:
-                key = (report.signs, None)
-                rec = records.setdefault(key, ExceptionRecord(report.signs, None))
-                rec.instances.append(n)
-                continue
-            for pat in patterns:
-                key = (report.signs, pat)
-                rec = records.setdefault(key, ExceptionRecord(report.signs, pat))
-                rec.instances.append(n)
+            for pat in _matching(parsed, n, variables) or [None]:   # None: unmatched
+                records.setdefault((report.signs, pat),
+                                   ExceptionRecord(report.signs, pat)).instances.append(n)
     return [records[k] for k in sorted(records, key=lambda kk: (kk[0], kk[1] or ""))]
 
 

@@ -15,12 +15,11 @@ from .casework import (
     SweepConfig,
     full_report,
     instance_id,
+    instance_verdict,
     load_registry,
     verify_paper_case,
 )
-from .families import (FAMILIES, FamilyError, assemble_jones, check_twists, jones_derivs,
-                       load_family)
-from .obstruction import cosmetic_gate
+from .families import FAMILIES, FamilyError, check_twists, jones_derivs, load_family
 from .seifert import SeifertError, alexander_poly, conway_poly, template_for
 
 
@@ -57,14 +56,8 @@ def cmd_alexander(args) -> int:
 
 def cmd_check(args) -> int:
     spec = _spec(args)
-    n = _twists(args, spec)
-    tpl = template_for(args.family, args.signs)
-    jones = assemble_jones(spec, n)
-    conway = conway_poly(tpl, n)
-    verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway, conway.a4,
-                            use_root5=args.root5,
-                            instance=instance_id(args.family, args.signs, n),
-                            twists=n)
+    verdict, _, _ = instance_verdict(spec, template_for(args.family, args.signs),
+                                     _twists(args, spec), args.root5)
     print(json.dumps(verdict.to_dict(), indent=1, sort_keys=True))
     return 0
 
@@ -95,19 +88,16 @@ def cmd_sweep(args) -> int:
 def cmd_verify_paper(args) -> int:
     registry = load_registry(args.family)
     cases = [args.case] if args.case else sorted(registry.cases)
-    failures = 0
     results = []
     for signs in cases:
         for rec in verify_paper_case(args.family, signs, registry):
             results.append({"signs": signs, **rec})
-            status = rec["status"]
-            if status != "PASS":
-                failures += 1
-            print(f"{signs} {rec['quantity']}: {status} ({'; '.join(rec['checks'])})")
+            print(f"{signs} {rec['quantity']}: {rec['status']} ({'; '.join(rec['checks'])})")
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(results, fh, indent=1, sort_keys=True)
             fh.write("\n")
+    failures = sum(rec["status"] != "PASS" for rec in results)
     print(f"{len(results)} checks, {failures} failures")
     return 0 if failures == 0 else 1
 
@@ -120,6 +110,8 @@ def _verification_failed(exc: Exception) -> int:
 def cmd_crosscheck(args) -> int:
     if bool(args.signs) != bool(args.twists):
         raise ValueError("crosscheck needs --signs and --twists together, or neither")
+    if args.budget < 1:
+        raise ValueError(f"--budget must be at least 1, got {args.budget}")
     # only crosscheck uses the diagram oracle, so only it imports it
     from .diagrams import DiagramError, crosscheck, load_template
     from .pdcodes import BudgetExceeded, PDError
@@ -131,29 +123,28 @@ def cmd_crosscheck(args) -> int:
             spec = fam.with_signs(args.signs)
             jobs = [(spec, _twists(args, spec))]
         else:
+            # per sign case, all twists 1 (i = -1), then each twist in turn 2
             k = len(fam.with_signs("+" * len(fam.parities)).active_bands)
-            base = (1,) * k
-            jobs = []
-            for signs in ("+" * 5, "++-+-", "-+-++"):
-                spec = fam.with_signs(signs)
-                jobs.append((spec, base))
-                for i in range(k):
-                    jobs.append((spec, tuple(2 if j == i else 1 for j in range(k))))
-        failures = 0
+            jobs = [(fam.with_signs(signs), tuple(2 if j == i else 1 for j in range(k)))
+                    for signs in ("+" * 5, "++-+-", "-+-++") for i in range(-1, k)]
+        failures = skipped = 0
         for spec, n in jobs:
+            name = instance_id(args.family, spec.signs_str(), n)
             try:
                 ok = crosscheck(spec, tpl, n, budget=args.budget)
             except BudgetExceeded as exc:
-                print(f"{instance_id(args.family, spec.signs_str(), n)}: skipped ({exc})")
+                print(f"{name}: skipped ({exc})")
+                skipped += 1
                 continue
-            print(f"{instance_id(args.family, spec.signs_str(), n)}: "
-                  f"{'agree' if ok else 'MISMATCH'}")
-            if not ok:
-                failures += 1
-        print(f"{len(jobs)} cross-checks, {failures} failures")
-        return 0 if failures == 0 else 1
+            print(f"{name}: {'agree' if ok else 'MISMATCH'}")
+            failures += not ok
     except (PDError, DiagramError) as exc:
         return _verification_failed(exc)
+    if skipped == len(jobs):
+        raise ValueError(f"no cross-check fits the crossing budget {args.budget}")
+    print(f"{len(jobs) - skipped} cross-checks, {failures} failures"
+          + (f", {skipped} skipped" if skipped else ""))
+    return 0 if failures == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -152,43 +152,25 @@ def _prefactor_series(s: int, kmax: int) -> tuple[int, tuple]:
 @lru_cache(maxsize=None)
 def _x_chain(sign: int, n: int) -> HalfLaurent:
     """Jones value of n same-sign odd bands joining two circles."""
-    if n == 0:
-        return unlink_factor()
-    if n == 1:
-        return HalfLaurent.one()
-    prev2, prev1 = unlink_factor(), HalfLaurent.one()
+    prev2, prev1 = unlink_factor(), HalfLaurent.one()        # n = 0 and n = 1
     step2 = HalfLaurent.t_power(4 * sign)                    # t^(2 sign)
     step1 = HalfLaurent({3 * sign: 1, sign: -1})             # t^(3s/2) - t^(s/2)
-    for _ in range(2, n + 1):
+    for _ in range(n - 1):
         prev2, prev1 = prev1, step2 * prev2 + step1 * prev1
-    return prev1
+    return prev1 if n else prev2
 
 
 def xn_jones(args) -> HalfLaurent:
     """Jones polynomial of the two-circle pattern with the given residual bands.
 
     Zero entries are dropped, and adjacent opposite-sign pairs cancel; the
-    bands are treated as cyclically arranged, so cancellation wraps around.
+    bands are arranged cyclically, so cancellation wraps around and leaves
+    |sum of args| bands of the sign of the sum.
     """
-    current = [a for a in args if a != 0]
-    if any(a not in (+1, -1) for a in current):
+    if any(a not in (-1, 0, 1) for a in args):
         raise FamilyError("band arguments must be -1, 0 or +1")
-    changed = True
-    while changed and len(current) >= 2:
-        changed = False
-        m = len(current)
-        for i in range(m):
-            j = (i + 1) % m
-            if i != j and current[i] == -current[j]:
-                for idx in sorted((i, j), reverse=True):
-                    current.pop(idx)
-                changed = True
-                break
-    if not current:
-        return unlink_factor()
-    if len(set(current)) != 1:
-        raise FamilyError("mixed signs survived cancellation")
-    return _x_chain(current[0], len(current))
+    total = sum(args)
+    return _x_chain(1 if total >= 0 else -1, abs(total))
 
 
 # --- family definition files -------------------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from importlib import resources
 from itertools import product
 from math import lcm
 
@@ -15,6 +16,7 @@ from helpers import match_exception
 from twistknots.casework import (
     ALL_CASES,
     RegistryEntry,
+    RegistryError,
     SweepConfig,
     SymbolicCase,
     _certify_sign,
@@ -24,6 +26,7 @@ from twistknots.casework import (
     full_report,
     instance_id,
     load_registry,
+    parse_registry,
     report_to_dict,
     sweep_case,
     symbolic_case,
@@ -496,6 +499,59 @@ def test_cached_symbolic_case_is_immutable():
     for name in ("spec", "leading", "a2", "derivs", "formula_checks"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(sym, name, None)
+
+
+def _edited(family: str, old: str, new: str) -> str:
+    """The packaged registry of ``family`` on one line, its first ``old`` made ``new``."""
+    text = json.dumps(json.loads(resources.files("twistknots").joinpath(
+        f"data/registry/{family}.json").read_text()))
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+# 8_12's first entry is {"quantity": "leading", "expr": "a*b*c*d", "sign": "positive"}
+@pytest.mark.parametrize("family,old,new,message", [
+    ("8_12", "{", "", "8_12 registry: not JSON"),
+    ("8_12", '"family"', '"notes": "", "family"', "8_12 registry: unknown key 'notes'"),
+    ("8_12", '"d4_demo"', '"d4_demos"', "8_12 registry: missing key 'd4_demo'"),
+    ("8_12", '"family": "8_12"', '"family": "7_6"', "family field '7_6' is not '8_12'"),
+    ("8_12", '"exceptions": {}', '"exceptions": []', "registry: exceptions [] is not an object"),
+    ("8_12", '"+++++"', '"++++"', "cases['++++']: want a sign case of 5 characters"),
+    ("8_12", '"+++++"', '"++x++"', "cases['++x++']: want a sign case of 5 characters"),
+    ("10_58", '"sign"', '"sing"', "10_58 registry, cases['-----'][0]: unknown key 'sing'"),
+    ("8_12", '"quantity"', '"quantities"', "cases['+++++'][0]: missing key 'quantity'"),
+    ("8_12", '"leading"', '"lead"', "quantity 'lead' is not one of leading, c3, d2, d3, d4"),
+    ("8_12", '"positive"', '"postive"', "sign 'postive' is not one of positive, negative"),
+    ("8_12", '"sign"', '"target_num": 0, "sign"', "[0]: target_num 0 is not a string"),
+    ("8_12", '"expr": "a*b*c*d", ', "", "cases['+++++'][0]: neither expr nor target_num"),
+    ("8_12", '"sign"', '"chain": [], "sign"', "chain or target_den without target_num"),
+    ("8_12", '"sign"', '"target_den": "1", "sign"', "chain or target_den without target_num"),
+    ("8_12", '"sign": "positive"', '"shift": ["a", "b"]', "[0]: shift without sign"),
+    ("8_12", '"sign"', '"target_num": "0", "chain": "a", "sign"', "[0]: chain 'a' is not a list"),
+    ("8_12", '"sign"', '"target_num": "0", "chain": [["a", "b"]], "sign"', "[0] chain: "
+     "['a', 'b'] is not 3 strings headed by one of a, b, c, d"),   # a two-element row
+    ("8_12", '"sign"', '"target_num": "0", "chain": [["e", "b", "1"]], "sign"', "[0] chain: "
+     "['e', 'b', '1'] is not 3 strings headed by one of a, b, c, d"),   # 8_12 has no e
+    ("8_12", '"sign"', '"shift": ["a"], "sign"', "[0] shift: ['a'] is not 2 strings"),
+    ("8_12", '"sign"', '"shift": ["e", "a"], "sign"', "[0] shift: ['e', 'a'] is not 2 strings"),
+    ("7_6", '"tuple"', '"note": "", "tuple"', "exceptions['++-+-'][0]: unknown key 'note'"),
+    ("7_6", '"constraints"', '"constraint"', "exceptions['++-+-'][0]: missing key 'constraints'"),
+    ("7_6", '"a": "1"', '"f": "1"', "exceptions['++-+-'][0] constraints: unknown key 'f'"),
+    ("7_6", '"tuple": "(1,e+1,-1,d,-e)"', '"tuple": null', "[0]: tuple None is not a string"),
+    ("7_6", '"a": "1"', '"a": 1', "exceptions['++-+-'][0] constraints: a 1 is not a string"),
+    ("10_58", "[2, 12, 3, 2, 1]", "[2, 12, 3, 2]", "[2, 12, 3, 2] is not 5 integers >= 1"),
+    ("10_58", "[2, 12, 3, 2, 1]", "[0, 12, 3, 2, 1]", "d4_demo['++-+-']: [0, 12, 3, 2, 1]"),
+    ("10_58", "[2, 12, 3, 2, 1]", "[true, 12, 3, 2, 1]", "[True, 12, 3, 2, 1] is not 5"),
+])
+def test_parse_registry_rejects(family, old, new, message):
+    with pytest.raises(RegistryError, match=re.escape(message)):
+        parse_registry(_edited(family, old, new), family)
+
+
+def test_parse_registry_parses_no_formula(monkeypatch):
+    monkeypatch.setattr(casework, "parse_poly", None)
+    for family in ("7_6", "10_58", "8_12"):
+        assert parse_registry(_edited(family, "", ""), family) == load_registry(family)
 
 
 def test_registry_is_read_once_and_read_only():

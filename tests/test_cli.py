@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,33 @@ def test_crosscheck_lone_instance_flag_exits_2(flag, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget,code,last", [
+    ("0", 2, None), ("-3", 2, None),   # refused up front
+    ("5", 2, "8_12[-+-++](1,1,1,2): skipped (10 crossings over the spot-check budget 5)"),
+    ("9", 0, "3 cross-checks, 0 failures, 12 skipped"),   # only the 8-crossing base instances
+])
+def test_crosscheck_counts_skipped_apart(budget, code, last, capsys):
+    assert main(["crosscheck", "--family", "8_12", "--budget", budget]) == code
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1:] == ([last] if last else [])
+    assert captured.err.count("\n") == (code == 2)   # one error: line on exit 2
+    if code == 2:
+        assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["verify-paper", "sweep"])
+def test_malformed_registry_exits_2(command, tmp_path):
+    """A packaged registry entry whose "sign" key is misspelt stops the run."""
+    shutil.copytree(Path(SRC) / "twistknots", tmp_path / "twistknots")
+    path = tmp_path / "twistknots" / "data" / "registry" / "10_58.json"
+    path.write_text(path.read_text().replace('"sign"', '"sing"', 1))
+    out = subprocess.run([sys.executable, "-m", "twistknots.cli", command, "--family", "10_58"],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(tmp_path)})
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: 10_58 registry, cases['-----'][0]: unknown key 'sing'\n"
 
 
 def test_oracle_failure_exits_1(monkeypatch, capsys):
@@ -170,13 +198,13 @@ def test_jones_assembles_once(monkeypatch, capsys):
 
 
 def test_internal_error_exits_1(monkeypatch, capsys):
-    import twistknots.cli as cli
+    import twistknots.casework as casework
     from twistknots.seifert import SeifertError
 
     def broken(tpl, n):
         raise SeifertError("Alexander value at 1 is 3, not a unit")
 
-    monkeypatch.setattr(cli, "conway_poly", broken)
+    monkeypatch.setattr(casework, "conway_poly", broken)
     code = main(["check", "--family", "7_6", "--signs", "++-+-",
                  "--twists", "1,2,1,1,1"])
     err = capsys.readouterr().err

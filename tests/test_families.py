@@ -80,39 +80,6 @@ def test_prefactor_geometric_growth():
     assert prefactor(+1, 0, 2) == prefactor(+1, 0, 1) + shift(prefactor(+1, 0, 1), 4)
 
 
-# The published derivative table for the prefactors, k = 0..4; upper signs for
-# s = +1, lower for s = -1.  These are test expectations only: the module
-# re-derives each entry symbolically.
-TABLE = {
-    (+1, 0, 0): "0",
-    (-1, 0, 0): "0",
-    (+1, 1, 0): "1",
-    (-1, 1, 0): "1",
-    (+1, 0, 1): "n",
-    (-1, 0, 1): "-n",
-    (+1, 1, 1): "2*n",
-    (-1, 1, 1): "-2*n",
-    (+1, 0, 2): "2*n^2 - n",
-    (-1, 0, 2): "2*n^2 + n",
-    (+1, 1, 2): "2*n*(2*n - 1)",
-    (-1, 1, 2): "2*n*(2*n + 1)",
-    (+1, 0, 3): "n/4*(5 - 24*n + 16*n^2)",
-    (-1, 0, 3): "n/4*(-5 - 24*n - 16*n^2)",
-    (+1, 1, 3): "4*n*(1 - 3*n + 2*n^2)",
-    (-1, 1, 3): "4*n*(-1 - 3*n - 2*n^2)",
-    (+1, 0, 4): "n/2*(-3 + 38*n - 48*n^2 + 16*n^3)",
-    (-1, 0, 4): "n/2*(3 + 38*n + 48*n^2 + 16*n^3)",
-    (+1, 1, 4): "4*n*(-3 + 11*n - 12*n^2 + 4*n^3)",
-    (-1, 1, 4): "4*n*(3 + 11*n + 12*n^2 + 4*n^3)",
-}
-
-
-@pytest.mark.parametrize("s,x,k", sorted(TABLE))
-def test_prefactor_deriv_table(s, x, k):
-    expected = parse_poly(TABLE[(s, x, k)], ("n",))
-    assert prefactor_deriv_poly(s, x, k) == expected
-
-
 @pytest.mark.parametrize("s", (+1, -1))
 @pytest.mark.parametrize("x", (0, 1))
 def test_prefactor_deriv_matches_instances(s, x):
