@@ -28,8 +28,8 @@ Rows:
   ``REPEAT`` runs of the time for all of them.
 - ``parse_poly``: ``multipoly.parse_poly`` on every expression string of the
   package data (registry formulas, chains, targets, shifts and exception
-  constraints, ``seifert.SKELETONS`` entries once per skeleton, family
-  ``count`` rows); ``ms`` is the median over ``REPEAT`` runs of the time for
+  constraints, and the ``count`` rows and ``seifert`` entries of the family
+  files); ``ms`` is the median over ``REPEAT`` runs of the time for
   all of them, ``us_per_string`` that median per string.
 - ``bracket.c<C>``: ``pdcodes.kauffman_bracket`` on the C-crossing diagrams of
   the first round of the benchmark's oracle-crosscheck workload at seed 1: C =
@@ -228,10 +228,9 @@ def paper_case_row(casework, family: str) -> dict:
 
 def expression_strings(casework) -> list:
     """(text, variables) of every ``parse_poly`` string in the package data:
-    the registry's formulas and exception constraints, the Seifert skeleton
-    entries and the family files' ``count`` rows."""
+    the registry's formulas and exception constraints, and the family files'
+    ``count`` rows and ``seifert`` entries."""
     from importlib import resources
-    from twistknots.seifert import SKELETONS
 
     out = []
     for family in PAPER_CASES:
@@ -251,9 +250,9 @@ def expression_strings(casework) -> list:
             f"data/families/{family}.family").read_text().splitlines()
         out += [(line.partition("->")[2].strip(), states)
                 for line in lines if line.startswith("count ")]
-    for name, rows in SKELETONS.items():
-        counts = tuple(f"n{i + 1}" for i in range(len(casework.load_family(name).parities)))
-        out += [(text, counts) for row in rows for text in row]
+        counts = tuple(f"n{i + 1}" for i in range(len(fam.parities)))
+        out += [(text, counts) for line in lines if line.startswith("seifert ")
+                for text in line.partition(" ")[2].split(",")]
     return out
 
 

@@ -65,7 +65,7 @@ from typing import Mapping, Optional
 
 from .families import FamilySpec, assemble_jones, load_family, symbolic_derivs
 from .laurent import HalfLaurent
-from .multipoly import MultiPoly, parse_poly
+from .multipoly import ExprError, MultiPoly, parse_poly
 from .obstruction import GATE_ORDER, ObstructionVerdict, cosmetic_gate
 from .seifert import (SeifertTemplate, conway_poly, conway_symbolic, leading_coeff_symbolic,
                       template_for)
@@ -116,6 +116,7 @@ class RegistryEntry:
     target_den: str
     sign: Optional[str]                # positive | negative | None
     shift: Optional[tuple[str, str]]   # substitution used for the certificate
+    index: int = 0                     # position in its sign case's list
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,19 @@ _ROW = {"tuple": str, "constraints": dict}
 _JSON_NAMES = {str: "a string", list: "a list", dict: "an object"}
 
 
+class _Repeated(dict):
+    """A JSON object whose key ``repeated`` appears twice; the reader's
+    ``object_pairs_hook`` makes it and ``parse_registry`` rejects it."""
+
+
+def _json_object(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        obj = _Repeated(obj)
+        obj.repeated = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+    return obj
+
+
 def parse_registry(text: str, family: str) -> CaseRegistry:
     """The registry in ``text``, the JSON file of ``family``, checked for the
     shape docs/registry-format.md sets out; formula strings are parsed only
@@ -152,6 +166,8 @@ def parse_registry(text: str, family: str) -> CaseRegistry:
     def keys(obj, schema: dict, required, where: str):
         if not isinstance(obj, dict):
             fail(where, "want an object")
+        if isinstance(obj, _Repeated):
+            fail(where, f"repeated key {obj.repeated!r}")
         for what, names in (("missing", required - obj.keys()), ("unknown", obj.keys() - schema)):
             if names:
                 fail(where, f"{what} key {', '.join(map(repr, sorted(names)))}")
@@ -169,6 +185,8 @@ def parse_registry(text: str, family: str) -> CaseRegistry:
         return tuple(row)
 
     def sign_cases(name: str):
+        if isinstance(raw[name], _Repeated):
+            fail(f", {name}", f"repeated key {raw[name].repeated!r}")
         for signs, value in raw[name].items():
             where = f", {name}[{signs!r}]"
             if len(signs) != k or not set(signs) <= {"+", "-"} or not isinstance(value, list):
@@ -176,7 +194,7 @@ def parse_registry(text: str, family: str) -> CaseRegistry:
             yield signs, value, where
 
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_json_object)
     except ValueError as exc:
         raise RegistryError(f"{family} registry: not JSON ({exc})") from None
     keys(raw, _TOP, _TOP.keys(), "")
@@ -197,7 +215,7 @@ def parse_registry(text: str, family: str) -> CaseRegistry:
                 e["quantity"], e.get("expr"),
                 tuple(headed(row, 3, f"{at}[{i}] chain") for row in e.get("chain", [])),
                 e.get("target_num"), e.get("target_den", "1"), e.get("sign"),
-                headed(e["shift"], 2, f"{at}[{i}] shift") if "shift" in e else None))
+                headed(e["shift"], 2, f"{at}[{i}] shift") if "shift" in e else None, i))
         cases[signs] = tuple(parsed)
     for signs, rows, at in sign_cases("exceptions"):
         for i, row in enumerate(rows):
@@ -268,14 +286,13 @@ def symbolic_case(family: str, signs: str) -> SymbolicCase:
 
 # --- formula verification -------------------------------------------------------
 
-def _certify_sign(poly: MultiPoly, claim: str, shift: Optional[tuple[str, str]],
+def _certify_sign(poly: MultiPoly, claim: str, shift: Optional[tuple[str, MultiPoly]],
                   variables) -> bool:
     """True when the shifted-coefficient test proves strict positivity or
-    negativity of poly for variables >= 1."""
+    negativity of poly, after the substitution ``shift``, for variables >= 1."""
     work = poly if claim == "positive" else -poly
     if shift is not None:
-        var, expr = shift
-        repl = parse_poly(expr, variables)
+        var, repl = shift
         work = work.substitute({var: repl})
     shifted = work.shifted_by_one()
     consts = shifted.terms.get((0,) * len(variables), Fraction(0))
@@ -283,10 +300,18 @@ def _certify_sign(poly: MultiPoly, claim: str, shift: Optional[tuple[str, str]],
 
 
 def verify_entry(sym: SymbolicCase, entry: RegistryEntry) -> dict:
+    """The entry's check record; a formula that does not parse is a ``RegistryError``."""
     variables = sym.spec.variables
     quantity = {"leading": sym.leading, "c3": sym.c3, "d2": sym.derivs[2],
                 "d3": sym.derivs[3], "d4": sym.derivs[4]}[entry.quantity]
     record = {"quantity": entry.quantity, "status": "PASS", "checks": []}
+
+    def parse(text: str, field: str) -> MultiPoly:
+        try:
+            return parse_poly(text, variables)
+        except ExprError as exc:
+            raise RegistryError(f"{sym.spec.name} registry, cases[{sym.spec.signs_str()!r}]"
+                                f"[{entry.index}] {field}: {exc}") from None
 
     def note(ok: bool, check: str, passed: str, failed: str):
         record["checks"].append(f"{check}: {passed if ok else failed}")
@@ -294,7 +319,7 @@ def verify_entry(sym: SymbolicCase, entry: RegistryEntry) -> dict:
             record["status"] = "FAIL"
 
     if entry.expr is not None:
-        note(quantity == parse_poly(entry.expr, variables), "identity", "exact", "mismatch")
+        note(quantity == parse(entry.expr, "expr"), "identity", "exact", "mismatch")
 
     claimed = quantity   # what a sign claim is about
     if entry.target_num is not None:
@@ -302,19 +327,20 @@ def verify_entry(sym: SymbolicCase, entry: RegistryEntry) -> dict:
         # denominators, then compare against target_num / target_den
         work = quantity
         den_acc = MultiPoly.const(variables, 1)
-        for var, num_s, den_s in entry.chain:
-            num = parse_poly(num_s, variables)
-            den = parse_poly(den_s, variables)
+        for j, (var, num_s, den_s) in enumerate(entry.chain):
+            num = parse(num_s, f"chain[{j}][1]")
+            den = parse(den_s, f"chain[{j}][2]")
             work, deg = work.substitute_cleared(var, num, den)
             den_acc, _ = den_acc.substitute_cleared(var, num, den)
             den_acc = den_acc * den ** deg
-        t_num = parse_poly(entry.target_num, variables)
-        t_den = parse_poly(entry.target_den, variables)
+        t_num = parse(entry.target_num, "target_num")
+        t_den = parse(entry.target_den, "target_den")
         note(work * t_den == t_num * den_acc, "chained", "exact", "mismatch")
         claimed = t_num * t_den
 
+    shift = entry.shift and (entry.shift[0], parse(entry.shift[1], "shift[1]"))
     if entry.sign in ("positive", "negative") and record["status"] == "PASS":
-        note(_certify_sign(claimed, entry.sign, entry.shift, variables),
+        note(_certify_sign(claimed, entry.sign, shift, variables),
              f"sign {entry.sign}", "certificate", "uncertified")
     return record
 

@@ -1,10 +1,15 @@
-"""Diagram templates: build planar diagrams for twist families and expand twists.
+"""Diagram templates: build diagrams for twist families and expand twists.
 
 A template draws a family's genus-2 Seifert surface as two disks joined by
-bands: each disk's boundary visits band feet in a given cyclic order, and each
-band carries one twist region.  Expanding a template at a sign case and twist
-vector rebuilds the diagram with s_i (2 n_i - m_i) crossings in band i's
-region.
+bands: each disk's boundary visits band feet in a given cyclic order (the
+``disk`` lines of the family file), and each band carries one twist region.
+Expanding a template at a sign case and twist vector rebuilds the diagram with
+s_i (2 n_i - m_i) crossings in band i's region.
+
+The diagrams are not planar: at unit twists 7_6's has 7 crossings and 7
+faces, 10_58's 10 and 8, where a planar one has c + 2.  The bracket never sees
+this, so agreement with the engine does not show that a diagram is the
+family's knot (docs/family-format.md; ROADMAP.md, "Classical diagrams").
 
 Strand orientations are recovered by traversal; a twist region along a band of
 a spanning surface has anti-parallel strands, and for links the component
@@ -13,9 +18,7 @@ orientations are chosen to make every region anti-parallel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from itertools import product
 
 from .families import FamilySpec, assemble_jones, check_twists, load_family
@@ -195,8 +198,7 @@ class _Builder:
 
 @dataclass(frozen=True)
 class DiagramTemplate:
-    structure: tuple          # ("disks", feet_a, feet_b); feet are (band, end, flip)
-    base_pd: tuple[str, ...]  # lines of the diagram at unit twists, all-plus signs
+    disks: tuple   # each disk's feet (band, end, flip) in boundary order
 
 
 def build_diagram(tpl: DiagramTemplate, spec: FamilySpec, twists,
@@ -208,8 +210,6 @@ def build_diagram(tpl: DiagramTemplate, spec: FamilySpec, twists,
     consecutive feet.  ``resolved`` lists 0-based band indices replaced by the
     oriented smoothing (the cut band), for skein cross-checks.
     """
-    if tpl.structure[0] != "disks":
-        raise DiagramError("template must be a two-disk band layout")
     n = check_twists(spec, twists)
     by_band = dict(zip(spec.active_bands, n))
     builder = _Builder()
@@ -225,7 +225,7 @@ def build_diagram(tpl: DiagramTemplate, spec: FamilySpec, twists,
                 ports[i0] = builder.vertical_region(count, band=i0)
         return ports[i0]
 
-    for feet in tpl.structure[1:]:
+    for feet in tpl.disks:
         walk = []
         for band_no, end, flip in feet:
             p = region(band_no - 1)
@@ -259,21 +259,6 @@ def crosscheck(spec: FamilySpec, tpl: DiagramTemplate, twists,
     return jones_from_pd(pd) == assemble_jones(spec, twists)
 
 
-# --- template files -------------------------------------------------------------
-
-def _to_tuple(node):
-    if isinstance(node, list):
-        return tuple(_to_tuple(x) for x in node)
-    return node
-
-
-def parse_template(text: str) -> DiagramTemplate:
-    data = json.loads(text)
-    return DiagramTemplate(_to_tuple(data["structure"]), _to_tuple(data.get("base_pd", [])))
-
-
 def load_template(family: str) -> DiagramTemplate:
-    """The template of the family's skeleton, a derived family's parent's."""
-    name = load_family(family).skeleton
-    data = resources.files("twistknots").joinpath(f"data/templates/{name}.pdt")
-    return parse_template(data.read_text())
+    """The disk layout of the family's file, a derived family's parent's."""
+    return DiagramTemplate(load_family(family).disks)

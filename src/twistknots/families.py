@@ -30,11 +30,14 @@ an independent route: every prefactor and every V_x becomes its Taylor series
 in (t - 1), and the states are summed out one band at a time, in integers
 over one common denominator (``symbolic_derivs``).  It never uses the T-form,
 so ``jones_derivs`` compares two constructions.
+
+A family file also holds its skeleton's Seifert matrix and the disk layout of
+its diagrams, which ``seifert`` and ``diagrams`` read (docs/family-format.md).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -42,7 +45,7 @@ from itertools import product
 from math import factorial, lcm
 
 from .laurent import HalfLaurent, unlink_factor
-from .multipoly import MultiPoly, falling_factorial_poly, parse_poly, power_sum_poly
+from .multipoly import ExprError, MultiPoly, falling_factorial_poly, parse_poly, power_sum_poly
 
 PARAM_LETTERS = ("a", "b", "c", "d", "e")
 
@@ -181,7 +184,8 @@ class FamilyDef:
     parities: tuple[int, ...]
     frozen: tuple[bool, ...]
     base: BaseTable
-    skeleton: str   # the family whose Seifert matrix and diagram template this one uses
+    seifert: tuple[tuple[MultiPoly, ...], ...]   # over the crossing counts n1..nk
+    disks: tuple[tuple[tuple[int, int, int], ...], ...]   # each disk's (band, end, flip) feet
 
     def with_signs(self, signs) -> FamilySpec:
         if isinstance(signs, str):
@@ -200,6 +204,7 @@ def parse_family_file(text: str) -> FamilyDef:
     base_kind = None
     rows: list[tuple[str, str]] = []   # (line, text after the directive) per base row
     order: tuple[int, ...] | None = None
+    layout: dict[str, list[tuple[str, str]]] = {"seifert": [], "disk": []}
 
     for raw in text.splitlines():
         line = raw.strip()
@@ -226,6 +231,8 @@ def parse_family_file(text: str) -> FamilyDef:
             order = tuple(i - 1 for i in _ints(rest.split(), line))
         elif head in ("compose", "count"):
             rows.append((line, rest))
+        elif head in layout:
+            layout[head].append((line, rest))
         else:
             raise FamilyError(f"unknown directive {head!r}")
 
@@ -253,7 +260,7 @@ def parse_family_file(text: str) -> FamilyDef:
         if line.split()[0] != base_kind:
             raise FamilyError(f"{line!r} in a 'base {base_kind}' file")
         value = (_compose_entry(expr, line, parities) if base_kind == "compose"
-                 else parse_poly(expr.strip(), tuple(f"x{i + 1}" for i in range(k))))
+                 else _poly(expr, tuple(f"x{i + 1}" for i in range(k)), line))
         key = _ints(key_text.split(), line)
         if len(key) != len(key_bands) or any(v > 1 for v in key):
             raise FamilyError(f"bad {base_kind} line {line!r}: "
@@ -262,7 +269,34 @@ def parse_family_file(text: str) -> FamilyDef:
             raise FamilyError(f"two {base_kind} rows for states {key}")
         table[key] = value
     base = tuple(_base_entry(table, key_bands, x) for x in product((0, 1), repeat=k))
-    return FamilyDef(name, tuple(parities), (False,) * k, base, name)
+    return FamilyDef(name, tuple(parities), (False,) * k, base,
+                     _seifert(layout["seifert"], k), _disks(layout["disk"], k))
+
+
+def _seifert(lines, k: int) -> tuple[tuple[MultiPoly, ...], ...]:
+    """The 'seifert' lines as a square matrix of even size over n1..nk."""
+    counts = tuple(f"n{i + 1}" for i in range(k))
+    matrix = tuple(tuple(_poly(entry, counts, line) for entry in rest.split(","))
+                   for line, rest in lines)
+    if not matrix or len(matrix) % 2 or any(len(row) != len(matrix) for row in matrix):
+        raise FamilyError(f"'seifert' lines give rows of lengths {[len(r) for r in matrix]}: "
+                          f"want a nonempty square matrix of even size")
+    return matrix
+
+
+def _disks(lines, k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The feet 'band:end:flip' of the two 'disk' lines: one foot at each end
+    (0 top, 1 bottom) of each band 1..k, each with flip 0 or 1."""
+    if len(lines) != 2:
+        raise FamilyError(f"family file needs two 'disk' lines, got {len(lines)}")
+    disks = tuple(tuple(_ints(foot.split(":"), line) for foot in rest.split())
+                  for line, rest in lines)
+    feet = [f for d in disks for f in d]
+    if (any(len(f) != 3 or f[2] > 1 for f in feet)
+            or sorted(f[:2] for f in feet) != list(product(range(1, k + 1), (0, 1)))):
+        raise FamilyError(f"bad disk lines {[rest for _, rest in lines]}: want feet band:end:flip "
+                          f"with flip 0 or 1, one at each end 0 and 1 of bands 1..{k}")
+    return disks
 
 
 def _base_entry(table: dict, key_bands: tuple[int, ...], x: tuple[int, ...]):
@@ -281,8 +315,8 @@ def _base_entry(table: dict, key_bands: tuple[int, ...], x: tuple[int, ...]):
 
 
 def _derive(name: str, line: str) -> FamilyDef:
-    """The family of ``from <parent> freeze <i> ...``: the parent's bands, base
-    cases and skeleton, with the named bands frozen as well as the parent's."""
+    """The family of ``from <parent> freeze <i> ...``: the parent with the
+    named bands frozen as well as its own."""
     fields = line.split()
     if len(fields) < 4 or fields[2] != "freeze":
         raise FamilyError(f"bad from line {line!r}: want 'from <family> freeze <i> ...'")
@@ -291,7 +325,7 @@ def _derive(name: str, line: str) -> FamilyDef:
         if not 1 <= i <= len(parent.parities) or parent.parities[i - 1] != 0:
             raise FamilyError(f"bad from line {line!r}: {parent.name} has no even band {i}")
     frozen = tuple(f or i + 1 in bands for i, f in enumerate(parent.frozen))
-    return FamilyDef(name, parent.parities, frozen, parent.base, parent.skeleton)
+    return replace(parent, name=name, frozen=frozen)
 
 
 def _ints(fields, line: str) -> tuple[int, ...]:
@@ -300,6 +334,14 @@ def _ints(fields, line: str) -> tuple[int, ...]:
     if not all(v.isascii() and v.isdigit() for v in fields):
         raise FamilyError(f"bad {line.split()[0]} line {line!r}: want integers")
     return tuple(int(v) for v in fields)
+
+
+def _poly(text: str, names: tuple[str, ...], line: str) -> MultiPoly:
+    """``parse_poly`` of a family-file field, or a load error naming the line."""
+    try:
+        return parse_poly(text, names)
+    except ExprError as exc:
+        raise FamilyError(f"bad {line.split()[0]} line {line!r}: {exc}") from None
 
 
 def _compose_entry(expr: str, line: str, parities) -> tuple:

@@ -1,19 +1,18 @@
 """Parametric Seifert matrices, Alexander and Conway polynomials.
 
-``SKELETONS`` holds one raw 4x4 Seifert matrix per skeleton, each entry an
-affine expression in the signed crossing counts n1..nk of the bands, written
-in the grammar of ``multipoly.parse_poly`` and parsed once, on first use.  A
-family uses the matrix of its skeleton, ``load_family(family).skeleton``: its
-own for a base family, its parent's for a family derived by freezing bands,
-as 8_12 is from 10_58.  ``template_for`` specialises the matrix to a sign
-case by the band rule of ``families``: band i with sign s_i and parity m_i
-carries n_i = s_i (2 v - m_i) crossings when v is its twist variable, and a
-frozen band carries none, n_i = 0.  The result is the family's template, a 4x4
-matrix affine in the twist parameters.  The Alexander polynomial of an
-instance is det(S - t S^T); the Conway polynomial is det(u S - u^(-1) S^T) with
-u = t^(1/2), rewritten exactly in powers of z = u - u^(-1).  Both routes, at an
-instance and symbolically in the parameters, use one cofactor-expansion
-determinant and one z-rewrite; the Conway coefficients come from
+Each family file holds its skeleton's raw Seifert matrix, one ``seifert``
+line per row, each entry an affine expression in the signed crossing counts
+n1..nk of the bands, parsed when the family loads (``FamilyDef.seifert``).  A
+family derived by freezing bands, as 8_12 is from 10_58, takes its parent's.
+``template_for`` specialises the matrix to a sign case by the band rule of
+``families``: band i with sign s_i and parity m_i carries n_i = s_i (2 v - m_i)
+crossings when v is its twist variable, and a frozen band carries none,
+n_i = 0.  The result is the family's template, a square matrix affine in the
+twist parameters.  The Alexander polynomial of an instance is det(S - t S^T);
+the Conway polynomial is det(u S - u^(-1) S^T) with u = t^(1/2), rewritten
+exactly in powers of z = u - u^(-1).  Both routes, at an instance and
+symbolically in the parameters, use one cofactor-expansion determinant and one
+z-rewrite; the Conway coefficients come from
 det(u S - u^(-1) S^T) = u^(-size) * Delta(u^2), Delta = det(S - t S^T), which
 holds because the size is even.
 """
@@ -22,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .families import FamilyError, load_family
+from .families import load_family
 from .laurent import HalfLaurent
-from .multipoly import MultiPoly, parse_poly
+from .multipoly import MultiPoly
 
 
 class SeifertError(ValueError):
@@ -36,55 +34,21 @@ class SeifertError(ValueError):
 @dataclass(frozen=True)
 class SeifertTemplate:
     variables: tuple[str, ...]
-    rows: tuple[tuple[MultiPoly, ...], ...]   # 4x4, affine entries
+    rows: tuple[tuple[MultiPoly, ...], ...]   # square, affine entries
 
     def instantiate(self, twists) -> tuple[tuple[int, ...], ...]:
         """Integer Seifert matrix at a twist vector."""
         point = dict(zip(self.variables, twists))
-        out = []
-        for row in self.rows:
-            vals = []
-            for entry in row:
-                v = entry.eval(point)
-                if v.denominator != 1:
-                    raise SeifertError("non-integer Seifert entry; template bug")
-                vals.append(int(v))
-            out.append(tuple(vals))
-        return tuple(out)
-
-
-# Raw Seifert matrices in the signed crossing counts n1..n5 of the bands.
-SKELETONS = {
-    "7_6": (
-        ("-(n1+n2)/2", "-(n1+1)/2", "0", "1"),
-        ("-(n1-1)/2", "-(n1+n3)/2", "0", "1"),
-        ("0", "0", "-n4/2", "1"),
-        ("0", "0", "0", "-n5/2"),
-    ),
-    "10_58": (
-        ("-(n1+n5)/2", "n1/2", "1", "0"),
-        ("n1/2", "-(n1+n4)/2", "0", "1"),
-        ("0", "0", "-n2/2", "0"),
-        ("0", "0", "0", "-n3/2"),
-    ),
-}
-
-
-@lru_cache(maxsize=None)
-def _skeleton(name: str) -> tuple[tuple[MultiPoly, ...], ...]:
-    """The skeleton matrix parsed over n1..nk, once per skeleton."""
-    counts = tuple(f"n{i + 1}" for i in range(len(load_family(name).parities)))
-    return tuple(tuple(parse_poly(entry, counts) for entry in row) for row in SKELETONS[name])
+        values = [[entry.eval(point) for entry in row] for row in self.rows]
+        if any(v.denominator != 1 for row in values for v in row):
+            raise SeifertError("non-integer Seifert entry; template bug")
+        return tuple(tuple(map(int, row)) for row in values)
 
 
 def template_for(family: str, signs) -> SeifertTemplate:
-    """The skeleton matrix with n_i = s_i (2 v - m_i) on an active band whose
-    twist variable is v, and n_i = 0 on a frozen band."""
-    try:
-        fam = load_family(family)
-        skeleton = _skeleton(fam.skeleton)
-    except (FamilyError, KeyError):
-        raise SeifertError(f"no Seifert template for family {family!r}") from None
+    """The family's Seifert matrix with n_i = s_i (2 v - m_i) on an active band
+    whose twist variable is v, and n_i = 0 on a frozen band."""
+    fam = load_family(family)
     spec = fam.with_signs(signs)
     V = spec.variables
     zero = MultiPoly.zero(V)
@@ -104,7 +68,7 @@ def template_for(family: str, signs) -> SeifertTemplate:
             out = out + term
         return out
 
-    return SeifertTemplate(V, tuple(tuple(map(specialise, row)) for row in skeleton))
+    return SeifertTemplate(V, tuple(tuple(map(specialise, row)) for row in fam.seifert))
 
 
 # --- determinant and z-rewrite ----------------------------------------------

@@ -95,9 +95,9 @@ def connected_sum(p1: PDCode, p2: PDCode, arc1: int, arc2: int) -> PDCode:
 
 def flipped_foot(tpl: DiagramTemplate, band: int = 1) -> DiagramTemplate:
     """The template with the band's foot on the second disk attached flipped."""
-    tag, feet_a, feet_b = tpl.structure
+    feet_a, feet_b = tpl.disks
     feet_b = tuple((b, e, 1 - f if b == band else f) for b, e, f in feet_b)
-    return DiagramTemplate((tag, feet_a, feet_b), tpl.base_pd)
+    return DiagramTemplate((feet_a, feet_b))
 
 
 def match_exception(registry: CaseRegistry, signs: str, n: tuple[int, ...],

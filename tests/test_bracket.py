@@ -145,9 +145,16 @@ def test_pd_fixture_file():
     assert jones_from_pd(pd) == xn_jones([-1, -1, -1])
 
 
-# 8_12 is drawn with 10_58's template; its diagram at unit twists is pinned here
+# each family's diagram at unit twists and all-plus signs; 8_12 is drawn with
+# 10_58's disk layout
+BASE_PD_7_6 = ("X 3 4 2 1", "X 6 7 5 2", "X 7 6 8 9", "X 10 11 9 5", "X 11 10 1 12",
+               "X 4 14 13 8", "X 14 3 12 13", "orient d d d d d d d")
+BASE_PD_10_58 = ("X 3 4 2 1", "X 4 3 5 6", "X 8 9 7 2", "X 9 8 1 10", "X 12 13 11 7",
+                 "X 13 12 6 14", "X 15 16 10 11", "X 16 15 17 18", "X 19 20 18 5",
+                 "X 20 19 14 17", "orient d d d d d d d d d d")
 BASE_PD_8_12 = ("X 3 4 2 1", "X 4 3 5 6", "X 8 9 7 2", "X 9 8 1 10", "X 11 12 6 7",
                 "X 12 11 13 14", "X 15 16 14 5", "X 16 15 10 13", "orient d d d d d d d d")
+BASE_PD = {"7_6": BASE_PD_7_6, "10_58": BASE_PD_10_58, "8_12": BASE_PD_8_12}
 
 
 @pytest.mark.parametrize("family", ["7_6", "10_58", "8_12"])
@@ -157,7 +164,7 @@ def test_template_base_pd_matches_expansion(family):
     spec = fam.with_signs("+++++")
     n = (1,) * len(spec.active_bands)
     built = build_diagram(tpl, spec, n)
-    stored = parse_pd("\n".join(BASE_PD_8_12 if family == "8_12" else tpl.base_pd))
+    stored = parse_pd("\n".join(BASE_PD[family]))
     assert built.crossings == stored.crossings
     assert built.over_in == stored.over_in
 

@@ -542,10 +542,34 @@ def _edited(family: str, old: str, new: str) -> str:
     ("10_58", "[2, 12, 3, 2, 1]", "[2, 12, 3, 2]", "[2, 12, 3, 2] is not 5 integers >= 1"),
     ("10_58", "[2, 12, 3, 2, 1]", "[0, 12, 3, 2, 1]", "d4_demo['++-+-']: [0, 12, 3, 2, 1]"),
     ("10_58", "[2, 12, 3, 2, 1]", "[true, 12, 3, 2, 1]", "[True, 12, 3, 2, 1] is not 5"),
+    # plain JSON keeps only the last copy of a repeated key
+    ("8_12", '"cases": {', '"cases": {"+++++": [{"quantity": "leading", "expr": "0"}], ',
+     "8_12 registry, cases: repeated key '+++++'"),
+    ("8_12", '"expr": "a*b*c*d"', '"expr": "0", "expr": "a*b*c*d"',
+     "8_12 registry, cases['+++++'][0]: repeated key 'expr'"),
+    ("8_12", '"family": "8_12"', '"family": "7_6", "family": "8_12"',
+     "8_12 registry: repeated key 'family'"),
+    ("7_6", '"a": "1"', '"a": "2", "a": "1"',
+     "7_6 registry, exceptions['++-+-'][0] constraints: repeated key 'a'"),
 ])
 def test_parse_registry_rejects(family, old, new, message):
     with pytest.raises(RegistryError, match=re.escape(message)):
         parse_registry(_edited(family, old, new), family)
+
+
+# one formula field in turn that does not parse; the error names the family,
+# the sign case, the entry's index and the field
+@pytest.mark.parametrize("field,entry", [
+    ("expr", ("leading", "a*b*(c*d", (), None, "1", None, None)),
+    ("chain[1][2]", ("leading", None, (("a", "b", "1"), ("b", "c", "1/")), "a", "1", None, None)),
+    ("target_num", ("leading", None, (), "a +* b", "1", None, None)),
+    ("target_den", ("leading", None, (), "a", "f", None, None)),
+    ("shift[1]", ("leading", "0", (), None, "1", "positive", ("a", "b^c"))),
+])
+def test_formula_that_does_not_parse_names_its_place(field, entry):
+    sym = symbolic_case("8_12", "+-+-+")
+    with pytest.raises(RegistryError, match=re.escape(f"8_12 registry, cases['+-+-+'][3] {field}: ")):
+        verify_entry(sym, RegistryEntry(*entry, index=3))
 
 
 def test_parse_registry_parses_no_formula(monkeypatch):

@@ -112,18 +112,33 @@ def test_malformed_registry_exits_2(command, tmp_path):
     assert out.stderr == "error: 10_58 registry, cases['-----'][0]: unknown key 'sing'\n"
 
 
+@pytest.mark.parametrize("command", ["verify-paper", "sweep"])
+def test_formula_that_does_not_parse_exits_2(command, tmp_path):
+    """A packaged formula with an unclosed parenthesis stops the run, naming
+    the family, sign case, entry and field."""
+    shutil.copytree(Path(SRC) / "twistknots", tmp_path / "twistknots")
+    path = tmp_path / "twistknots" / "data" / "registry" / "8_12.json"
+    path.write_text(path.read_text().replace('"a*b*c*d"', '"a*b*(c*d"', 1))
+    out = subprocess.run([sys.executable, "-m", "twistknots.cli", command, "--family", "8_12"],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(tmp_path)})
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == ("error: 8_12 registry, cases['+++++'][0] expr: "
+                          "'(' was never closed in 'a*b*(c*d'\n")
+
+
 def test_oracle_failure_exits_1(monkeypatch, capsys):
     import twistknots.diagrams as diagrams
 
     def broken(spec, tpl, n, budget):
-        raise diagrams.DiagramError("template must be a two-disk band layout")
+        raise diagrams.DiagramError("no orientation makes every twist region anti-parallel")
 
     monkeypatch.setattr(diagrams, "crosscheck", broken)
     code = main(["crosscheck", "--family", "7_6", "--signs", "++-+-",
                  "--twists", "1,2,1,1,1"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err == "verification failed: template must be a two-disk band layout\n"
+    assert err == "verification failed: no orientation makes every twist region anti-parallel\n"
 
 
 def test_cli_import_leaves_out_the_oracle():

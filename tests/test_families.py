@@ -385,15 +385,63 @@ def test_family_file_rejects_non_integer_fields(body, match):
 
 
 def test_derived_family_uses_its_parents_skeleton():
-    assert EIGHT.skeleton == TEN.skeleton == "10_58"
+    assert (EIGHT.seifert, EIGHT.disks) == (TEN.seifert, TEN.disks)
     assert EIGHT.frozen == (False,) * 4 + (True,)
     assert EIGHT.base is TEN.base
     # a derived parent's frozen bands carry over
     twice = parse_family_file("family y\nfrom 8_12 freeze 4\n")
-    assert (twice.skeleton, twice.frozen) == ("10_58", (False,) * 3 + (True, True))
+    assert twice.frozen == (False,) * 3 + (True, True)
+    assert (twice.seifert, twice.disks) == (TEN.seifert, TEN.disks)
+
+
+# a one-band family that is whole up to its Seifert and disk lines
+ONE_BAND = "family x\nband 1 even\nbase count\norder 1\ncount 0 -> 1\ncount 1 -> 1\n"
+SEIFERT = "seifert -n1/2, 1\nseifert 0, 0\n"
+DISKS = "disk 1:0:0\ndisk 1:1:1\n"
+
+
+def test_family_file_reads_seifert_and_disk_lines():
+    fam = parse_family_file(ONE_BAND + SEIFERT + DISKS)
+    one, n1 = MultiPoly.const(("n1",), 1), MultiPoly.var(("n1",), "n1")
+    assert fam.seifert == ((n1.scale(Fraction(-1, 2)), one), (one - one, one - one))
+    assert fam.disks == (((1, 0, 0),), ((1, 1, 1),))
+    assert TEN.disks == (((5, 0, 0), (2, 0, 0), (1, 0, 0), (4, 0, 0), (2, 1, 1)),
+                         ((5, 1, 1), (3, 0, 0), (4, 1, 1), (3, 1, 1), (1, 1, 1)))
+
+
+@pytest.mark.parametrize("layout,match", [
+    (DISKS, "lengths \\[\\]: want a nonempty square matrix"),
+    ("seifert 1, 0\nseifert 0\n" + DISKS, "lengths \\[2, 1\\]: want a nonempty square"),
+    ("seifert 1, 0, 0\nseifert 0, 1, 0\n" + DISKS, "want a nonempty square matrix"),
+    ("seifert -n1/2\n" + DISKS, "lengths \\[1\\]: want a nonempty square matrix of even"),
+    ("seifert -n1/2, (1\nseifert 0, 0\n" + DISKS, "bad seifert line .* never closed"),
+    ("seifert -n2/2, 1\nseifert 0, 0\n" + DISKS, "bad seifert line .* unknown variable 'n2'"),
+    ("seifert -n1/2, , 1\nseifert 0, 0\n" + DISKS, "bad seifert line"),
+    (SEIFERT, "two 'disk' lines, got 0"),
+    (SEIFERT + "disk 1:0:0 1:1:1\n", "two 'disk' lines, got 1"),
+    (SEIFERT + DISKS + "disk\n", "two 'disk' lines, got 3"),
+    (SEIFERT + "disk 2:0:0\ndisk 1:1:1\n", "bad disk lines \\['2:0:0', '1:1:1'\\]"),
+    (SEIFERT + "disk 0:0:0\ndisk 1:1:1\n", "bad disk lines \\['0:0:0', "),
+    (SEIFERT + "disk 1:2:0\ndisk 1:1:1\n", "bad disk lines \\['1:2:0', "),
+    (SEIFERT + "disk 1:0:0\ndisk 1:1:2\n", "bad disk lines .*with flip 0 or 1"),
+    (SEIFERT + "disk 1:0\ndisk 1:1:1\n", "bad disk lines \\['1:0', "),
+    (SEIFERT + "disk 1:0:0:0\ndisk 1:1:1\n", "bad disk lines \\['1:0:0:0', "),
+    (SEIFERT + "disk 1:x:0\ndisk 1:1:1\n", "bad disk line 'disk 1:x:0': want integers"),
+    (SEIFERT + "disk 1:-1:0\ndisk 1:1:1\n", "want integers"),
+    (SEIFERT + "disk 1:0:0\ndisk\n", "bad disk lines \\['1:0:0', ''\\]: .* of bands 1..1"),
+    (SEIFERT + "disk 1:0:0 1:1:0\ndisk 1:1:1\n", "one at each end 0 and 1"),
+], ids=["no-seifert", "ragged", "not-square", "odd-size", "entry-syntax", "entry-variable",
+        "entry-empty", "no-disks", "one-disk", "three-disks", "foot-band-2", "foot-band-0",
+        "foot-end-2", "foot-flip-2", "foot-short", "foot-long", "foot-letter", "foot-sign",
+        "end-without-foot", "end-with-two-feet"])
+def test_family_file_rejects_bad_seifert_and_disk_lines(layout, match):
+    with pytest.raises(FamilyError, match=match):
+        parse_family_file(ONE_BAND + layout)
 
 
 @pytest.mark.parametrize("text,match", [
+    ("from 10_58 freeze 5\nseifert 1, 0\nseifert 0, 1", "nothing else"),
+    ("from 10_58 freeze 5\ndisk 1:0:0", "nothing else"),
     ("from 3_1 freeze 1", "unknown family"),
     ("from 7_6 freeze 1", "no even band 1"),
     ("from 10_58 freeze 6", "no even band 6"),

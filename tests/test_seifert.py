@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import equal_up_to_unit, mirror
-from twistknots.families import assemble_jones, load_family, symbolic_derivs
+from twistknots.families import FamilyError, assemble_jones, load_family, symbolic_derivs
 from twistknots.laurent import HalfLaurent
 from twistknots.multipoly import MultiPoly, parse_poly
 from twistknots.seifert import (
@@ -56,7 +57,8 @@ def test_template_8_12_entries():
 
 
 def test_template_for_unknown_family():
-    with pytest.raises(SeifertError, match="no Seifert template"):
+    # a bad family name is bad input (exit 2), not a failed verification
+    with pytest.raises(FamilyError, match="unknown family"):
         template_for("3_1", (1, 1, 1, 1, 1))
 
 
@@ -180,3 +182,22 @@ def test_alexander_rejects_bad_matrix():
     bad = dataclasses.replace(tpl, rows=rows)
     with pytest.raises(SeifertError):
         alexander_poly(bad, (1, 1, 1, 1, 1))
+
+
+def _at_minus_one(poly: HalfLaurent) -> int:
+    """The value at t = -1 of a polynomial in integral powers of t."""
+    return sum(c * (-1) ** (e // 2 % 2) for e, c in poly.terms.items())
+
+
+def test_determinant_matches_jones_at_minus_one():
+    # |V(-1)| = |Delta(-1)| is the knot determinant, so this ties the engine to
+    # the whole Seifert matrix, where V''(1) = -6 a2 ties it to one coefficient
+    rng = random.Random(6)
+    for name in ("7_6", "10_58", "8_12"):
+        fam = load_family(name)
+        for signs in ("".join(p) for p in product("+-", repeat=5)):
+            spec, tpl = fam.with_signs(signs), template_for(name, signs)
+            for _ in range(3):
+                n = tuple(rng.randint(1, 30) for _ in spec.variables)
+                assert (abs(_at_minus_one(assemble_jones(spec, n)))
+                        == abs(_at_minus_one(alexander_poly(tpl, n)))), (name, signs, n)
