@@ -8,6 +8,11 @@ Rows:
 - ``symbolic_derivs.<family>``: ``families.symbolic_derivs`` at kmax 4 for all
   32 sign cases of 7_6 and of 10_58; ``s`` is the median over ``REPEAT`` runs
   of the time for all 32 cases.
+- ``symbolic_case.<family>``: ``casework.symbolic_case`` for all 32 sign cases
+  of 7_6, 10_58 and 8_12, the whole symbolic set-up of a case (Seifert
+  determinant and Conway coefficients, ``symbolic_derivs``, the route checks
+  and the registry's formula checks) without the sweep; each run starts with
+  an empty memo, and ``s`` is the median over ``REPEAT`` runs.
 - ``gate_loop``: 7_6 ``++-+-`` over [1..8]^5.
 - ``box_sweep.<family>``: ``sweep_case`` over the box sizes of the benchmark's
   box-sweep workload, [1..12]^5 for 7_6 and 10_58 and [1..20]^4 for 8_12.
@@ -53,9 +58,10 @@ twistknots.cli`` one after another, with ``--src`` as ``PYTHONPATH`` and
 since the speed probe runs in this process and cannot be taken out of a
 child's time.  The ``tier1`` row is timed the same way.
 
-Every timed run of a sweep or paper-case row starts with an empty
-``casework.symbolic_case`` memo, so each run pays for its symbolic set-up and
-the rows compare with those of checkouts that have no memo.
+Every timed run of a symbolic-case, sweep or paper-case row starts with an
+empty ``casework.symbolic_case`` memo, so each run pays for its symbolic set-up
+and the rows compare with those of checkouts that have no memo.  Lower caches,
+such as the base values of ``families``, stay warm after the first run.
 
 Every time is taken with perfbench's speed meter (``perfbench/speed.py``): a
 fixed pure-Python probe runs before, after and every 50 ms during the call, its
@@ -170,6 +176,15 @@ def symbolic_row(casework, family: str) -> dict:
 
     runs = [timed(all_cases) for _ in range(REPEAT)]
     return {"family": family, "cases": len(specs), "kmax": 4, **summary(runs, "s")}
+
+
+def symbolic_case_row(casework, family: str) -> dict:
+    def all_cases():
+        for signs in casework.ALL_CASES:
+            casework.symbolic_case(family, signs)
+
+    runs = [cold_timed(casework, all_cases) for _ in range(REPEAT)]
+    return {"family": family, "cases": len(casework.ALL_CASES), **summary(runs, "s")}
 
 
 def row(casework, family: str, signs: str, n_range: int, use_root5: bool = False) -> dict:
@@ -347,6 +362,8 @@ def main() -> int:
 
     rows = {f"symbolic_derivs.{family}": symbolic_row(casework, family)
             for family in SYMBOLIC}
+    for family in PAPER_CASES:
+        rows[f"symbolic_case.{family}"] = symbolic_case_row(casework, family)
     rows["gate_loop"] = row(casework, *GATE_LOOP)
     for family, signs, n_range in BOX_SWEEPS:
         rows[f"box_sweep.{family}"] = row(casework, family, signs, n_range)

@@ -40,14 +40,15 @@ chain of fraction-free substitutions, and a sign claim is certified by
 shifting every variable by one and reading coefficient signs.
 
 ``symbolic_case`` is memoised in an LRU cache of ``len(ALL_CASES)`` entries,
-one family's 32 sign cases (about 16 KB each, so at most about 0.5 MB), so
-``verify_paper_case`` followed by ``sweep_case`` on the same case computes the
-symbolic data and the registry's formula checks once.  A case whose route
-checks fail raises on every call, since exceptions are not cached; FAIL formula
-checks are results and are cached.  Every caller shares the cached
-``SymbolicCase``, so it is frozen, its ``derivs`` and checks are tuples, and
-``formula_records`` hands out fresh record dicts.  ``load_registry`` is
-memoised per family and read-only, since package data never changes.
+one family's 32 sign cases (12-22 KB each by tracemalloc, 7_6 the largest, so
+at most about 0.7 MB), so ``verify_paper_case`` followed by ``sweep_case`` on
+the same case computes the symbolic data and the registry's formula checks
+once.  A case whose route checks fail raises on every call, since exceptions
+are not cached; FAIL formula checks are results and are cached.  Every caller
+shares the cached ``SymbolicCase``, so it is frozen, its ``derivs`` and checks
+are tuples, and ``formula_records`` hands out fresh record dicts.
+``load_registry`` is memoised per family and read-only, since package data
+never changes.
 """
 
 from __future__ import annotations
@@ -293,7 +294,7 @@ def _certify_sign(poly: MultiPoly, claim: str, shift: Optional[tuple[str, MultiP
     work = poly if claim == "positive" else -poly
     if shift is not None:
         var, repl = shift
-        work = work.substitute({var: repl})
+        work, _ = work.substitute_cleared(var, repl, MultiPoly.const(variables, 1))
     shifted = work.shifted_by_one()
     consts = shifted.terms.get((0,) * len(variables), Fraction(0))
     return consts > 0 and all(c > 0 for c in shifted.terms.values())
@@ -356,11 +357,20 @@ def verify_paper_case(family: str, signs: str,
 
 # --- exceptions -------------------------------------------------------------------
 
-def _parsed_patterns(registry: CaseRegistry, signs: str, variables) -> list:
-    """The sign case's exception patterns as (tuple, [(variable, polynomial)])."""
-    return [(row["tuple"], [(var, parse_poly(expr, variables))
+def _parsed_patterns(family: str, registry: CaseRegistry, signs: str, variables) -> list:
+    """The sign case's exception patterns as (tuple, [(variable, polynomial)]);
+    a constraint that does not parse is a ``RegistryError`` naming its place."""
+
+    def parse(i: int, var: str, expr: str) -> MultiPoly:
+        try:
+            return parse_poly(expr, variables)
+        except ExprError as exc:
+            raise RegistryError(f"{family} registry, exceptions[{signs!r}][{i}] "
+                                f"constraints[{var!r}]: {exc}") from None
+
+    return [(row["tuple"], [(var, parse(i, var, expr))
                             for var, expr in row["constraints"].items()])
-            for row in registry.exceptions.get(signs, ())]
+            for i, row in enumerate(registry.exceptions.get(signs, ()))]
 
 
 def _matching(patterns: list, n: tuple[int, ...], variables) -> list[str]:
@@ -534,7 +544,7 @@ def classify_exceptions(cfg: SweepConfig, reports: list[CaseReport],
     records: dict[tuple[str, Optional[str]], ExceptionRecord] = {}
     for report in reports:
         variables = fam.with_signs(report.signs).variables
-        parsed = _parsed_patterns(registry, report.signs, variables)
+        parsed = _parsed_patterns(cfg.family, registry, report.signs, variables)
         for verdict in report.exceptions:
             n = verdict.twists
             for pat in _matching(parsed, n, variables) or [None]:   # None: unmatched

@@ -390,8 +390,15 @@ def _base_value(unknots: int, args: tuple[tuple[int, ...], ...]) -> HalfLaurent:
     return value
 
 
-def base_case_jones(spec: FamilySpec, resolution: tuple[int, ...]) -> HalfLaurent:
-    """Base link value for one resolution vector over the active bands."""
+@lru_cache(maxsize=None)
+def _base_derivs(unknots: int, args: tuple[tuple[int, ...], ...], kmax: int) -> tuple:
+    """``derivs_at_one(kmax)`` of ``_base_value(unknots, args)``, memoised
+    beside it: the sign cases of a family share a handful of base values."""
+    return tuple(_base_value(unknots, args).derivs_at_one(kmax))
+
+
+def _base_key(spec: FamilySpec, resolution: tuple[int, ...]) -> tuple:
+    """The ``_base_value`` arguments of one resolution vector over the active bands."""
     if len(resolution) != len(spec.active_bands) or any(v not in (0, 1) for v in resolution):
         raise FamilyError("resolution vector must be 0/1 per active band")
     states = iter(resolution)
@@ -400,8 +407,13 @@ def base_case_jones(spec: FamilySpec, resolution: tuple[int, ...]) -> HalfLauren
     for v in full:
         index = 2 * index + v
     unknots, factors = spec.base[index]
-    return _base_value(unknots, tuple(tuple(full[i] and -spec.bands[i].sign for i in bands)
-                                      for bands in factors))
+    return unknots, tuple(tuple(full[i] and -spec.bands[i].sign for i in bands)
+                          for bands in factors)
+
+
+def base_case_jones(spec: FamilySpec, resolution: tuple[int, ...]) -> HalfLaurent:
+    """Base link value for one resolution vector over the active bands."""
+    return _base_value(*_base_key(spec, resolution))
 
 
 @lru_cache(maxsize=None)
@@ -498,11 +510,12 @@ def symbolic_derivs(spec: FamilySpec, kmax: int = 4) -> list[MultiPoly]:
     layer entry holds, per k, a map from monomials in the bands summed so far
     to integers; a band's series is in that band's own variable alone, so its
     products only prepend an exponent to the monomials below.  Coefficient k is
-    divided by the denominator and multiplied back by k! once, at the end."""
+    divided by the denominator and multiplied back by k! once, at the end, and
+    stays an int wherever the division is exact."""
     if not 0 <= kmax <= 8:
         raise FamilyError(f"kmax {kmax} is outside 0..8")
     active = spec.active_bands
-    base = {x: base_case_jones(spec, x).derivs_at_one(kmax)
+    base = {x: _base_derivs(*_base_key(spec, x), kmax)
             for x in product((0, 1), repeat=len(active))}
     den = lcm(*(d.denominator * factorial(k) for ds in base.values() for k, d in enumerate(ds)))
     layer = {x: [{(): d.numerator * (den // (d.denominator * factorial(k)))}
@@ -524,8 +537,14 @@ def symbolic_derivs(spec: FamilySpec, kmax: int = 4) -> list[MultiPoly]:
                                 acc[key] = acc.get(key, 0) + a * c
             summed[x] = out
         layer = summed
-    return [MultiPoly(spec.variables, {m: Fraction(c * factorial(k), den) for m, c in terms.items()})
+    return [MultiPoly(spec.variables, {m: _exact(c * factorial(k), den) for m, c in terms.items()})
             for k, terms in enumerate(layer[()])]
+
+
+def _exact(num: int, den: int):
+    """num/den as an int when den divides num, otherwise as a ``Fraction``."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def jones_derivs(spec: FamilySpec, twists,

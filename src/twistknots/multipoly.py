@@ -1,5 +1,9 @@
 """Multivariate polynomials over exact rationals in a fixed set of named variables.
 
+Integral coefficients are stored as ``int`` and only true fractions as
+``Fraction``, so the integer polynomials that most of the symbolic set-up works
+with never pay for ``Fraction`` arithmetic.
+
 Used for symbolic twist-parameter computations: derivative polynomials in the
 twist counts, leading Alexander coefficients, and the per-case formula checks.
 Substitution of a rational expression for a variable is done fraction-free by
@@ -13,6 +17,7 @@ from __future__ import annotations
 import ast
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Iterable, Mapping
 
 Monomial = tuple[int, ...]
@@ -22,16 +27,18 @@ class MultiPoly:
     """Immutable polynomial in the variables ``vars`` with exact coefficients.
 
     ``terms`` maps int-tuple monomials to nonzero coefficients, each an int or a
-    ``Fraction``; equal values compare and hash equal and format the same, so
-    the two need no conversion.  Callers pass distinct monomials: the
-    constructor only drops zero coefficients and checks the arity.
+    ``Fraction``; equal values compare and hash equal and format the same.
+    The constructor is the one place that normalises: it stores a ``Fraction``
+    with denominator 1 as its int, drops zero coefficients and checks the
+    arity.  Callers pass distinct monomials.
     """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Monomial, object] | None = None):
         self.vars = tuple(variables)
-        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
+        self.terms = {m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                      for m, c in terms.items() if c} if terms else {}
         for m in self.terms:
             if len(m) != len(self.vars):
                 raise ValueError("monomial arity does not match variable set")
@@ -42,7 +49,7 @@ class MultiPoly:
     def const(cls, variables: Iterable[str], value) -> "MultiPoly":
         variables = tuple(variables)
         zero = (0,) * len(variables)
-        return cls(variables, {zero: Fraction(value)})
+        return cls(variables, {zero: value if type(value) is int else Fraction(value)})
 
     @classmethod
     def zero(cls, variables: Iterable[str]) -> "MultiPoly":
@@ -53,7 +60,7 @@ class MultiPoly:
         variables = tuple(variables)
         mono = [0] * len(variables)
         mono[variables.index(name)] = 1
-        return cls(variables, {tuple(mono): Fraction(1)})
+        return cls(variables, {tuple(mono): 1})
 
     # --- ring structure -----------------------------------------------
 
@@ -89,7 +96,7 @@ class MultiPoly:
         out: dict[Monomial, object] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 out[m] = out.get(m, 0) + c1 * c2
         return MultiPoly(self.vars, out)
 

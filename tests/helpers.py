@@ -100,7 +100,7 @@ def flipped_foot(tpl: DiagramTemplate, band: int = 1) -> DiagramTemplate:
     return DiagramTemplate((feet_a, feet_b))
 
 
-def match_exception(registry: CaseRegistry, signs: str, n: tuple[int, ...],
+def match_exception(family: str, registry: CaseRegistry, signs: str, n: tuple[int, ...],
                     variables) -> list[str]:
     """The registered exception patterns of the sign case that n satisfies."""
-    return _matching(_parsed_patterns(registry, signs, variables), n, variables)
+    return _matching(_parsed_patterns(family, registry, signs, variables), n, variables)

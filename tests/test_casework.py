@@ -105,7 +105,7 @@ def test_classify_exceptions_parses_each_pattern_once(monkeypatch):
 def test_match_exception_overlap():
     # (1,1,1,d,1) satisfies both patterns of the (+--++) case
     registry = load_registry("7_6")
-    matches = match_exception(registry, "+--++", (1, 1, 1, 2, 1),
+    matches = match_exception("7_6", registry, "+--++", (1, 1, 1, 2, 1),
                               ("a", "b", "c", "d", "e"))
     assert len(matches) == 2
 
@@ -443,6 +443,25 @@ def test_sweep_report_digest(monkeypatch, sweep_7_6, sweep_10_58):
     assert digest.hexdigest() == SWEEP_REPORT_SHA256
 
 
+# sha256 over the 96 (family, sign case) pairs, families 7_6, 10_58, 8_12 and
+# sign cases in the order of ALL_CASES, of symbolic_case(f, signs).leading and
+# .a2 as ``format()`` text and of json.dumps(formula_records(), sort_keys=True),
+# each plus a newline; recorded from the Fraction-coefficient MultiPoly that
+# storing integral coefficients as int replaced
+SYMBOLIC_CASE_SHA256 = "adf1a84e048690b4b10b66b3da6b094b306d4df52257baa47af8e356ce6e3620"
+
+
+def test_symbolic_case_digest():
+    digest = hashlib.sha256()
+    for family in ("7_6", "10_58", "8_12"):
+        for signs in ALL_CASES:
+            sym = symbolic_case(family, signs)
+            for text in (sym.leading.format(), sym.a2.format(),
+                         json.dumps(sym.formula_records(), sort_keys=True)):
+                digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == SYMBOLIC_CASE_SHA256
+
+
 # --- the symbolic_case memo ----------------------------------------------------------
 
 def test_symbolic_case_computed_once_per_case(monkeypatch):
@@ -570,6 +589,15 @@ def test_formula_that_does_not_parse_names_its_place(field, entry):
     sym = symbolic_case("8_12", "+-+-+")
     with pytest.raises(RegistryError, match=re.escape(f"8_12 registry, cases['+-+-+'][3] {field}: ")):
         verify_entry(sym, RegistryEntry(*entry, index=3))
+
+
+def test_constraint_that_does_not_parse_names_its_place():
+    # 7_6's first exception constraint "a": "1" is in ++-+-, row 0
+    registry = parse_registry(_edited("7_6", '"a": "1"', '"a": "(1"'), "7_6")
+    cfg = SweepConfig("7_6", n_range=2)
+    message = "7_6 registry, exceptions['++-+-'][0] constraints['a']: '(' was never closed in '(1'"
+    with pytest.raises(RegistryError, match=re.escape(message)):
+        classify_exceptions(cfg, [sweep_case(cfg, "++-+-")], registry)
 
 
 def test_parse_registry_parses_no_formula(monkeypatch):

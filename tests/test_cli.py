@@ -127,6 +127,21 @@ def test_formula_that_does_not_parse_exits_2(command, tmp_path):
                           "'(' was never closed in 'a*b*(c*d'\n")
 
 
+def test_constraint_that_does_not_parse_exits_2(tmp_path):
+    """A packaged exception constraint with an unclosed parenthesis stops a
+    sweep, naming the family, sign case, row and variable."""
+    shutil.copytree(Path(SRC) / "twistknots", tmp_path / "twistknots")
+    path = tmp_path / "twistknots" / "data" / "registry" / "7_6.json"
+    path.write_text(path.read_text().replace('"a": "1"', '"a": "(1"', 1))
+    out = subprocess.run([sys.executable, "-m", "twistknots.cli", "sweep", "--family", "7_6",
+                          "--range", "2"],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(tmp_path)})
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == ("error: 7_6 registry, exceptions['++-+-'][0] constraints['a']: "
+                          "'(' was never closed in '(1'\n")
+
+
 def test_oracle_failure_exits_1(monkeypatch, capsys):
     import twistknots.diagrams as diagrams
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import hypothesis.strategies as st
 import pytest
@@ -164,7 +165,7 @@ def test_format_graded_lex():
     assert MultiPoly.zero(ABC).format() == "0"
 
 
-# --- coefficients are ints or Fractions, never normalised twice --------------
+# --- integral coefficients are ints, the rest Fractions ----------------------
 
 def as_fractions(p):
     return MultiPoly(p.vars, {m: Fraction(c) for m, c in p.terms.items()})
@@ -185,6 +186,51 @@ def test_results_hold_no_zero_coefficients(p, q):
     assert (p + (-p)).terms == {}
     assert all(c != 0 for c in (p * q).terms.values())
     assert all(c != 0 for c in (p + q).terms.values())
+
+
+def all_int(p: MultiPoly) -> bool:
+    return all(type(c) is int for c in p.terms.values())
+
+
+def normalised(p: MultiPoly) -> bool:
+    """Every integral coefficient an int, every other one a Fraction."""
+    return all(type(c) is (int if c == int(c) else Fraction) for c in p.terms.values())
+
+
+def test_integral_coefficients_are_stored_as_int():
+    half = MultiPoly.var(ABC, "a").scale(Fraction(1, 2))
+    for p in (MultiPoly.const(ABC, 3), MultiPoly.const(ABC, Fraction(6, 2)),
+              MultiPoly.var(ABC, "b"), parse_poly("6/3", ABC), parse_poly("a/2 + a/2", ABC),
+              half.scale(2), power_sum_poly(0, ("n",), "n")):
+        assert p and all_int(p), p
+    assert half.terms == {(1, 0, 0): Fraction(1, 2)}
+    assert type(half.terms[(1, 0, 0)]) is Fraction
+    assert type(parse_poly("a/2 + b", ABC).terms[(1, 0, 0)]) is Fraction
+    # S_m for m >= 1 has only true fractions, and D * S_m, D = lcm of their
+    # denominators, only ints
+    for m in range(1, 6):
+        s = power_sum_poly(m, ("n",), "n")
+        assert normalised(s) and not any(type(c) is int for c in s.terms.values())
+        assert all_int(s.scale(lcm(*(c.denominator for c in s.terms.values()))))
+
+
+def test_fraction_with_denominator_one_is_its_int():
+    m = (1, 2, 0)
+    p, q = MultiPoly(ABC, {m: Fraction(3)}), MultiPoly(ABC, {m: 3})
+    assert p == q and hash(p) == hash(q) and p.format() == q.format() == "3*a*b^2"
+    assert type(p.terms[m]) is int
+
+
+def test_symbolic_set_up_has_no_integral_fraction():
+    from twistknots.casework import symbolic_case
+
+    for family, signs in (("7_6", "++-+-"), ("10_58", "+-+-+"), ("8_12", "-++-+")):
+        sym = symbolic_case(family, signs)
+        polys = [sym.leading, sym.a2, *sym.derivs, *(e for row in sym.template.rows for e in row)]
+        for p in polys:
+            assert not any(type(c) is Fraction and c.denominator == 1
+                           for c in p.terms.values()), (family, signs, p)
+        assert all(all_int(p) for p in polys[:2])   # det and Conway: integer matrices
 
 
 def test_arity_is_checked():
