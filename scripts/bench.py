@@ -17,6 +17,12 @@ Rows:
 - ``box_sweep.<family>``: ``sweep_case`` over the box sizes of the benchmark's
   box-sweep workload, [1..12]^5 for 7_6 and 10_58 and [1..20]^4 for 8_12.
 - ``root5_sweep``: 7_6 ``++-+-`` over [1..3]^5 with the root-of-unity gate.
+- ``exceptions.7_6``: the certification of the exceptions of the
+  ``box_sweep.7_6`` case, 7_6 ``++-+-`` over [1..12]^5: ``instance_verdict``
+  (assembly, Seifert route and gates) and then ``_matching`` against the
+  registered patterns, per exception.  The exceptions come from one untimed
+  sweep and the patterns are parsed before the timing; ``us`` is the median
+  over ``REPEAT`` runs of the time for all of them, per exception.
 - ``assemble.n<N>``: ``families.assemble_jones`` on 7_6 ``++-+-`` at twists
   (N,)^5 for N = 10, 50, 200 and 1000, after one untimed call at (1,)^5 that
   fills any per-sign-case cache; ``derivs_ms`` times ``derivs_at_one(4)`` on
@@ -108,6 +114,7 @@ PAPER_CASES = ("7_6", "10_58", "8_12")
 GATE_LOOP = ("7_6", "++-+-", 8)
 BOX_SWEEPS = (("7_6", "++-+-", 12), ("10_58", "+-+-+", 12), ("8_12", "-++-+", 20))
 ROOT5_SWEEP = ("7_6", "++-+-", 3)
+EXCEPTIONS = ("7_6", "++-+-", 12)
 ASSEMBLE = ("7_6", "++-+-", (10, 50, 200, 1000))
 ROW_BUDGET_S = 60.0
 EVAL_ROOT5 = ("7_6", "++-+-", (20, 200))
@@ -197,6 +204,24 @@ def row(casework, family: str, signs: str, n_range: int, use_root5: bool = False
             "instances": report.instance_count, "exceptions": len(report.exceptions),
             **summary(runs, "s"),
             "gate_loop_us_per_instance": round(statistics.median(gate_loop), 3)}
+
+
+def exceptions_row(casework, family: str, signs: str, n_range: int) -> dict:
+    cfg = casework.SweepConfig(family, n_range=n_range)
+    twists = [v.twists for v in casework.sweep_case(cfg, signs).exceptions]
+    sym = casework.symbolic_case(family, signs)
+    variables = sym.spec.variables
+    patterns = casework._parsed_patterns(family, casework.load_registry(family), signs,
+                                         variables)
+
+    def certify():
+        for n in twists:
+            casework.instance_verdict(sym.spec, sym.template, n, False)
+            casework._matching(patterns, n, variables)
+
+    runs = [timed(certify) for _ in range(REPEAT)]
+    return {"family": family, "signs": signs, "range": n_range, "exceptions": len(twists),
+            **summary(runs, "us", 1e6 / len(twists))}
 
 
 def assemble_row(casework, family: str, signs: str, n: int) -> dict:
@@ -368,6 +393,7 @@ def main() -> int:
     for family, signs, n_range in BOX_SWEEPS:
         rows[f"box_sweep.{family}"] = row(casework, family, signs, n_range)
     rows["root5_sweep"] = row(casework, *ROOT5_SWEEP, use_root5=True)
+    rows[f"exceptions.{EXCEPTIONS[0]}"] = exceptions_row(casework, *EXCEPTIONS)
     family, signs, twists = ASSEMBLE
     spec = casework.load_family(family).with_signs(signs)
     casework.assemble_jones(spec, (1,) * len(spec.variables))

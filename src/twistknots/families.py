@@ -44,7 +44,7 @@ from importlib import resources
 from itertools import product
 from math import factorial, lcm
 
-from .laurent import HalfLaurent, unlink_factor
+from .laurent import HalfLaurent, exact_quotient, unlink_factor
 from .multipoly import ExprError, MultiPoly, falling_factorial_poly, parse_poly, power_sum_poly
 
 PARAM_LETTERS = ("a", "b", "c", "d", "e")
@@ -537,20 +537,17 @@ def symbolic_derivs(spec: FamilySpec, kmax: int = 4) -> list[MultiPoly]:
                                 acc[key] = acc.get(key, 0) + a * c
             summed[x] = out
         layer = summed
-    return [MultiPoly(spec.variables, {m: _exact(c * factorial(k), den) for m, c in terms.items()})
+    return [MultiPoly(spec.variables,
+                      {m: exact_quotient(c * factorial(k), den) for m, c in terms.items()})
             for k, terms in enumerate(layer[()])]
 
 
-def _exact(num: int, den: int):
-    """num/den as an int when den divides num, otherwise as a ``Fraction``."""
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
-
-
 def jones_derivs(spec: FamilySpec, twists,
-                 kmax: int = 4) -> tuple[HalfLaurent, list[Fraction]]:
+                 kmax: int = 4) -> tuple[HalfLaurent, list[int]]:
     """The assembled instance Jones polynomial and its derivatives at 1, computed
-    both from that polynomial and from ``symbolic_derivs``; the routes must agree."""
+    both from that polynomial and from ``symbolic_derivs``; the routes must agree.
+    The returned derivatives are those of the assembled polynomial: ints, since
+    its coefficients are ints and its powers of t integral."""
     n = check_twists(spec, twists)
     jones = assemble_jones(spec, n)
     route_a = jones.derivs_at_one(kmax)

@@ -18,6 +18,13 @@ from fractions import Fraction
 from typing import Mapping
 
 
+def exact_quotient(num, den: int) -> int | Fraction:
+    """num/den as an int when den divides num, otherwise as a ``Fraction``;
+    num is an int or a ``Fraction`` and den a positive int."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
 class HalfLaurent:
     """Immutable Laurent polynomial in t^(1/2) with exact coefficients.
 
@@ -95,12 +102,15 @@ class HalfLaurent:
     def eval_at_one(self):
         return sum(self.terms.values())
 
-    def derivs_at_one(self, kmax: int) -> list[Fraction]:
+    def derivs_at_one(self, kmax: int) -> list[int | Fraction]:
         """Exact d^k/dt^k at t=1 for k = 0..kmax (0 <= kmax <= 8).
 
         The k-th derivative of t^(e/2) at 1 is the falling factorial
         (e/2)(e/2 - 1)...(e/2 - k + 1) = prod_{r<k} (e - 2r) / 2^k, so the
-        products are summed in integers and divided by 2^k once per k."""
+        products are summed in the coefficients' own arithmetic and divided by
+        2^k once per k: the value is an int where 2^k divides the sum, as it
+        does for every order when the coefficients are ints and the exponents
+        integral, and a ``Fraction`` otherwise."""
         if not 0 <= kmax <= 8:
             raise ValueError(f"kmax {kmax} is outside 0..8")
         totals = [0] * (kmax + 1)
@@ -108,7 +118,7 @@ class HalfLaurent:
             for k in range(kmax + 1):
                 totals[k] += c
                 c *= e - 2 * k
-        return [Fraction(total, 2 ** k) for k, total in enumerate(totals)]
+        return [exact_quotient(total, 2 ** k) for k, total in enumerate(totals)]
 
     def eval_root5(self) -> tuple:
         """Coordinates of V(zeta) in the basis 1, zeta, zeta^2, zeta^3, where zeta

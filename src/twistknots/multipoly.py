@@ -2,7 +2,8 @@
 
 Integral coefficients are stored as ``int`` and only true fractions as
 ``Fraction``, so the integer polynomials that most of the symbolic set-up works
-with never pay for ``Fraction`` arithmetic.
+with never pay for ``Fraction`` arithmetic, and ``MultiPoly.eval``, the one
+evaluator, keeps them in ints at an integer point.
 
 Used for symbolic twist-parameter computations: derivative polynomials in the
 twist counts, leading Alexander coefficients, and the per-case formula checks.
@@ -132,20 +133,26 @@ class MultiPoly:
             buckets.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
         return {d: MultiPoly(self.vars, t) for d, t in buckets.items()}
 
-    def eval(self, point: Mapping[str, object]) -> Fraction:
-        """Exact evaluation; every variable must be assigned."""
+    def eval(self, point: Mapping[str, object]) -> int | Fraction:
+        """Exact value at ``point``; every variable must be assigned.
+
+        An int point value stays an int and any other is read as a
+        ``Fraction``, so the value is an int whenever every coefficient and
+        every point value is an int.  Otherwise it is exact, a ``Fraction``
+        once a true fraction enters a term.
+        """
         vals = []
         for v in self.vars:
             if v not in point:
                 raise KeyError(f"missing variable {v!r}")
-            vals.append(Fraction(point[v]))
-        out = Fraction(0)
+            val = point[v]
+            vals.append(val if type(val) is int else Fraction(val))
+        out = 0
         for m, c in self.terms.items():
-            term = c
             for val, exp in zip(vals, m):
                 if exp:
-                    term *= val ** exp
-            out += term
+                    c *= val ** exp
+            out += c
         return out
 
     def substitute(self, assignment: Mapping[str, "MultiPoly"]) -> "MultiPoly":

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import factorial, gcd
 from typing import Optional, Sequence
 
-from .laurent import HalfLaurent
+from .laurent import HalfLaurent, exact_quotient
 from .seifert import ConwaySeries
 
 
@@ -44,16 +44,18 @@ def _stirling2(n: int, k: int) -> int:
     return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
 
 
-def h_coeffs_from_derivs(derivs: Sequence[Fraction], N: int = 6) -> tuple[Fraction, ...]:
-    """Same expansion via Stirling numbers: j_n = sum_k V^(k)(1) S(n,k) / n!."""
+def h_coeffs_from_derivs(derivs: Sequence[int | Fraction],
+                         N: int = 6) -> tuple[int | Fraction, ...]:
+    """Same expansion via Stirling numbers: j_n = sum_k V^(k)(1) S(n,k) / n!.
+
+    The sum is taken in the derivatives' own arithmetic, ints for a knot, and
+    divided by n! once per order, so j_n is an int where n! divides it and the
+    exact ``Fraction`` otherwise."""
     if len(derivs) <= N:
         raise ValueError(f"need derivatives up to order {N}")
-    js = []
-    for n in range(N + 1):
-        total = sum((Fraction(derivs[k]) * _stirling2(n, k) for k in range(n + 1)),
-                    Fraction(0))
-        js.append(total / factorial(n))
-    return tuple(js)
+    return tuple(exact_quotient(sum(derivs[k] * _stirling2(n, k) for k in range(n + 1)),
+                                factorial(n))
+                 for n in range(N + 1))
 
 
 @dataclass(frozen=True)
@@ -99,12 +101,12 @@ GATE_ORDER = ("alexander_leading", "conway", "d2", "d3", "d4", "root5")
 class ObstructionVerdict:
     instance: str
     twists: tuple[int, ...]           # the twist vector; not part of to_dict()
-    alex_leading: Fraction
+    alex_leading: int | Fraction      # exact values, as the caller gives them
     conway_trivial: bool
-    d2: Fraction
-    d3: Fraction
-    d4: Fraction
-    j4: Fraction
+    d2: int | Fraction
+    d3: int | Fraction
+    d4: int | Fraction
+    j4: int | Fraction
     root5: Optional[Root5Verdict]
     excluded_by: Optional[str]        # the first gate that excludes, None if none does
 
@@ -130,7 +132,7 @@ class ObstructionVerdict:
         }
 
 
-def cosmetic_gate(jones: HalfLaurent, derivs: Sequence[Fraction],
+def cosmetic_gate(jones: HalfLaurent, derivs: Sequence[int | Fraction],
                   conway: ConwaySeries, alex_leading,
                   use_root5: bool = False, instance: str = "",
                   twists: Sequence[int] = ()) -> ObstructionVerdict:
@@ -139,8 +141,7 @@ def cosmetic_gate(jones: HalfLaurent, derivs: Sequence[Fraction],
     Only the root-of-unity gate reads the Jones polynomial ``jones``; every
     other gate runs from the derivative values and the Conway series.
     """
-    alex_leading = Fraction(alex_leading)
-    d2, d3, d4 = (Fraction(derivs[k]) for k in (2, 3, 4))
+    d2, d3, d4 = derivs[2:5]
     j4 = h_coeffs_from_derivs(derivs, 4)[4]
     root5 = root5_gate(jones) if use_root5 else None
 

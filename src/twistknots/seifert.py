@@ -8,9 +8,11 @@ family derived by freezing bands, as 8_12 is from 10_58, takes its parent's.
 ``families``: band i with sign s_i and parity m_i carries n_i = s_i (2 v - m_i)
 crossings when v is its twist variable, and a frozen band carries none,
 n_i = 0.  The result is the family's template, a square matrix affine in the
-twist parameters.  The Alexander polynomial of an instance is det(S - t S^T);
-the Conway polynomial is det(u S - u^(-1) S^T) with u = t^(1/2), rewritten
-exactly in powers of z = u - u^(-1).  Both routes, at an instance and
+twist parameters with int coefficients, which ``SeifertTemplate.instantiate``
+evaluates at a twist vector with ``MultiPoly.eval`` in int arithmetic.  The
+Alexander polynomial of an instance is det(S - t S^T); the Conway polynomial
+is det(u S - u^(-1) S^T) with u = t^(1/2), rewritten exactly in powers of
+z = u - u^(-1).  Both routes, at an instance and
 symbolically in the parameters, use one cofactor-expansion determinant and one
 z-rewrite; the Conway coefficients come from
 det(u S - u^(-1) S^T) = u^(-size) * Delta(u^2), Delta = det(S - t S^T), which
@@ -37,7 +39,8 @@ class SeifertTemplate:
     rows: tuple[tuple[MultiPoly, ...], ...]   # square, affine entries
 
     def instantiate(self, twists) -> tuple[tuple[int, ...], ...]:
-        """Integer Seifert matrix at a twist vector."""
+        """Integer Seifert matrix at a twist vector; a non-integer entry, which
+        only a template with a true fraction can give, is a ``SeifertError``."""
         point = dict(zip(self.variables, twists))
         values = [[entry.eval(point) for entry in row] for row in self.rows]
         if any(v.denominator != 1 for row in values for v in row):

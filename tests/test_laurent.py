@@ -1,11 +1,13 @@
 import cmath
 from fractions import Fraction
+from math import prod
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from helpers import equal_up_to_unit, falling_factorial, mirror, shift
+from twistknots.families import assemble_jones, load_family
 from twistknots.laurent import HalfLaurent
 
 HL = HalfLaurent
@@ -140,7 +142,24 @@ def test_derivs_at_one_is_falling_factorial_sum(p, kmax):
     """d^k/dt^k at 1 is the sum of c * ff(e/2, k) over the terms c t^(e/2)."""
     expected = [sum((c * falling_factorial(Fraction(e, 2), k) for e, c in p.terms.items()),
                     Fraction(0)) for k in range(kmax + 1)]
-    assert p.derivs_at_one(kmax) == expected
+    derivs = p.derivs_at_one(kmax)
+    assert derivs == expected
+    # an int where 2^k divides the integer sum, a Fraction otherwise
+    assert all(type(d) is (int if d.denominator == 1 else Fraction) for d in derivs)
+
+
+@pytest.mark.parametrize("family, signs, twists", [
+    ("7_6", "++-+-", (1, 1, 1, 1, 1)),
+    ("7_6", "++-+-", (3, 1, 4, 1, 5)),
+    ("7_6", "-+--+", (12, 2, 7, 1, 9)),
+    ("10_58", "+-+-+", (1, 2, 1, 1, 2)),
+    ("10_58", "--++-", (8, 3, 11, 5, 2)),
+])
+def test_derivs_at_one_of_a_knot_are_ints(family, signs, twists):
+    jones = assemble_jones(load_family(family).with_signs(signs), twists)
+    for k, d in enumerate(jones.derivs_at_one(8)):
+        total = sum(c * prod(e - 2 * r for r in range(k)) for e, c in jones.terms.items())
+        assert type(d) is int and d == Fraction(total, 2 ** k), (k, d)
 
 
 def test_falling_factorial():

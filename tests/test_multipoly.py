@@ -1,9 +1,9 @@
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from twistknots.multipoly import (
     ExprError,
@@ -41,6 +41,28 @@ def test_eval_case_formula_at_ones():
     p = parse_poly("-6*(a*b - c*(a+b+d-1) + d*(b+e))", variables)
     ones = {v: 1 for v in variables}
     assert p.eval(ones) == -6
+
+
+def fraction_eval(p: MultiPoly, point) -> Fraction:
+    """The value of p at point in Fraction arithmetic, term by term."""
+    return sum((Fraction(c) * prod(Fraction(point[v]) ** e for v, e in zip(p.vars, m))
+                for m, c in p.terms.items()), Fraction(0))
+
+
+@given(polys, points)
+def test_eval_at_int_points_is_exact_and_int_when_integral(p, pt):
+    value = p.eval(pt)
+    assert value == fraction_eval(p, pt)
+    assert type(value) is (int if value.denominator == 1 and all_int(p) else Fraction)
+
+
+@given(int_polys, points)
+def test_eval_at_fraction_points_is_exact(p, pt):
+    halves = {v: Fraction(x, 2) for v, x in pt.items()}
+    value = p.eval(halves)
+    assert value == fraction_eval(p, halves)
+    # a Fraction once a term holds a variable; a constant stays an int
+    assert type(value) is (Fraction if any(map(any, p.terms)) else int)
 
 
 def test_eval_missing_variable():
@@ -167,19 +189,6 @@ def test_format_graded_lex():
 
 # --- integral coefficients are ints, the rest Fractions ----------------------
 
-def as_fractions(p):
-    return MultiPoly(p.vars, {m: Fraction(c) for m, c in p.terms.items()})
-
-
-@given(int_polys, int_polys)
-def test_int_and_fraction_coefficients_agree(p, q):
-    for a, b in ((p, as_fractions(p)), (p * q, as_fractions(p) * as_fractions(q)),
-                 (p + q.scale(3), as_fractions(p) + as_fractions(q).scale(Fraction(3)))):
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a.format() == b.format()
-
-
 @given(polys, polys)
 def test_results_hold_no_zero_coefficients(p, q):
     assert (p - p).terms == {}
@@ -214,11 +223,16 @@ def test_integral_coefficients_are_stored_as_int():
         assert all_int(s.scale(lcm(*(c.denominator for c in s.terms.values()))))
 
 
-def test_fraction_with_denominator_one_is_its_int():
-    m = (1, 2, 0)
-    p, q = MultiPoly(ABC, {m: Fraction(3)}), MultiPoly(ABC, {m: 3})
-    assert p == q and hash(p) == hash(q) and p.format() == q.format() == "3*a*b^2"
-    assert type(p.terms[m]) is int
+@given(int_polys, int_polys)
+@example(MultiPoly(ABC, {(1, 2, 0): 3}), MultiPoly.zero(ABC))
+def test_fraction_with_denominator_one_is_its_int(p, q):
+    # built from Fraction(c) coefficients, a polynomial and its sums and
+    # products store only ints and equal the int-built ones
+    fp, fq = (MultiPoly(ABC, {m: Fraction(c) for m, c in x.terms.items()}) for x in (p, q))
+    for built, ints in ((fp, p), (fp * fq, p * q), (fp + fq.scale(Fraction(3)), p + q.scale(3)),
+                        (fp - fq, p - q)):
+        assert all_int(built), built
+        assert built == ints and hash(built) == hash(ints) and built.format() == ints.format()
 
 
 def test_symbolic_set_up_has_no_integral_fraction():

@@ -51,6 +51,34 @@ def test_h_coeffs_routes_agree(p):
     direct = h_coeffs(p, 6)
     via_derivs = h_coeffs_from_derivs(p.derivs_at_one(6), 6)
     assert direct == via_derivs
+    # int derivatives sum in ints: j_n is an int exactly where n! divides the sum
+    assert all(type(j) is (int if j.denominator == 1 else Fraction) for j in via_derivs)
+
+
+fraction_knot_polys = st.dictionaries(
+    st.integers(min_value=-5, max_value=5).map(lambda e: 2 * e),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    max_size=5,
+).map(HL)
+
+half_polys = st.dictionaries(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-9, max_value=9),
+    max_size=5,
+).map(HL)
+
+
+@given(fraction_knot_polys)
+def test_h_coeffs_routes_agree_on_fraction_coefficients(p):
+    assert h_coeffs_from_derivs(p.derivs_at_one(6), 6) == h_coeffs(p, 6)
+
+
+@given(half_polys)
+def test_h_coeffs_routes_agree_on_half_exponents(p):
+    # p(e^h) = q(e^(h/2)) with q(t) = p(t^2), knot-valued, so j_n(p) = j_n(q) / 2^n
+    q = HL({2 * e: c for e, c in p.terms.items()})
+    via_derivs = h_coeffs_from_derivs(p.derivs_at_one(6), 6)
+    assert via_derivs == tuple(j / 2 ** n for n, j in enumerate(h_coeffs(q, 6)))
 
 
 def test_j_invariants_of_knots():

@@ -12,6 +12,7 @@ from twistknots.laurent import HalfLaurent
 from twistknots.multipoly import MultiPoly, parse_poly
 from twistknots.seifert import (
     SeifertError,
+    SeifertTemplate,
     alexander_coeffs,
     alexander_poly,
     conway_poly,
@@ -182,6 +183,15 @@ def test_alexander_rejects_bad_matrix():
     bad = dataclasses.replace(tpl, rows=rows)
     with pytest.raises(SeifertError):
         alexander_poly(bad, (1, 1, 1, 1, 1))
+
+
+def test_instantiate_rejects_half_integer_entry():
+    # a true fraction in a template is caught at instantiation, not rounded
+    half = MultiPoly(("a",), {(1,): Fraction(1, 2)})
+    tpl = SeifertTemplate(("a",), ((half,),))
+    with pytest.raises(SeifertError, match="non-integer Seifert entry"):
+        tpl.instantiate((1,))
+    assert tpl.instantiate((2,)) == ((1,),) and type(tpl.instantiate((2,))[0][0]) is int
 
 
 def _at_minus_one(poly: HalfLaurent) -> int:
