@@ -189,6 +189,21 @@ def test_format_graded_lex():
 
 # --- integral coefficients are ints, the rest Fractions ----------------------
 
+def through_halves(p: MultiPoly) -> MultiPoly:
+    """``p`` rebuilt from true-Fraction coefficients: halved, then doubled."""
+    half = p.scale(Fraction(1, 2))
+    return half + half
+
+
+@given(int_polys, int_polys)
+def test_int_and_fraction_coefficients_agree(p, q):
+    for a, b in ((p, through_halves(p)), (p * q, through_halves(p) * through_halves(q)),
+                 (p + q.scale(3), through_halves(p) + through_halves(q).scale(Fraction(3)))):
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.format() == b.format()
+
+
 @given(polys, polys)
 def test_results_hold_no_zero_coefficients(p, q):
     assert (p - p).terms == {}
