@@ -13,6 +13,11 @@ Rows:
   determinant and Conway coefficients, ``symbolic_derivs``, the route checks
   and the registry's formula checks) without the sweep; each run starts with
   an empty memo, and ``s`` is the median over ``REPEAT`` runs.
+- ``conway_symbolic.<family>``: ``seifert.conway_symbolic`` on the Seifert
+  templates of all 32 sign cases of 7_6, 10_58 and 8_12, the Conway
+  coefficients of a case as polynomials in its twist parameters; the templates
+  are built by ``template_for`` outside the timing, and ``s`` is the median
+  over ``REPEAT`` runs of the time for all 32.
 - ``gate_loop``: 7_6 ``++-+-`` over [1..8]^5.
 - ``box_sweep.<family>``: ``sweep_case`` over the box sizes of the benchmark's
   box-sweep workload, [1..12]^5 for 7_6 and 10_58 and [1..20]^4 for 8_12.
@@ -192,6 +197,19 @@ def symbolic_case_row(casework, family: str) -> dict:
 
     runs = [cold_timed(casework, all_cases) for _ in range(REPEAT)]
     return {"family": family, "cases": len(casework.ALL_CASES), **summary(runs, "s")}
+
+
+def conway_symbolic_row(casework, family: str) -> dict:
+    from twistknots.seifert import conway_symbolic, template_for
+
+    templates = [template_for(family, signs) for signs in casework.ALL_CASES]
+
+    def all_cases():
+        for tpl in templates:
+            conway_symbolic(tpl)
+
+    runs = [timed(all_cases) for _ in range(REPEAT)]
+    return {"family": family, "cases": len(templates), **summary(runs, "s")}
 
 
 def row(casework, family: str, signs: str, n_range: int, use_root5: bool = False) -> dict:
@@ -389,6 +407,7 @@ def main() -> int:
             for family in SYMBOLIC}
     for family in PAPER_CASES:
         rows[f"symbolic_case.{family}"] = symbolic_case_row(casework, family)
+        rows[f"conway_symbolic.{family}"] = conway_symbolic_row(casework, family)
     rows["gate_loop"] = row(casework, *GATE_LOOP)
     for family, signs, n_range in BOX_SWEEPS:
         rows[f"box_sweep.{family}"] = row(casework, family, signs, n_range)

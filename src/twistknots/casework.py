@@ -301,18 +301,22 @@ def _certify_sign(poly: MultiPoly, claim: str, shift: Optional[tuple[str, MultiP
 
 
 def verify_entry(sym: SymbolicCase, entry: RegistryEntry) -> dict:
-    """The entry's check record; a formula that does not parse is a ``RegistryError``."""
+    """The entry's check record; a formula that does not parse, or a denominator
+    that is the zero polynomial, is a ``RegistryError``."""
     variables = sym.spec.variables
     quantity = {"leading": sym.leading, "c3": sym.c3, "d2": sym.derivs[2],
                 "d3": sym.derivs[3], "d4": sym.derivs[4]}[entry.quantity]
     record = {"quantity": entry.quantity, "status": "PASS", "checks": []}
 
-    def parse(text: str, field: str) -> MultiPoly:
+    def parse(text: str, field: str, denominator: bool = False) -> MultiPoly:
+        where = f"{sym.spec.name} registry, cases[{sym.spec.signs_str()!r}][{entry.index}] {field}"
         try:
-            return parse_poly(text, variables)
+            poly = parse_poly(text, variables)
         except ExprError as exc:
-            raise RegistryError(f"{sym.spec.name} registry, cases[{sym.spec.signs_str()!r}]"
-                                f"[{entry.index}] {field}: {exc}") from None
+            raise RegistryError(f"{where}: {exc}") from None
+        if denominator and not poly:
+            raise RegistryError(f"{where}: denominator {text!r} is zero")
+        return poly
 
     def note(ok: bool, check: str, passed: str, failed: str):
         record["checks"].append(f"{check}: {passed if ok else failed}")
@@ -325,17 +329,19 @@ def verify_entry(sym: SymbolicCase, entry: RegistryEntry) -> dict:
     claimed = quantity   # what a sign claim is about
     if entry.target_num is not None:
         # push the computed quantity through the substitution chain, clearing
-        # denominators, then compare against target_num / target_den
+        # denominators, then compare against target_num / target_den; the
+        # quantity is work / den_acc throughout, and den_acc may hold a later
+        # chain variable, so each side takes the power of den cleared from the other
         work = quantity
         den_acc = MultiPoly.const(variables, 1)
         for j, (var, num_s, den_s) in enumerate(entry.chain):
             num = parse(num_s, f"chain[{j}][1]")
-            den = parse(den_s, f"chain[{j}][2]")
+            den = parse(den_s, f"chain[{j}][2]", denominator=True)
             work, deg = work.substitute_cleared(var, num, den)
-            den_acc, _ = den_acc.substitute_cleared(var, num, den)
-            den_acc = den_acc * den ** deg
+            den_acc, deg_acc = den_acc.substitute_cleared(var, num, den)
+            work, den_acc = work * den ** deg_acc, den_acc * den ** deg
         t_num = parse(entry.target_num, "target_num")
-        t_den = parse(entry.target_den, "target_den")
+        t_den = parse(entry.target_den, "target_den", denominator=True)
         note(work * t_den == t_num * den_acc, "chained", "exact", "mismatch")
         claimed = t_num * t_den
 

@@ -1,7 +1,7 @@
 """Exact Laurent polynomials in t^(1/2) and their values at a fifth root of unity.
 
 Exponents are stored doubled, so the key ``e`` represents t^(e/2) and all
-arithmetic stays in arbitrary-precision integers/rationals.  Values produced
+arithmetic stays exact, in the coefficients' own ring.  Values produced
 from knots have only even keys (integral powers of t).
 
 At a primitive fifth root of unity zeta, t^k takes the value zeta^(k mod 5), so
@@ -29,8 +29,11 @@ class HalfLaurent:
     """Immutable Laurent polynomial in t^(1/2) with exact coefficients.
 
     ``terms`` maps distinct int keys (doubled exponents) to nonzero
-    coefficients, each an int or a ``Fraction``; equal values compare and hash
-    equal and format the same.  The constructor only drops zero coefficients.
+    coefficients from any exact ring: the arithmetic needs only ``+``, ``-``,
+    ``*`` and truth, so ``MultiPoly`` coefficients serve a Seifert template's
+    Delta, while the evaluations and ``format`` need ints or ``Fraction``s,
+    whose equal values compare and hash equal and format the same.  The
+    constructor only drops zero coefficients.
     """
 
     __slots__ = ("terms",)
@@ -63,7 +66,7 @@ class HalfLaurent:
     def __add__(self, other: "HalfLaurent") -> "HalfLaurent":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
+            out[e] = out[e] + c if e in out else c
         return HalfLaurent(out)
 
     def __neg__(self) -> "HalfLaurent":
@@ -77,23 +80,12 @@ class HalfLaurent:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
+                c = c1 * c2
+                out[e] = out[e] + c if e in out else c
         return HalfLaurent(out)
 
     def scale(self, k) -> "HalfLaurent":
         return HalfLaurent({e: k * c for e, c in self.terms.items()})
-
-    def __pow__(self, n: int) -> "HalfLaurent":
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        out = HalfLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def is_knot_valued(self) -> bool:
         """True when every power of t is integral."""

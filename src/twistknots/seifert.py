@@ -9,20 +9,22 @@ family derived by freezing bands, as 8_12 is from 10_58, takes its parent's.
 crossings when v is its twist variable, and a frozen band carries none,
 n_i = 0.  The result is the family's template, a square matrix affine in the
 twist parameters with int coefficients, which ``SeifertTemplate.instantiate``
-evaluates at a twist vector with ``MultiPoly.eval`` in int arithmetic.  The
-Alexander polynomial of an instance is det(S - t S^T); the Conway polynomial
-is det(u S - u^(-1) S^T) with u = t^(1/2), rewritten exactly in powers of
-z = u - u^(-1).  Both routes, at an instance and
-symbolically in the parameters, use one cofactor-expansion determinant and one
-z-rewrite; the Conway coefficients come from
-det(u S - u^(-1) S^T) = u^(-size) * Delta(u^2), Delta = det(S - t S^T), which
-holds because the size is even.
+evaluates at a twist vector with ``MultiPoly.eval`` in int arithmetic.
+
+One routine, ``_delta``, takes Delta = det(S - t S^T) as a ``HalfLaurent``
+keyed by the doubled power of t, and one, ``_conway``, reads it in z.  The
+instance and the template differ only in the matrix passed in: the int matrix
+of ``instantiate`` gives the Alexander polynomial of one knot, and the
+template's ``MultiPoly`` rows give coefficients that are polynomials in the
+twist parameters.  The Conway polynomial is det(u S - u^(-1) S^T) with
+u = t^(1/2), which equals u^(-size) * Delta(u^2) because the size is even, so
+the doubled key e of Delta reads as u^(e - size), rewritten exactly in powers
+of z = u - u^(-1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .families import load_family
 from .laurent import HalfLaurent
@@ -125,53 +127,50 @@ def _rewrite_in_z(laurent: dict) -> dict:
     return out
 
 
+def _delta(rows) -> HalfLaurent:
+    """det(S - t S^T) keyed by the doubled power of t, for a square matrix S
+    of ints (an instance) or of ``MultiPoly`` entries (a template)."""
+    size = len(rows)
+    entries = [[HalfLaurent({0: rows[i][j], 2: -rows[j][i]}) for j in range(size)]
+               for i in range(size)]
+    return _det(entries, HalfLaurent.zero())
+
+
+def _conway(delta: HalfLaurent, size: int) -> dict:
+    """Conway z-coefficients from Delta: det(u S - u^(-1) S^T) = u^(-size) *
+    Delta(u^2), so the doubled key e reads as u^(e - size), rewritten in z."""
+    return _rewrite_in_z({e - size: c for e, c in delta.terms.items()})
+
+
 def alexander_poly(tpl: SeifertTemplate, twists) -> HalfLaurent:
     """det(S - t S^T) at an instance; must be a unit at t = 1."""
-    S = tpl.instantiate(twists)
-    size = len(S)
-    entries = [[HalfLaurent({0: S[i][j], 2: -S[j][i]}) for j in range(size)]
-               for i in range(size)]
-    delta = _det(entries, HalfLaurent.zero())
+    delta = _delta(tpl.instantiate(twists))
     if delta.eval_at_one() not in (1, -1):
         raise SeifertError(f"Alexander value at 1 is {delta.eval_at_one()}, not a unit")
     return delta
-
-
-def alexander_coeffs(tpl: SeifertTemplate, twists) -> dict[int, int]:
-    """Coefficients of det(S - t S^T) keyed by the power of t."""
-    delta = alexander_poly(tpl, twists)
-    return {e // 2: c for e, c in delta.terms.items()}
 
 
 @dataclass(frozen=True)
 class ConwaySeries:
     """Coefficients of z^0, z^2, z^4, z^6 of the Conway polynomial."""
 
-    a0: Fraction
-    a2: Fraction
-    a4: Fraction
-    a6: Fraction
+    a0: int
+    a2: int
+    a4: int
+    a6: int
 
     def is_trivial(self) -> bool:
         return not (self.a2 or self.a4 or self.a6)
 
 
-def _conway_from_delta(delta: dict, size: int) -> dict:
-    """Conway z-coefficients from Delta = det(S - t S^T) as {p: coefficient of
-    t^p}: det(u S - u^(-1) S^T) = u^(-size) * Delta(u^2), so t^p reads as
-    u^(2p - size), rewritten in z."""
-    return _rewrite_in_z({2 * p - size: c for p, c in delta.items()})
-
-
 def conway_poly(tpl: SeifertTemplate, twists) -> ConwaySeries:
     """det(t^(1/2) S - t^(-1/2) S^T) rewritten in z; normalized so a0 = 1."""
-    z_coeffs = _conway_from_delta(alexander_coeffs(tpl, twists), len(tpl.rows))
+    z_coeffs = _conway(alexander_poly(tpl, twists), len(tpl.rows))
     if any(d % 2 for d in z_coeffs):
         raise SeifertError("odd z-powers in a knot Conway polynomial")
     if z_coeffs.get(0, 0) != 1:
         raise SeifertError(f"Conway normalization is {z_coeffs.get(0, 0)}, not 1")
-    return ConwaySeries(Fraction(1), Fraction(z_coeffs.get(2, 0)),
-                        Fraction(z_coeffs.get(4, 0)), Fraction(z_coeffs.get(6, 0)))
+    return ConwaySeries(1, z_coeffs.get(2, 0), z_coeffs.get(4, 0), z_coeffs.get(6, 0))
 
 
 def leading_coeff_symbolic(tpl: SeifertTemplate) -> MultiPoly:
@@ -181,17 +180,5 @@ def leading_coeff_symbolic(tpl: SeifertTemplate) -> MultiPoly:
 
 def conway_symbolic(tpl: SeifertTemplate) -> dict[int, MultiPoly]:
     """Conway z-coefficients as polynomials in the twist parameters, from
-    det(S - t S^T) taken over the parameters and t."""
-    size = len(tpl.rows)
-    ring = tpl.variables + ("t",)
-    t = MultiPoly.var(ring, "t")
-
-    def lift(p: MultiPoly) -> MultiPoly:
-        return MultiPoly(ring, {m + (0,): c for m, c in p.terms.items()})
-
-    rows = [[lift(tpl.rows[i][j]) - t * lift(tpl.rows[j][i]) for j in range(size)]
-            for i in range(size)]
-    delta = _det(rows, MultiPoly.zero(ring))
-    return _conway_from_delta(
-        {p: MultiPoly(tpl.variables, {m[:-1]: c for m, c in coeff.terms.items()})
-         for p, coeff in delta.coefficients_in("t").items()}, size)
+    det(S - t S^T) over the template's rows."""
+    return _conway(_delta(tpl.rows), len(tpl.rows))

@@ -591,6 +591,31 @@ def test_formula_that_does_not_parse_names_its_place(field, entry):
         verify_entry(sym, RegistryEntry(*entry, index=3))
 
 
+def test_chain_denominator_may_hold_a_later_variable():
+    # with leading a + b, a = 1/c and then c = b/(b+1) give (b^2+b+1)/b; the
+    # first denominator c holds the second chain variable
+    sym = symbolic_case("7_6", "+++++")
+    sym = dataclasses.replace(sym, leading=parse_poly("a + b", sym.spec.variables))
+    chain = (("a", "1", "c"), ("c", "b", "b+1"))
+    for target_den, status, check in (("b", "PASS", "exact"), ("b^2+b", "FAIL", "mismatch")):
+        entry = RegistryEntry("leading", None, chain, "b^2+b+1", target_den, None, None)
+        assert verify_entry(sym, entry) == {
+            "quantity": "leading", "status": status, "checks": [f"chained: {check}"]}
+
+
+# a denominator that parses to the zero polynomial would make any chained
+# check pass, so it is a registry fault naming its field
+@pytest.mark.parametrize("field,entry", [
+    ("target_den", ("d4", None, (), "0", "0", None, None)),
+    ("chain[0][2]", ("d4", None, (("a", "b", "0"),), "5", "0", None, None)),
+])
+def test_zero_denominator_is_a_registry_error(field, entry):
+    sym = symbolic_case("7_6", "+++++")
+    message = f"7_6 registry, cases['+++++'][2] {field}: denominator '0' is zero"
+    with pytest.raises(RegistryError, match=re.escape(message)):
+        verify_entry(sym, RegistryEntry(*entry, index=2))
+
+
 def test_constraint_that_does_not_parse_names_its_place():
     # 7_6's first exception constraint "a": "1" is in ++-+-, row 0
     registry = parse_registry(_edited("7_6", '"a": "1"', '"a": "(1"'), "7_6")

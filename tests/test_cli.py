@@ -142,6 +142,21 @@ def test_constraint_that_does_not_parse_exits_2(tmp_path):
                           "'(' was never closed in '(1'\n")
 
 
+def test_zero_denominator_exits_2(tmp_path):
+    """A packaged target denominator of 0 would pass any chained check; it
+    stops the run, naming the family, sign case, entry and field."""
+    shutil.copytree(Path(SRC) / "twistknots", tmp_path / "twistknots")
+    path = tmp_path / "twistknots" / "data" / "registry" / "7_6.json"
+    path.write_text(path.read_text().replace('"target_den": "a+b-1"', '"target_den": "0"', 1))
+    out = subprocess.run([sys.executable, "-m", "twistknots.cli", "verify-paper",
+                          "--family", "7_6", "--case=++-++"],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(tmp_path)})
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == ("error: 7_6 registry, cases['++-++'][2] target_den: "
+                          "denominator '0' is zero\n")
+
+
 def test_oracle_failure_exits_1(monkeypatch, capsys):
     import twistknots.diagrams as diagrams
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -13,7 +14,6 @@ from twistknots.multipoly import MultiPoly, parse_poly
 from twistknots.seifert import (
     SeifertError,
     SeifertTemplate,
-    alexander_coeffs,
     alexander_poly,
     conway_poly,
     conway_symbolic,
@@ -108,14 +108,15 @@ def test_conway_normalization(name, signs, n):
     series = conway_poly(template_for(name, signs), n)
     assert series.a0 == 1
     assert series.a6 == 0  # genus 2
+    fields = (series.a0, series.a2, series.a4, series.a6)
+    assert all(type(c) is int for c in fields), fields
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(["7_6", "10_58"]), sign_tuples, twist_tuples)
 def test_leading_symbolic_matches_top_coefficient(name, signs, n):
     tpl = template_for(name, signs)
-    coeffs = alexander_coeffs(tpl, n)
-    top = coeffs.get(4, 0)
+    top = alexander_poly(tpl, n).terms.get(8, 0)     # t^4, keyed by the doubled power
     assert leading_coeff_symbolic(tpl).eval(dict(zip(tpl.variables, n))) == top
 
 
@@ -211,3 +212,32 @@ def test_determinant_matches_jones_at_minus_one():
                 n = tuple(rng.randint(1, 30) for _ in spec.variables)
                 assert (abs(_at_minus_one(assemble_jones(spec, n)))
                         == abs(_at_minus_one(alexander_poly(tpl, n)))), (name, signs, n)
+
+
+# sha256 over the 96 (family, sign case) pairs, families 7_6, 10_58, 8_12 and
+# sign cases in the order of product("+-", repeat=5), of "d:" plus ``format()``
+# of each conway_symbolic coefficient in order of d, of leading_coeff_symbolic
+# as ``format()`` text, and, at two twist vectors drawn from random.Random(24)
+# with entries in 1..9, of alexander_poly(...).format() and the four
+# conway_poly fields, each plus a newline; recorded from the lifted-ring
+# determinant that the one Delta routine replaced
+SEIFERT_SHA256 = "238109474e56cb3be20eb4ee534fc09c5357c8ec1f3caf2c2f666fa49a3f3ec2"
+
+
+def test_seifert_digest():
+    digest = hashlib.sha256()
+    rng = random.Random(24)
+    for name in ("7_6", "10_58", "8_12"):
+        for signs in ("".join(p) for p in product("+-", repeat=5)):
+            tpl = template_for(name, signs)
+            cz = conway_symbolic(tpl)
+            texts = [f"{d}:{cz[d].format()}" for d in sorted(cz)]
+            texts.append(leading_coeff_symbolic(tpl).format())
+            for _ in range(2):
+                n = tuple(rng.randint(1, 9) for _ in tpl.variables)
+                series = conway_poly(tpl, n)
+                texts.append(alexander_poly(tpl, n).format())
+                texts += [str(c) for c in (series.a0, series.a2, series.a4, series.a6)]
+            for text in texts:
+                digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == SEIFERT_SHA256
