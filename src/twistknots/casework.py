@@ -6,24 +6,23 @@ and Alexander-coefficient polynomials for speed.  Surviving instances are
 matched against the registered parametric exception patterns, and their Jones
 and Conway polynomials are certified trivial.
 
-The first gate is solved a plane of lines at a time, and the later gates a
-line at a time on the lines it leaves.  A line is the last twist axis v at a
-prefix (n_1..n_{k-1}); a plane is the grid of lines over (n_{k-2}, n_{k-1})
-at an outer prefix (n_1..n_{k-3}), smaller when k < 3.  Each gate polynomial,
-its denominators cleared, becomes exact integer coefficients c_0..c_d in v:
-for the first gate, one row of c_e over the whole plane per outer prefix, from
-the terms grouped by exponent of v and by monomial in the plane variables,
-whose values over the grid are computed once per sweep; for a later gate, the
-same grouping over an empty plane, one line at a time.  At degree 1 a line is
-solved: where c_1 != 0 the only candidate is v = -c_0/c_1, kept when it is an
-integer still alive; where c_1 = 0 the line stays alive if c_0 = 0 and dies
-otherwise.  From degree 2 on, the gate is evaluated by Horner at the alive
-positions only.  The leading coefficient and a2 have degree 1 in the last
-variable in every sign case, d3 degree 2 and d4 degree 3.  So a line without a
-zero of the first gate is never touched one at a time, and the first gate's
-exclusions are the instances minus its zeros.  If the first gate is identically
-0, every line stays alive.  The survivors reach full assembly in the order of
-the box, so the reports do not depend on how the zeros are found.
+The gates are solved a plane of lines at a time.  A line is the last twist
+axis v at a prefix of the other twists; a plane is a list of such prefixes
+that share an outer prefix.  Each gate polynomial, its denominators cleared,
+becomes exact integer coefficients c_0..c_d in v, one row of c_e over the
+plane per outer prefix.  At degree 1 a line is solved: v = -c_0/c_1 where
+c_1 != 0, kept when it is an integer still alive; where c_1 = 0 the line stays
+alive if c_0 = 0.  From degree 2 on, Horner runs at the alive positions only;
+a2 and the first gate's core have degree 1 in the last twist they mention in
+every sign case, d3 degree 2 and d4 degree 3.
+The first gate is a monomial, never 0 since every twist is >= 1, times a core
+that is solved over only the twists it mentions, a grid plane at a time (7_6:
+a b c; 10_58: a d e; 8_12: a constant, so no zeros).  The later gates (a2, d3,
+d4) run with the first gate's zeros as their plane, at each outer prefix of
+the twists the core leaves free, so no other point reaches them.  If the first
+gate is identically 0, every line of the box stays alive, an outer prefix at a
+time.  The survivors reach full assembly sorted into the order of the box, so
+the reports do not depend on how the zeros are found.
 
 The optional root-of-unity gate comes last, so an instance an earlier gate
 excludes is counted there whatever its value at the root of unity: a
@@ -57,7 +56,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from importlib import resources
 from itertools import product, repeat
 from math import lcm, prod
@@ -392,15 +391,14 @@ def _gate_rows(poly: MultiPoly, plane: list[tuple[int, ...]]):
     an outer prefix at a time.
 
     D is the lcm of the coefficient denominators, so every coefficient is an
-    exact int and D * poly has the sign and zero set of poly.  ``plane`` lists
-    the points of a grid over the j variables before the last (j =
-    len(plane[0]), which may be 0), and the outer prefix is the k-1-j variables
-    before them.  Returns ``rows``: ``rows(outer)`` gives [row_0, ..., row_d],
-    with D * poly(outer, plane[g], v) = row_0[g] + row_1[g] v + ... +
-    row_d[g] v^d and d the degree of poly in the last variable (trailing
-    entries may be 0).  The terms are grouped by their exponent of v and,
-    within a group, by their monomial in the plane variables, whose values
-    over the grid are computed here once.
+    exact int and D * poly has the sign and zero set of poly.  ``plane``
+    lists points over the j variables before the last (j = len(plane[0]),
+    maybe 0): a grid for the first gate's core, that gate's zeros for a later
+    gate.  The outer prefix is the k-1-j variables before them.
+    ``rows(outer)`` gives [row_0, ..., row_d] with D * poly(outer, plane[g], v)
+    = row_0[g] + ... + row_d[g] v^d, d the degree in the last variable.  The
+    terms are grouped by exponent of v and by monomial in the plane variables,
+    whose values over the plane are computed here once.
     """
     split = len(poly.vars) - 1 - len(plane[0])
     scale = lcm(*(c.denominator for c in poly.terms.values()))
@@ -432,34 +430,82 @@ def _gate_rows(poly: MultiPoly, plane: list[tuple[int, ...]]):
     return rows
 
 
-def _plane_zeros(rows: list[list[int]], alive) -> list:
-    """(g, zeros) for each grid point g whose line c_0 + c_1 v + ... + c_d v^d,
-    with c_e = rows[e][g], vanishes at some v of ``alive`` (ascending ints);
-    zeros lists those v in ascending order, and the pairs come in grid order.
-
+def _plane_zeros(rows: list[list[int]], lines) -> list:
+    """(g, zeros) for each (g, alive) of ``lines`` whose line c_0 + c_1 v + ...
+    + c_d v^d, with c_e = rows[e][g], vanishes at some v of alive (ascending
+    ints), in the order of ``lines``; zeros lists those v in ascending order.
     Up to degree 1 the line is solved: where c_1 != 0 the only candidate is
-    the root -c_0/c_1, kept when it is an integer in ``alive``; where c_1 = 0
-    (or d = 0) the zeros are all of ``alive`` if c_0 = 0, otherwise none.  From
-    degree 2 on,
-    Horner runs at each v of ``alive``, which again keeps all of them where
-    every c_e is 0.
-    """
+    -c_0/c_1, kept when it is an integer in alive; where c_1 = 0 the zeros are
+    all of alive if c_0 = 0, otherwise none.  From degree 2 on, Horner runs at
+    each v of alive."""
+    out = []
     if len(rows) > 2:
-        out = []
-        for g, top in enumerate(zip(*reversed(rows))):
-            zeros = []
-            for v in alive:
-                acc = 0
-                for c in top:
-                    acc = acc * v + c
-                if not acc:
-                    zeros.append(v)
+        for g, alive in lines:
+            top = [row[g] for row in reversed(rows)]
+            zeros = [v for v in alive if not reduce(lambda acc, c: acc * v + c, top, 0)]
             if zeros:
                 out.append((g, zeros))
         return out
-    c0s, c1s = rows if len(rows) == 2 else (rows[0], repeat(0))
-    return [(g, [-c0 // c1] if c1 else alive) for g, (c0, c1) in enumerate(zip(c0s, c1s))
-            if (c1 and not c0 % c1 and -c0 // c1 in alive) or not (c0 or c1)]
+    c0s, c1s = rows if len(rows) == 2 else (rows[0], [0] * len(rows[0]))
+    for g, alive in lines:
+        c0, c1 = c0s[g], c1s[g]
+        if c1 and not c0 % c1 and -c0 // c1 in alive:
+            out.append((g, [-c0 // c1]))
+        elif not (c0 or c1):
+            out.append((g, alive))
+    return out
+
+
+def _over(poly: MultiPoly, at: list[int], low: list[int]) -> MultiPoly:
+    """poly over the variables at positions ``at``, its monomials over ``low``."""
+    return MultiPoly([poly.vars[i] for i in at],
+                     {tuple(m[i] - low[i] for i in at): c for m, c in poly.terms.items()})
+
+
+def _first_zeros(poly: MultiPoly, axis: range) -> tuple[list[int], list]:
+    """(at, picks): the zeros of poly on the box axis^k as (p, alive) pairs, p
+    a point over the variables at positions ``at`` (never the last, the others
+    free) and alive the values of the last variable there.  The core, poly
+    over its monomial content ``low``, is solved over the variables it
+    mentions (the last alone if none)."""
+    k = len(poly.vars)
+    low = [min((m[i] for m in poly.terms), default=0) for i in range(k)]
+    used = [i for i in range(k) if any(m[i] > low[i] for m in poly.terms)] or [k - 1]
+    plane = list(product(axis, repeat=min(len(used) - 1, 2)))
+    rows = _gate_rows(_over(poly, used, low), plane)
+    zeros = [(outer + plane[g], alive)
+             for outer in product(axis, repeat=len(used) - 1 - len(plane[0]))
+             for g, alive in _plane_zeros(rows(outer), zip(range(len(plane)), repeat(axis)))]
+    if used[-1] == k - 1:
+        return used[:-1], zeros
+    return used, [(p + (v,), axis) for p, alive in zeros for v in alive]
+
+
+def _gate_loop(gates: list[MultiPoly], axis: range) -> tuple[list[int], list[tuple]]:
+    """(excluded, survivors): how many points of the box axis^k each gate
+    is the first nonzero gate at, and the points where every gate is 0, in
+    box order."""
+    k = len(gates[0].vars)
+    at, picks = _first_zeros(gates[0], axis)
+    inner = [i for i in range(k - 1) if i not in at]
+    order = inner + at + [k - 1]
+    plane = [p for p, _ in picks]
+    passed = [sum(len(a) for _, a in picks) * len(axis) ** len(inner)] + [0] * len(gates[1:])
+    survivors = []
+    if picks:
+        later = [_gate_rows(_over(gate, order, [0] * k), plane) for gate in gates[1:]]
+        start = list(enumerate(alive for _, alive in picks))
+        for outer in product(axis, repeat=len(inner)):
+            lines = start
+            for i, rows in enumerate(later, 1):
+                lines = _plane_zeros(rows(outer), lines)
+                passed[i] += sum(len(alive) for _, alive in lines)
+                if not lines:
+                    break
+            survivors += [outer + plane[g] + (v,) for g, alive in lines for v in alive]
+    back = [order.index(i) for i in range(k)]
+    return ([before - after for before, after in zip([len(axis) ** k] + passed, passed)],
+            sorted(tuple(p[j] for j in back) for p in survivors))
 
 
 def sweep_case(cfg: SweepConfig, signs: str,
@@ -468,50 +514,26 @@ def sweep_case(cfg: SweepConfig, signs: str,
     ``registry`` is unused, the checks come from ``symbolic_case``."""
     sym = symbolic_case(cfg.family, signs)
     spec = sym.spec
-    k = len(spec.variables)
-    exclusions = {g: 0 for g in GATE_ORDER}
     exceptions: list[ObstructionVerdict] = []
-
     # gate order as in cosmetic_gate; d2 needs no gate of its own, since
-    # V''(1) = -6 a2 is checked in symbolic_case.  The first gate is solved a
-    # plane of lines at a time, over the two twists before the last; the others
-    # a line at a time (an empty plane), on the lines the first one leaves.
-    axis = range(1, cfg.n_range + 1)
-    plane = list(product(axis, repeat=min(k - 1, 2)))
-    (first_key, first_poly), *rest = (
-        ("alexander_leading", sym.leading), ("conway", sym.a2),
-        ("d3", sym.derivs[3]), ("d4", sym.derivs[4]))
-    first = _gate_rows(first_poly, plane)
-    later = [(key, _gate_rows(poly, [()])) for key, poly in rest]
-    reached = 0     # instances at a zero of the first gate
-    for outer in product(axis, repeat=k - 1 - len(plane[0])):
-        for g, alive in _plane_zeros(first(outer), axis):
-            reached += len(alive)
-            prefix = outer + plane[g]
-            for key, rows in later:
-                line = _plane_zeros(rows(prefix), alive)
-                zeros = line[0][1] if line else []
-                exclusions[key] += len(alive) - len(zeros)
-                alive = zeros
-                if not alive:
-                    break
-            for v in alive:   # every gate polynomial, the lead included, is 0 here
-                verdict, jones, conway = instance_verdict(spec, sym.template, prefix + (v,),
-                                                          cfg.use_root5)
-                if verdict.excluded_by == "root5":
-                    exclusions["root5"] += 1
-                elif not verdict.is_exception:
-                    raise AssertionError(
-                        f"{verdict.instance} passed the gate loop but "
-                        f"{verdict.excluded_by} excludes it")
-                elif jones != HalfLaurent.one() or not conway.is_trivial():
-                    raise AssertionError(
-                        f"exception instance {verdict.instance} is not certified trivial")
-                else:
-                    exceptions.append(verdict)
-    exclusions[first_key] = cfg.n_range ** k - reached
-
-    report = CaseReport(signs, cfg.n_range ** k, exclusions, exceptions,
+    # V''(1) = -6 a2 is checked in symbolic_case
+    gates = {"alexander_leading": sym.leading, "conway": sym.a2,
+             "d3": sym.derivs[3], "d4": sym.derivs[4]}
+    excluded, survivors = _gate_loop(list(gates.values()), range(1, cfg.n_range + 1))
+    exclusions = {g: 0 for g in GATE_ORDER} | dict(zip(gates, excluded))
+    for n in survivors:   # every gate polynomial, the lead included, is 0 here
+        verdict, jones, conway = instance_verdict(spec, sym.template, n, cfg.use_root5)
+        if verdict.excluded_by == "root5":
+            exclusions["root5"] += 1
+        elif not verdict.is_exception:
+            raise AssertionError(
+                f"{verdict.instance} passed the gate loop but {verdict.excluded_by} excludes it")
+        elif jones != HalfLaurent.one() or not conway.is_trivial():
+            raise AssertionError(
+                f"exception instance {verdict.instance} is not certified trivial")
+        else:
+            exceptions.append(verdict)
+    report = CaseReport(signs, cfg.n_range ** len(spec.variables), exclusions, exceptions,
                         sym.formula_records())
     report.check()
     return report
@@ -535,7 +557,11 @@ def instance_verdict(spec: FamilySpec, template: SeifertTemplate, n: tuple[int, 
 
 def sweep(cfg: SweepConfig) -> list[CaseReport]:
     """All 32 sign cases; deterministic order and content."""
-    workers = min(int(os.environ.get("TWISTKNOTS_WORKERS", "1")), len(ALL_CASES))
+    text = os.environ.get("TWISTKNOTS_WORKERS", "1")
+    try:
+        workers = min(int(text), len(ALL_CASES))
+    except ValueError:
+        raise ValueError(f"TWISTKNOTS_WORKERS must be an integer, got {text!r}") from None
     if workers > 1:
         import multiprocessing
         with multiprocessing.Pool(workers) as pool:

@@ -88,11 +88,12 @@ def cmd_sweep(args) -> int:
 def cmd_verify_paper(args) -> int:
     registry = load_registry(args.family)
     cases = [args.case] if args.case else sorted(registry.cases)
-    results = []
-    for signs in cases:
-        for rec in verify_paper_case(args.family, signs, registry):
-            results.append({"signs": signs, **rec})
-            print(f"{signs} {rec['quantity']}: {rec['status']} ({'; '.join(rec['checks'])})")
+    # every case is checked before anything prints, so a registry fault stops
+    # the run with its error alone
+    results = [{"signs": signs, **rec} for signs in cases
+               for rec in verify_paper_case(args.family, signs, registry)]
+    for rec in results:
+        print(f"{rec['signs']} {rec['quantity']}: {rec['status']} ({'; '.join(rec['checks'])})")
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(results, fh, indent=1, sort_keys=True)

@@ -4,7 +4,7 @@ import json
 import re
 from fractions import Fraction
 from importlib import resources
-from itertools import product
+from itertools import product, repeat
 from math import lcm
 
 import hypothesis.strategies as st
@@ -20,7 +20,10 @@ from twistknots.casework import (
     SweepConfig,
     SymbolicCase,
     _certify_sign,
+    _first_zeros,
+    _gate_loop,
     _gate_rows,
+    _over,
     _plane_zeros,
     classify_exceptions,
     full_report,
@@ -258,48 +261,93 @@ def axis_polys(draw):
 
 
 def _check_zero_finder(gates, n_range):
-    """Chain the gates as sweep_case does, the first over the plane of the
-    (up to) two variables before the last and the others a line at a time on
-    the lines it leaves, and compare every line's coefficients, the lines the
-    plane solver picks and every zero with MultiPoly.eval on the same box."""
+    """Chain the gates as _gate_loop does and compare every line's
+    coefficients, the lines each solver picks and every zero with
+    MultiPoly.eval on the same box: the first gate's core, its monomial
+    content divided out, over the plane of (up to) two of the variables it
+    mentions before its last; then the later gates with the first one's zeros
+    as their plane, at each outer prefix of the other variables but the last.
+    _gate_loop's histogram and survivors must match the gates evaluated point
+    by point."""
     variables = gates[0].vars
     k = len(variables)
     axis = range(1, n_range + 1)
-    plane = list(product(axis, repeat=min(k - 1, 2)))
-    finders = [_gate_rows(gates[0], plane)] + [_gate_rows(g, [()]) for g in gates[1:]]
-    scales = [lcm(*(c.denominator for c in g.terms.values())) for g in gates]
 
-    def line_values(gate, rows, scale, prefix):
-        """The gate on the line at prefix, checked against the line's rows."""
-        values = [gate.eval(dict(zip(variables, prefix + (v,)))) for v in axis]
-        assert len(rows) == 1 + max((m[-1] for m in gate.terms), default=0)
+    def line_values(gate, rows, names, prefix):
+        """The gate on the line at prefix, its variables named by ``names``
+        in the order of the rows, checked against the line's rows."""
+        values = [gate.eval(dict(zip(names, prefix + (v,)))) for v in axis]
+        scale = lcm(*(c.denominator for c in gate.terms.values()))
+        assert len(rows) == 1 + max((m[gate.vars.index(names[-1])] for m in gate.terms),
+                                    default=0)
         assert all(type(c) is int for c in rows)
         assert [sum(c * v ** e for e, c in enumerate(rows)) for v in axis] == \
             [scale * value for value in values]
         return values
 
-    for outer in product(axis, repeat=k - 1 - len(plane[0])):
-        rows = finders[0](outer)
+    # the first gate is its monomial content times a core in the variables it
+    # mentions, the last alone if none
+    first = gates[0]
+    low = [min((m[i] for m in first.terms), default=0) for i in range(k)]
+    used = [i for i in range(k) if any(m[i] != low[i] for m in first.terms)] or [k - 1]
+    core = _over(first, used, low)
+    assert core.vars == tuple(variables[i] for i in used)
+    lifted = {tuple(m[used.index(i)] if i in used else 0 for i in range(k)): c
+              for m, c in core.terms.items()}
+    assert MultiPoly(variables, lifted) * MultiPoly(variables, {tuple(low): 1}) == first
+    plane = list(product(axis, repeat=min(len(used) - 1, 2)))
+    finder = _gate_rows(core, plane)
+    for outer in product(axis, repeat=len(used) - 1 - len(plane[0])):
+        rows = finder(outer)
         assert all(len(row) == len(plane) for row in rows)
         expected = []
         for g, point in enumerate(plane):
-            values = line_values(gates[0], [row[g] for row in rows], scales[0],
-                                 outer + point)
+            values = line_values(core, [row[g] for row in rows], core.vars, outer + point)
             zeros = [v for v in axis if not values[v - 1]]
             if zeros:
                 expected.append((g, zeros))
-        lines = _plane_zeros(rows, axis)
+        lines = _plane_zeros(rows, zip(range(len(plane)), repeat(axis)))
         assert [(g, list(alive)) for g, alive in lines] == expected
-        for g, alive in lines:
-            prefix = outer + plane[g]
-            for gate, coeffs, scale in zip(gates[1:], finders[1:], scales[1:]):
-                rows = coeffs(prefix)
-                assert all(len(row) == 1 for row in rows)
-                values = line_values(gate, [row[0] for row in rows], scale, prefix)
+
+    # the first gate's zeros on the box, the later gates on them, and the
+    # histogram, each against every point of the box
+    at, picks = _first_zeros(first, axis)
+    assert k - 1 not in at and all(len(p) == len(at) for p, _ in picks)
+    covered = {(p, v) for p, alive in picks for v in alive}
+    assert len(covered) == sum(len(alive) for _, alive in picks)
+    excluded, survivors = [0] * len(gates), []
+    for n in product(axis, repeat=k):
+        point = dict(zip(variables, n))
+        assert ((tuple(n[i] for i in at), n[-1]) in covered) == (not first.eval(point))
+        gate = next((i for i, g in enumerate(gates) if g.eval(point)), None)
+        if gate is None:
+            survivors.append(n)
+        else:
+            excluded[gate] += 1
+    assert _gate_loop(gates, axis) == (excluded, survivors)
+
+    inner = [i for i in range(k - 1) if i not in at]
+    names = [variables[i] for i in inner + at + [k - 1]]
+    plane = [p for p, _ in picks]
+    finders = [_gate_rows(_over(g, inner + at + [k - 1], [0] * k), plane)
+               for g in gates[1:]] if picks else []
+    reached = []
+    for outer in product(axis, repeat=len(inner)) if picks else ():
+        lines = [(g, list(alive)) for g, (_, alive) in enumerate(picks)]
+        for gate, coeffs in zip(gates[1:], finders):
+            rows = coeffs(outer)
+            assert all(len(row) == len(plane) for row in rows)
+            expected = []
+            for g, alive in lines:
+                values = line_values(gate, [row[g] for row in rows], names, outer + plane[g])
                 zeros = [v for v in alive if not values[v - 1]]
-                line = [(g, list(z)) for g, z in _plane_zeros(rows, alive)]
-                assert line == ([(0, zeros)] if zeros else [])
-                alive = zeros
+                if zeros:
+                    expected.append((g, zeros))
+            lines = [(g, list(z)) for g, z in _plane_zeros(rows, lines)]
+            assert lines == expected
+        reached += [dict(zip(names, outer + plane[g] + (v,))) for g, alive in lines
+                    for v in alive]
+    assert sorted(tuple(point[v] for v in variables) for point in reached) == survivors
 
 
 @settings(max_examples=80, deadline=None)
@@ -336,6 +384,13 @@ ZERO_FINDER_GATES = {
     "linear, zero where c == d": ["(c - d)*(e - a)", "e - b"],
     "degree 0 in the last variable": ["(a - c)*(b - d)", "e - c"],
     "identically zero first gate": ["0", "e - d", "(e - a)*(e - b)"],
+    "monomial content": ["b*c*(e - a)", "e - d"],
+    "core that omits the line variable": ["d*e*(a - b)", "e - c"],
+    "core in one variable": ["d^2*(b - 2)", "(e - a)*(e - c)"],
+    "pure monomial": ["3*a*b*c*d*e", "e - a"],
+    "content gate behind an identically zero gate": ["0", "b*c*(e - a)", "e - d"],
+    "7_6's first gate shape": ["d*e*(-a*b + a*c + b*c - c)", "e - b", "(e - d)*(e - 1)"],
+    "10_58's first gate shape": ["b*c*(-a*d + a*e + d*e)", "c - b"],
 }
 
 
@@ -404,6 +459,9 @@ def _reference_sweep(cfg: SweepConfig, signs: str):
     ("7_6", "+--++", 3, False),     # two exception patterns
     ("7_6", "++-+-", 2, True),
     ("8_12", "-++-+", 3, True),     # all bands even; no exceptions
+    ("7_6", "++-+-", 4, False),
+    ("10_58", "+-+-+", 4, False),
+    ("8_12", "--++-", 4, False),
 ])
 def test_sweep_case_matches_brute_force(family, signs, n_range, root5):
     cfg = SweepConfig(family, n_range=n_range, use_root5=root5)
@@ -441,6 +499,25 @@ def test_sweep_report_digest(monkeypatch, sweep_7_6, sweep_10_58):
         report = sweep_case(SweepConfig(family, n_range=8), signs)
         digest.update(json.dumps(report_to_dict(report), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == SWEEP_REPORT_SHA256
+
+
+# sha256 of json.dumps(report_to_dict(sweep_case(SweepConfig(f, n_range=6),
+# signs)), sort_keys=True) plus a newline over the 96 (family, sign case) pairs,
+# families 7_6, 10_58, 8_12 and sign cases in the order of ALL_CASES, then the
+# same for REPORT_CASES at the ranges of perfbench's box sweep (12, 12, 20);
+# recorded from the sweep that solved the first gate over the whole box and the
+# later gates a line at a time
+BOX_REPORT_SHA256 = "3d3efdf8fe6a101ec703eea2adc01b1ba2b9bd14f8f4e4e23140bc5fd78b306d"
+
+
+def test_box_report_digest():
+    cases = [(family, signs, 6) for family in ("7_6", "10_58", "8_12") for signs in ALL_CASES]
+    cases += [(family, signs, r) for (family, signs), r in zip(REPORT_CASES, (12, 12, 20))]
+    digest = hashlib.sha256()
+    for family, signs, n_range in cases:
+        report = sweep_case(SweepConfig(family, n_range=n_range), signs)
+        digest.update(json.dumps(report_to_dict(report), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == BOX_REPORT_SHA256
 
 
 # sha256 over the 96 (family, sign case) pairs, families 7_6, 10_58, 8_12 and

@@ -157,6 +157,36 @@ def test_zero_denominator_exits_2(tmp_path):
                           "denominator '0' is zero\n")
 
 
+def test_verify_paper_fault_in_a_later_case_prints_nothing(tmp_path):
+    """Every sign case is checked before verify-paper prints, so a registry
+    fault in a case after passing ones leaves stdout empty and writes no
+    report."""
+    from twistknots.casework import load_registry
+
+    # the first "a+b-1" target denominator is in 7_6's ++-++, the fifth case
+    assert sorted(load_registry("7_6").cases).index("++-++") == 4
+    shutil.copytree(Path(SRC) / "twistknots", tmp_path / "twistknots")
+    path = tmp_path / "twistknots" / "data" / "registry" / "7_6.json"
+    path.write_text(path.read_text().replace('"target_den": "a+b-1"', '"target_den": "0"', 1))
+    report = tmp_path / "report.json"
+    out = subprocess.run([sys.executable, "-m", "twistknots.cli", "verify-paper",
+                          "--family", "7_6", "--output", str(report)],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(tmp_path)})
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == ("error: 7_6 registry, cases['++-++'][2] target_den: "
+                          "denominator '0' is zero\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "", "2.5"])
+def test_bad_worker_count_exits_2(value, monkeypatch, capsys):
+    monkeypatch.setenv("TWISTKNOTS_WORKERS", value)
+    assert main(["sweep", "--family", "8_12", "--range", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: TWISTKNOTS_WORKERS must be an integer, got {value!r}\n")
+
+
 def test_oracle_failure_exits_1(monkeypatch, capsys):
     import twistknots.diagrams as diagrams
 
