@@ -386,28 +386,29 @@ def _matching(patterns: list, n: tuple[int, ...], variables) -> list[str]:
 
 # --- sweeping ----------------------------------------------------------------------
 
-def _gate_rows(poly: MultiPoly, plane: list[tuple[int, ...]]):
+def _gate_rows(poly: MultiPoly, plane: list[tuple[int, ...]], at: list[int] | range):
     """The coefficients of D * poly in the last variable over a plane of lines,
     an outer prefix at a time.
 
     D is the lcm of the coefficient denominators, so every coefficient is an
     exact int and D * poly has the sign and zero set of poly.  ``plane``
-    lists points over the j variables before the last (j = len(plane[0]),
-    maybe 0): a grid for the first gate's core, that gate's zeros for a later
-    gate.  The outer prefix is the k-1-j variables before them.
-    ``rows(outer)`` gives [row_0, ..., row_d] with D * poly(outer, plane[g], v)
-    = row_0[g] + ... + row_d[g] v^d, d the degree in the last variable.  The
-    terms are grouped by exponent of v and by monomial in the plane variables,
-    whose values over the plane are computed here once.
+    lists points over the variables at positions ``at`` (never the last,
+    maybe none): a grid for the first gate's core, that gate's zeros for a
+    later gate.  The outer prefix holds the other variables but the last, in
+    order.  ``rows(outer)`` gives [row_0, ..., row_d] with D * poly = row_0[g]
+    + ... + row_d[g] v^d at (outer, plane[g], v), d the degree in the last
+    variable.  The terms are grouped by exponent of v and by monomial in the
+    plane variables, whose values over the plane are computed here once.
     """
-    split = len(poly.vars) - 1 - len(plane[0])
+    inner = [i for i in range(len(poly.vars) - 1) if i not in at]
     scale = lcm(*(c.denominator for c in poly.terms.values()))
     degree = max((m[-1] for m in poly.terms), default=0)
     groups: list[dict] = [{} for _ in range(degree + 1)]
     for mono, c in poly.terms.items():
-        # the outer index i, repeated e times for the factor n_i^e
-        factors = tuple(i for i, e in enumerate(mono[:split]) for _ in range(e))
-        groups[mono[-1]].setdefault(mono[split:-1], []).append((int(c * scale), factors))
+        # the outer index x, repeated e times for the factor outer[x]^e
+        factors = tuple(x for x, i in enumerate(inner) for _ in range(mono[i]))
+        groups[mono[-1]].setdefault(tuple(mono[i] for i in at), []).append(
+            (int(c * scale), factors))
     groups = [[(terms, [prod(map(pow, point, plane_mono)) for point in plane])
                for plane_mono, terms in group.items()] for group in groups]
     zero_row = [0] * len(plane)
@@ -456,12 +457,6 @@ def _plane_zeros(rows: list[list[int]], lines) -> list:
     return out
 
 
-def _over(poly: MultiPoly, at: list[int], low: list[int]) -> MultiPoly:
-    """poly over the variables at positions ``at``, its monomials over ``low``."""
-    return MultiPoly([poly.vars[i] for i in at],
-                     {tuple(m[i] - low[i] for i in at): c for m, c in poly.terms.items()})
-
-
 def _first_zeros(poly: MultiPoly, axis: range) -> tuple[list[int], list]:
     """(at, picks): the zeros of poly on the box axis^k as (p, alive) pairs, p
     a point over the variables at positions ``at`` (never the last, the others
@@ -471,10 +466,12 @@ def _first_zeros(poly: MultiPoly, axis: range) -> tuple[list[int], list]:
     k = len(poly.vars)
     low = [min((m[i] for m in poly.terms), default=0) for i in range(k)]
     used = [i for i in range(k) if any(m[i] > low[i] for m in poly.terms)] or [k - 1]
-    plane = list(product(axis, repeat=min(len(used) - 1, 2)))
-    rows = _gate_rows(_over(poly, used, low), plane)
-    zeros = [(outer + plane[g], alive)
-             for outer in product(axis, repeat=len(used) - 1 - len(plane[0]))
+    core = MultiPoly([poly.vars[i] for i in used],
+                     {tuple(m[i] - low[i] for i in used): c for m, c in poly.terms.items()})
+    j = max(len(used) - 3, 0)   # the core's outer prefix; its plane is the rest but the last
+    plane = list(product(axis, repeat=len(used) - 1 - j))
+    rows = _gate_rows(core, plane, range(j, len(used) - 1))
+    zeros = [(outer + plane[g], alive) for outer in product(axis, repeat=j)
              for g, alive in _plane_zeros(rows(outer), zip(range(len(plane)), repeat(axis)))]
     if used[-1] == k - 1:
         return used[:-1], zeros
@@ -493,7 +490,7 @@ def _gate_loop(gates: list[MultiPoly], axis: range) -> tuple[list[int], list[tup
     passed = [sum(len(a) for _, a in picks) * len(axis) ** len(inner)] + [0] * len(gates[1:])
     survivors = []
     if picks:
-        later = [_gate_rows(_over(gate, order, [0] * k), plane) for gate in gates[1:]]
+        later = [_gate_rows(gate, plane, at) for gate in gates[1:]]
         start = list(enumerate(alive for _, alive in picks))
         for outer in product(axis, repeat=len(inner)):
             lines = start

@@ -23,7 +23,6 @@ from twistknots.casework import (
     _first_zeros,
     _gate_loop,
     _gate_rows,
-    _over,
     _plane_zeros,
     classify_exceptions,
     full_report,
@@ -290,14 +289,15 @@ def _check_zero_finder(gates, n_range):
     first = gates[0]
     low = [min((m[i] for m in first.terms), default=0) for i in range(k)]
     used = [i for i in range(k) if any(m[i] != low[i] for m in first.terms)] or [k - 1]
-    core = _over(first, used, low)
-    assert core.vars == tuple(variables[i] for i in used)
+    core = MultiPoly([variables[i] for i in used],
+                     {tuple(m[i] - low[i] for i in used): c for m, c in first.terms.items()})
     lifted = {tuple(m[used.index(i)] if i in used else 0 for i in range(k)): c
               for m, c in core.terms.items()}
     assert MultiPoly(variables, lifted) * MultiPoly(variables, {tuple(low): 1}) == first
-    plane = list(product(axis, repeat=min(len(used) - 1, 2)))
-    finder = _gate_rows(core, plane)
-    for outer in product(axis, repeat=len(used) - 1 - len(plane[0])):
+    j = max(len(used) - 3, 0)
+    plane = list(product(axis, repeat=len(used) - 1 - j))
+    finder = _gate_rows(core, plane, range(j, len(used) - 1))
+    for outer in product(axis, repeat=j):
         rows = finder(outer)
         assert all(len(row) == len(plane) for row in rows)
         expected = []
@@ -329,8 +329,7 @@ def _check_zero_finder(gates, n_range):
     inner = [i for i in range(k - 1) if i not in at]
     names = [variables[i] for i in inner + at + [k - 1]]
     plane = [p for p, _ in picks]
-    finders = [_gate_rows(_over(g, inner + at + [k - 1], [0] * k), plane)
-               for g in gates[1:]] if picks else []
+    finders = [_gate_rows(g, plane, at) for g in gates[1:]] if picks else []
     reached = []
     for outer in product(axis, repeat=len(inner)) if picks else ():
         lines = [(g, list(alive)) for g, (_, alive) in enumerate(picks)]
