@@ -8,11 +8,12 @@ Rows:
 - ``symbolic_derivs.<family>``: ``families.symbolic_derivs`` at kmax 4 for all
   32 sign cases of 7_6 and of 10_58; ``s`` is the median over ``REPEAT`` runs
   of the time for all 32 cases.
-- ``symbolic_case.<family>``: ``casework.symbolic_case`` for all 32 sign cases
-  of 7_6, 10_58 and 8_12, the whole symbolic set-up of a case (Seifert
-  determinant and Conway coefficients, ``symbolic_derivs``, the route checks
-  and the registry's formula checks) without the sweep; each run starts with
-  an empty memo, and ``s`` is the median over ``REPEAT`` runs.
+- ``symbolic_case.<family>``: ``casework.symbolic_case`` then
+  ``verify_paper_case`` for all 32 sign cases of 7_6, 10_58 and 8_12, the
+  whole symbolic set-up of a case (Seifert determinant and Conway
+  coefficients, ``symbolic_derivs``, the route checks and the registry's
+  formula checks) without the sweep; each run starts with empty memos, and
+  ``s`` is the median over ``REPEAT`` runs.
 - ``conway_symbolic.<family>``: ``seifert.conway_symbolic`` on the Seifert
   templates of all 32 sign cases of 7_6, 10_58 and 8_12, the Conway
   coefficients of a case as polynomials in its twist parameters; the templates
@@ -69,9 +70,10 @@ twistknots.cli`` one after another, with ``--src`` as ``PYTHONPATH`` and
 since the speed probe runs in this process and cannot be taken out of a
 child's time.  The ``tier1`` row is timed the same way.
 
-Every timed run of a symbolic-case, sweep or paper-case row starts with an
-empty ``casework.symbolic_case`` memo, so each run pays for its symbolic set-up
-and the rows compare with those of checkouts that have no memo.  Lower caches,
+Every timed run of a symbolic-case, sweep or paper-case row starts with empty
+``casework.symbolic_case`` and ``casework._formula_checks`` memos, so each run
+pays for its symbolic set-up and formula checks, and the rows compare with
+those of checkouts that have no memo.  Lower caches,
 such as the base values of ``families``, stay warm after the first run.
 
 Every time is taken with perfbench's speed meter (``perfbench/speed.py``): a
@@ -147,12 +149,14 @@ def timed(fn):
 
 
 def cold(casework) -> None:
-    """Empty the symbolic_case memo (checkouts without one have nothing to clear)."""
-    getattr(casework.symbolic_case, "cache_clear", lambda: None)()
+    """Empty the symbolic-case and formula-check memos (checkouts without them
+    have nothing to clear)."""
+    for name in ("symbolic_case", "_formula_checks"):
+        getattr(getattr(casework, name, None), "cache_clear", lambda: None)()
 
 
 def cold_timed(casework, fn):
-    """timed(fn), started with an empty symbolic_case memo."""
+    """timed(fn), started with empty memos."""
     cold(casework)
     return timed(fn)
 
@@ -194,6 +198,7 @@ def symbolic_case_row(casework, family: str) -> dict:
     def all_cases():
         for signs in casework.ALL_CASES:
             casework.symbolic_case(family, signs)
+            casework.verify_paper_case(family, signs)
 
     runs = [cold_timed(casework, all_cases) for _ in range(REPEAT)]
     return {"family": family, "cases": len(casework.ALL_CASES), **summary(runs, "s")}

@@ -38,23 +38,22 @@ checked against the computed symbolic quantity, as a plain identity or after a
 chain of fraction-free substitutions, and a sign claim is certified by
 shifting every variable by one and reading coefficient signs.
 
-``symbolic_case`` is memoised in an LRU cache of ``len(ALL_CASES)`` entries,
-one family's 32 sign cases (12-22 KB each by tracemalloc, 7_6 the largest, so
-at most about 0.7 MB), so ``verify_paper_case`` followed by ``sweep_case`` on
-the same case computes the symbolic data and the registry's formula checks
-once.  A case whose route checks fail raises on every call, since exceptions
-are not cached; FAIL formula checks are results and are cached.  Every caller
-shares the cached ``SymbolicCase``, so it is frozen, its ``derivs`` and checks
-are tuples, and ``formula_records`` hands out fresh record dicts.
-``load_registry`` is memoised per family and read-only, since package data
-never changes.
+``symbolic_case`` builds the gates of a case and reads no registry;
+``_formula_checks`` runs ``verify_entry`` once per registry entry of a case,
+and ``formula_records`` hands out fresh record dicts from it.  Both memos are
+unbounded: their keys are the 3 shipped families times the 32 sign cases, and a
+bad key raises, which is never cached.  All 96 ``SymbolicCase``s hold about
+1.5 MB by tracemalloc, 40 % of it d4.  A case whose route checks fail raises on
+every call; FAIL formula checks are results and are cached.  Callers share the
+cached values, so ``SymbolicCase`` is frozen and the memos hold tuples.
+``load_registry`` is memoised per family and read-only.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from importlib import resources
@@ -239,7 +238,7 @@ def load_registry(family: str) -> CaseRegistry:
 
 @dataclass(frozen=True)
 class SymbolicCase:
-    """All per-case symbolic data used by sweeps and formula checks.
+    """The gate polynomials of one sign case, used by sweeps and formula checks.
 
     Immutable, since ``symbolic_case`` hands the same object to every caller.
     """
@@ -249,39 +248,27 @@ class SymbolicCase:
     a2: MultiPoly
     derivs: tuple[MultiPoly, ...]     # k = 0..4
     template: SeifertTemplate         # the Seifert matrix leading and a2 come from
-    # (quantity, status, checks) of each registry entry, in registry order
-    formula_checks: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
 
     @property
     def c3(self) -> MultiPoly:
         # second Alexander coefficient: a2 - 4 * a4 with a4 the leading term
         return self.a2 - self.leading.scale(4)
 
-    def formula_records(self) -> list[dict]:
-        """The formula checks as fresh ``verify_entry`` records."""
-        return [{"quantity": q, "status": status, "checks": list(checks)}
-                for q, status, checks in self.formula_checks]
 
-
-@lru_cache(maxsize=len(ALL_CASES))
+@lru_cache(maxsize=None)
 def symbolic_case(family: str, signs: str) -> SymbolicCase:
-    fam = load_family(family)
-    spec = fam.with_signs(signs)
+    spec = load_family(family).with_signs(signs)
     tpl = template_for(family, signs)
     lead = leading_coeff_symbolic(tpl)
     cz = conway_symbolic(tpl)
     zero = MultiPoly.zero(spec.variables)
-    a2 = cz.get(2, zero)
-    a4 = cz.get(4, zero)
+    a2, a4 = cz.get(2, zero), cz.get(4, zero)
     if a4 != lead:
         raise AssertionError(f"z^4 Conway coefficient differs from det for {family} {signs}")
     derivs = tuple(symbolic_derivs(spec, 4))
     if derivs[2] != a2.scale(-6):
         raise AssertionError(f"V''(1) != -6 a2 for {family} {signs}")
-    sym = SymbolicCase(spec, lead, a2, derivs, tpl)
-    records = (verify_entry(sym, e) for e in load_registry(family).cases.get(signs, ()))
-    return replace(sym, formula_checks=tuple(
-        (r["quantity"], r["status"], tuple(r["checks"])) for r in records))
+    return SymbolicCase(spec, lead, a2, derivs, tpl)
 
 
 # --- formula verification -------------------------------------------------------
@@ -351,13 +338,26 @@ def verify_entry(sym: SymbolicCase, entry: RegistryEntry) -> dict:
     return record
 
 
+@lru_cache(maxsize=None)
+def _formula_checks(family: str, signs: str) -> tuple[tuple[str, str, tuple[str, ...]], ...]:
+    """(quantity, status, checks) of each registry entry of the case, in registry order."""
+    sym = symbolic_case(family, signs)
+    records = (verify_entry(sym, e) for e in load_registry(family).cases.get(signs, ()))
+    return tuple((r["quantity"], r["status"], tuple(r["checks"])) for r in records)
+
+
+def formula_records(family: str, signs: str) -> list[dict]:
+    """The case's formula checks as fresh ``verify_entry`` records."""
+    return [{"quantity": q, "status": status, "checks": list(checks)}
+            for q, status, checks in _formula_checks(family, signs)]
+
+
 def verify_paper_case(family: str, signs: str,
                       registry: Optional[CaseRegistry] = None) -> list[dict]:
-    """Fresh formula-check records of a registered case; ``registry`` decides
-    only whether it is registered, the checks come from ``symbolic_case``."""
+    """The ``formula_records`` of a case that ``registry`` (default: the shipped one) lists."""
     if signs not in (registry or load_registry(family)).cases:
         raise KeyError(f"no registered formulas for {family} {signs}")
-    return symbolic_case(family, signs).formula_records()
+    return formula_records(family, signs)
 
 
 # --- exceptions -------------------------------------------------------------------
@@ -508,7 +508,7 @@ def _gate_loop(gates: list[MultiPoly], axis: range) -> tuple[list[int], list[tup
 def sweep_case(cfg: SweepConfig, signs: str,
                registry: Optional[CaseRegistry] = None) -> CaseReport:
     """One sign case's gate histogram, exceptions and formula checks;
-    ``registry`` is unused, the checks come from ``symbolic_case``."""
+    ``registry`` is unused, the checks come from ``formula_records``."""
     sym = symbolic_case(cfg.family, signs)
     spec = sym.spec
     exceptions: list[ObstructionVerdict] = []
@@ -531,7 +531,7 @@ def sweep_case(cfg: SweepConfig, signs: str,
         else:
             exceptions.append(verdict)
     report = CaseReport(signs, cfg.n_range ** len(spec.variables), exclusions, exceptions,
-                        sym.formula_records())
+                        formula_records(cfg.family, signs))
     report.check()
     return report
 

@@ -201,12 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_signs(argv: list[str]) -> list[str]:
-    """Rewrite ``--signs -++-+`` as ``--signs=-++-+``; argparse would read a
-    sign case that starts with '-' as an option."""
+    """Rewrite ``--signs -++-+`` as ``--signs=-++-+``, and ``--case`` alike;
+    argparse would read a sign case that starts with '-' as an option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--signs" and arg.startswith("-") and set(arg) <= {"+", "-"}:
-            out[-1] = f"--signs={arg}"
+        if (out and out[-1] in ("--signs", "--case") and arg.startswith("-")
+                and set(arg) <= {"+", "-"}):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -221,7 +222,8 @@ def main(argv=None) -> int:
     except (AssertionError, SeifertError) as exc:
         return _verification_failed(exc)
     except (FamilyError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument, quotes and all
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
 
 

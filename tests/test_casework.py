@@ -25,6 +25,7 @@ from twistknots.casework import (
     _gate_rows,
     _plane_zeros,
     classify_exceptions,
+    formula_records,
     full_report,
     instance_id,
     load_registry,
@@ -35,7 +36,7 @@ from twistknots.casework import (
     verify_entry,
     verify_paper_case,
 )
-from twistknots.families import assemble_jones, load_family
+from twistknots.families import FAMILIES, assemble_jones, load_family
 from twistknots.multipoly import MultiPoly, parse_poly
 from twistknots.obstruction import GATE_ORDER, cosmetic_gate
 from twistknots.seifert import conway_poly, template_for
@@ -521,7 +522,7 @@ def test_box_report_digest():
 
 # sha256 over the 96 (family, sign case) pairs, families 7_6, 10_58, 8_12 and
 # sign cases in the order of ALL_CASES, of symbolic_case(f, signs).leading and
-# .a2 as ``format()`` text and of json.dumps(formula_records(), sort_keys=True),
+# .a2 as ``format()`` text and of json.dumps(formula_records(f, signs), sort_keys=True),
 # each plus a newline; recorded from the Fraction-coefficient MultiPoly that
 # storing integral coefficients as int replaced
 SYMBOLIC_CASE_SHA256 = "adf1a84e048690b4b10b66b3da6b094b306d4df52257baa47af8e356ce6e3620"
@@ -533,15 +534,20 @@ def test_symbolic_case_digest():
         for signs in ALL_CASES:
             sym = symbolic_case(family, signs)
             for text in (sym.leading.format(), sym.a2.format(),
-                         json.dumps(sym.formula_records(), sort_keys=True)):
+                         json.dumps(formula_records(family, signs), sort_keys=True)):
                 digest.update(text.encode() + b"\n")
     assert digest.hexdigest() == SYMBOLIC_CASE_SHA256
 
 
-# --- the symbolic_case memo ----------------------------------------------------------
+# --- the symbolic_case and formula-check memos ----------------------------------------
+
+def _clear_memos():
+    symbolic_case.cache_clear()
+    casework._formula_checks.cache_clear()
+
 
 def test_symbolic_case_computed_once_per_case(monkeypatch):
-    symbolic_case.cache_clear()
+    _clear_memos()
     real = casework.symbolic_derivs
     calls = []
 
@@ -556,7 +562,7 @@ def test_symbolic_case_computed_once_per_case(monkeypatch):
 
 
 def test_formula_checks_run_once_per_entry(monkeypatch):
-    symbolic_case.cache_clear()
+    _clear_memos()
     real = casework.verify_entry
     calls = []
 
@@ -572,7 +578,7 @@ def test_formula_checks_run_once_per_entry(monkeypatch):
 
 
 def test_formula_records_are_fresh():
-    symbolic_case.cache_clear()
+    _clear_memos()
     cfg = SweepConfig("7_6", n_range=2)
     expected = verify_paper_case("7_6", "+++++")
     for records in (verify_paper_case("7_6", "+++++"),
@@ -585,13 +591,15 @@ def test_formula_records_are_fresh():
 
 
 def test_cached_symbolic_case_is_immutable():
-    symbolic_case.cache_clear()
+    _clear_memos()
     sym = symbolic_case("7_6", "+++++")
     assert symbolic_case("7_6", "+++++") is sym
     assert isinstance(sym.derivs, tuple)
-    assert sym.formula_checks and all(
-        isinstance(c, tuple) and isinstance(c[2], tuple) for c in sym.formula_checks)
-    for name in ("spec", "leading", "a2", "derivs", "formula_checks"):
+    checks = casework._formula_checks("7_6", "+++++")
+    assert checks and all(isinstance(c, tuple) and isinstance(c[2], tuple) for c in checks)
+    assert formula_records("7_6", "+++++") == [
+        {"quantity": q, "status": status, "checks": list(c)} for q, status, c in checks]
+    for name in ("spec", "leading", "a2", "derivs", "template"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(sym, name, None)
 
@@ -717,7 +725,7 @@ def test_registry_is_read_once_and_read_only():
 
 def test_failing_route_check_is_not_cached(monkeypatch):
     # the skew of perfbench's raising-program test: a2 off by one
-    symbolic_case.cache_clear()
+    _clear_memos()
     real = casework.conway_symbolic
 
     def skewed(tpl):
@@ -735,6 +743,32 @@ def test_failing_route_check_is_not_cached(monkeypatch):
     assert symbolic_case.cache_info().currsize == 1
 
 
-def test_symbolic_case_cache_holds_one_family():
-    symbolic_case.cache_clear()
-    assert symbolic_case.cache_info().maxsize == len(ALL_CASES) == 32
+def test_memos_hold_every_shipped_case():
+    # families interleaved, so a memo of one family's 32 cases would never hit
+    _clear_memos()
+    pairs = [(family, signs) for signs in ALL_CASES for family in FAMILIES]
+    assert len(pairs) == 96
+    for pair in pairs:
+        formula_records(*pair)
+    before = symbolic_case.cache_info(), casework._formula_checks.cache_info()
+    for pair in pairs:
+        symbolic_case(*pair)
+        formula_records(*pair)
+    after = symbolic_case.cache_info(), casework._formula_checks.cache_info()
+    for old, new in zip(before, after):
+        assert (new.hits - old.hits, new.misses - old.misses, new.currsize) == (96, 0, 96)
+
+
+def test_symbolic_case_reads_no_registry(monkeypatch):
+    expected = [symbolic_case(family, "++-+-") for family in FAMILIES]
+    _clear_memos()
+
+    def unreadable(family):
+        raise RuntimeError(f"symbolic_case read the registry of {family}")
+
+    monkeypatch.setattr(casework, "load_registry", unreadable)
+    for family, old in zip(FAMILIES, expected):
+        sym = symbolic_case(family, "++-+-")
+        assert sym is not old
+        assert (sym.leading, sym.a2, sym.derivs) == (old.leading, old.a2, old.derivs)
+    assert "formula_checks" not in {f.name for f in dataclasses.fields(SymbolicCase)}

@@ -297,6 +297,22 @@ def test_signs_with_leading_minus(command, capsys):
     assert capsys.readouterr() == joined
 
 
+def test_case_with_leading_minus(capsys):
+    """verify-paper's --case takes a sign case that starts with '-' too."""
+    head = ["verify-paper", "--family", "7_6"]
+    assert main(head + ["--case=--+-+"]) == 0
+    joined = capsys.readouterr()
+    assert joined.out.startswith("--+-+ ") and joined.out.endswith(" checks, 0 failures\n")
+    assert main(head + ["--case", "--+-+"]) == 0
+    assert capsys.readouterr() == joined
+
+
+def test_unregistered_case_exits_2_unquoted(capsys):
+    assert main(["verify-paper", "--family", "7_6", "--case", "xyz"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: no registered formulas for 7_6 xyz\n")
+
+
 def test_large_twists_match_seifert_route(capsys):
     """check and jones at twists 1000: V''(1) = -6 a2, and both derivative routes agree."""
     from twistknots.families import jones_derivs, load_family
