@@ -307,6 +307,14 @@ def test_symbolic_derivs_digest():
     assert digest.hexdigest() == SYMBOLIC_DERIVS_SHA256
 
 
+def test_symbolic_derivs_share_equal_monomials():
+    # the memoised sign cases hold one tuple per distinct monomial, not one per term
+    first, second = (symbolic_derivs(FAMILIES["7_6"].with_signs(s), 4) for s in ("+++++", "-----"))
+    seen = {m: m for p in first for m in p.terms}
+    shared = [m for p in second for m in p.terms if m in seen]
+    assert len(shared) > 20 and all(seen[m] is m for m in shared)
+
+
 # sha256 over the same 96 pairs, in the same order, of base_case_jones(spec, x)
 # as ``format()`` text plus a newline for every resolution vector x in the
 # order of product((0, 1), repeat=len(x)); recorded from the per-family row
