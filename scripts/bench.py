@@ -73,8 +73,8 @@ child's time.  The ``tier1`` row is timed the same way.
 Every timed run of a symbolic-case, sweep or paper-case row starts with empty
 ``casework.symbolic_case`` and ``casework._formula_checks`` memos, so each run
 pays for its symbolic set-up and formula checks, and the rows compare with
-those of checkouts that have no memo.  Lower caches,
-such as the base values of ``families``, stay warm after the first run.
+those of checkouts that have no memo.  Lower caches, such as the base values
+of ``families``, stay warm after the first run.
 
 Every time is taken with perfbench's speed meter (``perfbench/speed.py``): a
 fixed pure-Python probe runs before, after and every 50 ms during the call, its
