@@ -556,9 +556,12 @@ def sweep(cfg: SweepConfig) -> list[CaseReport]:
     """All 32 sign cases; deterministic order and content."""
     text = os.environ.get("TWISTKNOTS_WORKERS", "1")
     try:
-        workers = min(int(text), len(ALL_CASES))
+        workers = int(text)
     except ValueError:
-        raise ValueError(f"TWISTKNOTS_WORKERS must be an integer, got {text!r}") from None
+        workers = 0   # refused below, with the text as given
+    if workers < 1:
+        raise ValueError(f"TWISTKNOTS_WORKERS must be a positive integer, got {text!r}")
+    workers = min(workers, len(ALL_CASES))
     if workers > 1:
         import multiprocessing
         with multiprocessing.Pool(workers) as pool:

@@ -88,16 +88,16 @@ def cmd_sweep(args) -> int:
 def cmd_verify_paper(args) -> int:
     registry = load_registry(args.family)
     cases = [args.case] if args.case else sorted(registry.cases)
-    # every case is checked before anything prints, so a registry fault stops
-    # the run with its error alone
+    # every case is checked and the output written before anything prints, so
+    # a registry fault or an unwritable --output stops the run with its error alone
     results = [{"signs": signs, **rec} for signs in cases
                for rec in verify_paper_case(args.family, signs, registry)]
-    for rec in results:
-        print(f"{rec['signs']} {rec['quantity']}: {rec['status']} ({'; '.join(rec['checks'])})")
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(results, fh, indent=1, sort_keys=True)
             fh.write("\n")
+    for rec in results:
+        print(f"{rec['signs']} {rec['quantity']}: {rec['status']} ({'; '.join(rec['checks'])})")
     failures = sum(rec["status"] != "PASS" for rec in results)
     print(f"{len(results)} checks, {failures} failures")
     return 0 if failures == 0 else 1
@@ -224,6 +224,9 @@ def main(argv=None) -> int:
     except (FamilyError, ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its argument, quotes and all
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:   # an --output file that cannot be written; names its path
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .families import FamilySpec, assemble_jones, check_twists, load_family
-from .pdcodes import BudgetExceeded, PDCode, jones_from_pd
+from .pdcodes import BudgetExceeded, PDCode, jones_from_pd, strand_cycles
 
 # slot indices inside a crossing
 NW, NE, SW, SE = 0, 1, 2, 3
@@ -139,37 +139,12 @@ class _Builder:
         pd.validate_orientation()
         return pd
 
-    def _components(self, arcs) -> list[list[tuple[int, int]]]:
-        """Strand cycles as lists of (crossing, slot) where the strand enters."""
-        incidence: dict[int, list[tuple[int, int]]] = {}
-        for ci, slots in enumerate(arcs):
-            for pos, arc in enumerate(slots):
-                incidence.setdefault(arc, []).append((ci, pos))
-        seen: set[tuple[int, int]] = set()
-        comps = []
-        for ci0 in range(len(arcs)):
-            for pos0 in range(4):
-                if (ci0, pos0) in seen:
-                    continue
-                walk = []
-                ci, pos = ci0, pos0
-                while (ci, pos) not in seen:
-                    seen.add((ci, pos))
-                    out_pos = _PARTNER[pos]
-                    seen.add((ci, out_pos))
-                    walk.append((ci, pos))
-                    arc = arcs[ci][out_pos]
-                    a, b = incidence[arc]
-                    ci, pos = b if a == (ci, out_pos) else a
-                comps.append(walk)
-        return comps
-
     def _orient(self, arcs) -> dict[tuple[int, int], str]:
         """Orient the strands.  A knot has a canonical choice (reversal does not
         change the Jones polynomial); for links the component orientations are
         chosen so that every marked twist region has anti-parallel strands,
         matching the two-circle band patterns the fixtures realize."""
-        comps = self._components(arcs)
+        comps = strand_cycles(arcs, _PARTNER)
         if len(comps) > 6:
             raise DiagramError("too many components to orient")
         for flips in product((False, True), repeat=max(len(comps) - 1, 0)):
@@ -233,18 +208,6 @@ def build_diagram(tpl: DiagramTemplate, spec: FamilySpec, twists,
             walk.append(pair if not flip else (pair[1], pair[0]))
         for k, (_, right) in enumerate(walk):
             builder.weld(right, walk[(k + 1) % len(walk)][0])
-    return builder.realize()
-
-
-def pretzel_pd(*counts: int) -> PDCode:
-    """Columns of vertical twists closed cyclically; fixture generator."""
-    builder = _Builder()
-    cols = [builder.vertical_region(k, band=i) for i, k in enumerate(counts)]
-    m = len(cols)
-    for i in range(m):
-        nxt = cols[(i + 1) % m]
-        builder.weld(cols[i][1], nxt[0])
-        builder.weld(cols[i][3], nxt[2])
     return builder.realize()
 
 

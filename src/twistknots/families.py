@@ -417,27 +417,20 @@ def base_case_jones(spec: FamilySpec, resolution: tuple[int, ...]) -> HalfLauren
 
 
 @lru_cache(maxsize=None)
-def t_form(spec: FamilySpec, forced: tuple[tuple[int, int], ...] = ()) -> tuple:
-    """The closed form  prod_free (1 + t^(s_i)) * V = sum_m T^m c_m(t).
+def t_form(spec: FamilySpec) -> tuple:
+    """The closed form  prod_i (1 + t^(s_i)) * V = sum_m T^m c_m(t).
 
-    m runs over 0/1 vectors on the free active bands (those not in ``forced``,
-    given as (band index, state) pairs), T^m is the product of the
-    T_i = t^(2 s_i n_i) with m_i = 1, and the result lists the pairs
-    (m, c_m) with c_m != 0, c_m as (doubled exponent, coefficient) pairs in
-    increasing exponent order.  A free band's resolved state gives
-    -t^(s/2) to m_i = 0 and t^(s/2) to m_i = 1, its retained state 1 + t^s to
-    m_i = 1; a forced band keeps its state with weight 1."""
-    fixed = dict(forced)
+    m runs over 0/1 vectors on the active bands, T^m is the product of the
+    T_i = t^(2 s_i n_i) with m_i = 1, and the result lists the pairs (m, c_m)
+    with c_m != 0, c_m as (doubled exponent, coefficient) pairs in increasing
+    exponent order.  A band's resolved state gives -t^(s/2) to m_i = 0 and
+    t^(s/2) to m_i = 1, its retained state 1 + t^s to m_i = 1."""
     active = spec.active_bands
-    states = [(fixed[i],) if i in fixed else (0, 1) for i in active]
     # position j of a key holds band j's state until band j is summed out,
     # and its T-exponent m_j after
-    layer = {x: base_case_jones(spec, x) for x in product(*states)}
+    layer = {x: base_case_jones(spec, x) for x in product((0, 1), repeat=len(active))}
     for j in reversed(range(len(active))):
-        i = active[j]
-        if i in fixed:
-            continue
-        s = spec.bands[i].sign
+        s = spec.bands[active[j]].sign
         half = HalfLaurent.t_power(s)
         weights = {0: ((0, -half), (1, half)), 1: ((1, HalfLaurent({0: 1, 2 * s: 1})),)}
         summed: dict[tuple[int, ...], HalfLaurent] = {}
@@ -446,19 +439,20 @@ def t_form(spec: FamilySpec, forced: tuple[tuple[int, int], ...] = ()) -> tuple:
                 out = key[:j] + (m,) + key[j + 1:]
                 summed[out] = summed.get(out, HalfLaurent.zero()) + weight * value
         layer = summed
-    free = [j for j, i in enumerate(active) if i not in fixed]
-    return tuple((tuple(key[j] for j in free), tuple(sorted(value.terms.items())))
+    return tuple((key, tuple(sorted(value.terms.items())))
                  for key, value in sorted(layer.items()) if value)
 
 
-def _assemble(spec: FamilySpec, n: tuple[int, ...], forced: dict[int, int]) -> HalfLaurent:
-    """Evaluate the T-form at n: shift each c_m by T^m, sum into one dense
-    coefficient list, and divide it exactly by (1 + t^(s_i)) per free band."""
-    form = t_form(spec, tuple(sorted(forced.items())))
-    free = [(n[j], spec.bands[i].sign)
-            for j, i in enumerate(spec.active_bands) if i not in forced]
-    shifted = [(sum(4 * s * nj for (nj, s), mj in zip(free, m) if mj), terms)
-               for m, terms in form]
+def assemble_jones(spec: FamilySpec, twists) -> HalfLaurent:
+    """Jones polynomial of one family instance; integral powers of t only.
+
+    Evaluates the T-form at the twists: shifts each c_m by T^m, sums into one
+    dense coefficient list, and divides it exactly by (1 + t^(s_i)) per active
+    band."""
+    n = check_twists(spec, twists)
+    signs = [spec.bands[i].sign for i in spec.active_bands]
+    shifted = [(sum(4 * s * nj for nj, s, mj in zip(n, signs, m) if mj), terms)
+               for m, terms in t_form(spec)]
     if not shifted:
         return HalfLaurent.zero()
     lo = min(d + terms[0][0] for d, terms in shifted)
@@ -468,34 +462,18 @@ def _assemble(spec: FamilySpec, n: tuple[int, ...], forced: dict[int, int]) -> H
             dense[e + d - lo] += c
     # in the doubled exponent every division is by 1 + t, since
     # 1 + t^(-1) = t^(-1) (1 + t); each negative band then shifts by t
-    for _ in free:
+    for _ in signs:
         for k in range(2, len(dense)):
             dense[k] -= dense[k - 2]
         if any(dense[-2:]):
             raise AssertionError(
                 f"T-form of {spec.name}[{spec.signs_str()}] at {n} is not divisible by 1 + t")
         del dense[-2:]
-    lo += sum(2 for _, s in free if s < 0)
-    return HalfLaurent({lo + k: c for k, c in enumerate(dense) if c})
-
-
-def assemble_jones(spec: FamilySpec, twists) -> HalfLaurent:
-    """Jones polynomial of one family instance; integral powers of t only."""
-    n = check_twists(spec, twists)
-    total = _assemble(spec, n, {})
+    lo += sum(2 for s in signs if s < 0)
+    total = HalfLaurent({lo + k: c for k, c in enumerate(dense) if c})
     if not total.is_knot_valued():
         raise FamilyError("assembled Jones polynomial is not knot-valued")
     return total
-
-
-def assemble_partial(spec: FamilySpec, twists, forced: dict[int, int]) -> HalfLaurent:
-    """Assembly with some bands forced to a state and their prefactor omitted.
-
-    forced maps 0-based band index to 0 (resolved) or 1 (retained); used for
-    skein-recursion checks.
-    """
-    n = check_twists(spec, twists)
-    return _assemble(spec, n, forced)
 
 
 # every monomial symbolic_derivs has returned, each its own key; at most the

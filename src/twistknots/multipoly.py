@@ -155,21 +155,6 @@ class MultiPoly:
             out += c
         return out
 
-    def substitute(self, assignment: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Replace variables by polynomials (same variable context)."""
-        out = MultiPoly.zero(self.vars)
-        for m, c in self.terms.items():
-            term = MultiPoly.const(self.vars, c)
-            for name, exp in zip(self.vars, m):
-                if not exp:
-                    continue
-                repl = assignment.get(name)
-                if repl is None:
-                    repl = MultiPoly.var(self.vars, name)
-                term = term * repl ** exp
-            out = out + term
-        return out
-
     def substitute_cleared(self, name: str, num: "MultiPoly", den: "MultiPoly") -> tuple["MultiPoly", int]:
         """den^d * self with ``name`` replaced by num/den, d = degree in ``name``.
 

@@ -14,25 +14,11 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial
 from typing import Optional, Sequence
 
 from .laurent import HalfLaurent, exact_quotient
 from .seifert import ConwaySeries
-
-
-def h_coeffs(V: HalfLaurent, N: int = 6) -> tuple[Fraction, ...]:
-    """Coefficients j_0..j_N of h^n in V(e^h), exactly: a term c t^(e/2)
-    contributes c (e/2)^n / n! to j_n."""
-    if not V.is_knot_valued():
-        raise ValueError("h-expansion needs integral powers of t")
-    js = []
-    for n in range(N + 1):
-        total = Fraction(0)
-        for e, c in V.terms.items():
-            total += Fraction(c) * Fraction(e, 2) ** n
-        js.append(total / factorial(n))
-    return tuple(js)
 
 
 @lru_cache(maxsize=None)
@@ -46,7 +32,8 @@ def _stirling2(n: int, k: int) -> int:
 
 def h_coeffs_from_derivs(derivs: Sequence[int | Fraction],
                          N: int = 6) -> tuple[int | Fraction, ...]:
-    """Same expansion via Stirling numbers: j_n = sum_k V^(k)(1) S(n,k) / n!.
+    """Coefficients j_0..j_N of h^n in V(e^h), from the derivatives at 1 via
+    Stirling numbers: j_n = sum_k V^(k)(1) S(n,k) / n!.
 
     The sum is taken in the derivatives' own arithmetic, ints for a knot, and
     divided by n! once per order, so j_n is an int where n! divides it and the
@@ -56,32 +43,6 @@ def h_coeffs_from_derivs(derivs: Sequence[int | Fraction],
     return tuple(exact_quotient(sum(derivs[k] * _stirling2(n, k) for k in range(n + 1)),
                                 factorial(n))
                  for n in range(N + 1))
-
-
-@dataclass(frozen=True)
-class FiniteTypeInvariants:
-    v4: Fraction
-    w4: Fraction
-    v6: Fraction
-
-
-def finite_type(a2, a4, a6, j4) -> FiniteTypeInvariants:
-    """The degree-4/6 invariants from Conway coefficients and j_4, as printed."""
-    a2, a4, a6, j4 = (Fraction(x) for x in (a2, a4, a6, j4))
-    v4 = -Fraction(1, 2) * a4 - Fraction(1, 24) * a2 + Fraction(1, 4) * a2 ** 2
-    w4 = Fraction(1, 96) * j4 + Fraction(3, 32) * a4 - Fraction(9, 2) * a2 ** 2
-    v6 = (-Fraction(1, 2) * a6 - Fraction(1, 12) * a4 - Fraction(1, 720) * a2
-          + Fraction(1, 24) * a2 ** 2 + Fraction(1, 2) * a2 * a4
-          - Fraction(1, 6) * a2 ** 3)
-    return FiniteTypeInvariants(v4, w4, v6)
-
-
-def ito_residual(p: int, q: int, ft: FiniteTypeInvariants) -> Fraction:
-    """Left side of the slope relation p^2(24 w4 - 5 v4) + 5 v4 + q^2(210 v6 + 5 v4)."""
-    if gcd(p, q) != 1:
-        raise ValueError("slope must be in lowest terms")
-    return (p * p * (24 * ft.w4 - 5 * ft.v4) + 5 * ft.v4
-            + q * q * (210 * ft.v6 + 5 * ft.v4))
 
 
 class Root5Verdict(enum.Enum):

@@ -29,6 +29,36 @@ class BudgetExceeded(PDError):
     pass
 
 
+def strand_cycles(crossings, partner) -> list[list[tuple[int, int]]]:
+    """The closed strands of a diagram, each as the (crossing, slot) pairs at
+    which it enters a crossing, in walking order.
+
+    ``crossings`` gives each crossing's arc labels by slot, every label on
+    exactly two slots; ``partner[slot]`` is the slot on the other side of the
+    crossing along the same strand."""
+    incidence: dict[int, list[tuple[int, int]]] = {}
+    for ci, slots in enumerate(crossings):
+        for pos, arc in enumerate(slots):
+            incidence.setdefault(arc, []).append((ci, pos))
+    seen: set[tuple[int, int]] = set()
+    cycles = []
+    for ci0, slots in enumerate(crossings):
+        for pos0 in range(len(slots)):
+            if (ci0, pos0) in seen:
+                continue
+            walk = []
+            ci, pos = ci0, pos0
+            while (ci, pos) not in seen:
+                out_pos = partner[pos]
+                seen.add((ci, pos))
+                seen.add((ci, out_pos))
+                walk.append((ci, pos))
+                a, b = incidence[crossings[ci][out_pos]]
+                ci, pos = b if a == (ci, out_pos) else a
+            cycles.append(walk)
+    return cycles
+
+
 @dataclass(frozen=True)
 class PDCode:
     crossings: tuple[tuple[int, int, int, int], ...]
@@ -65,35 +95,8 @@ class PDCode:
         return sum(self.crossing_signs())
 
     def n_components(self) -> int:
-        return len(self._components()) + self.free_loops
-
-    def _components(self) -> list[list[int]]:
-        """Arc cycles; within a crossing the strand pairs are (0,2) and (1,3)."""
-        incid: dict[int, list[tuple[int, int]]] = {}
-        for ci, quad in enumerate(self.crossings):
-            for pos, arc in enumerate(quad):
-                incid.setdefault(arc, []).append((ci, pos))
-        comps = []
-        seen_arcs: set[int] = set()
-        for start in self.arcs():
-            if start in seen_arcs:
-                continue
-            cycle = []
-            arc = start
-            # walk: at each step choose the incidence not used to enter
-            prev: tuple[int, int] | None = None
-            while arc not in seen_arcs:
-                seen_arcs.add(arc)
-                cycle.append(arc)
-                a_inc = incid[arc]
-                nxt = a_inc[1] if prev == a_inc[0] else a_inc[0]
-                ci, pos = nxt
-                out_pos = (pos + 2) % 4
-                arc_next = self.crossings[ci][out_pos]
-                prev = (ci, out_pos)
-                arc = arc_next
-            comps.append(cycle)
-        return comps
+        # a strand leaves a crossing at the tuple position opposite its entry
+        return len(strand_cycles(self.crossings, (2, 3, 0, 1))) + self.free_loops
 
     def validate_orientation(self) -> None:
         """Each arc must be produced once and consumed once.
@@ -115,8 +118,8 @@ class PDCode:
             raise PDError("open strand ends present")
 
 
-def kauffman_bracket_stats(pd: PDCode) -> tuple[dict[int, int], int]:
-    """Bracket polynomial keyed by quadrupled exponent, plus states processed."""
+def kauffman_bracket(pd: PDCode) -> dict[int, int]:
+    """State-sum bracket; keys are exponents of A."""
     c = pd.n_crossings
     if c > MAX_CROSSINGS:
         raise BudgetExceeded(f"{c} crossings exceeds the {MAX_CROSSINGS}-crossing budget")
@@ -130,7 +133,6 @@ def kauffman_bracket_stats(pd: PDCode) -> tuple[dict[int, int], int]:
         pairs_a.append((a, b, cc, d))
         pairs_b.append((a, d, b, cc))
     out: dict[int, int] = {}
-    states = 0
     parent = list(range(n_arcs))
 
     def find(x: int) -> int:
@@ -165,14 +167,7 @@ def kauffman_bracket_stats(pd: PDCode) -> tuple[dict[int, int], int]:
         for j in range(m + 1):
             expo = sigma + 2 * j - 2 * (m - j)
             out[expo] = out.get(expo, 0) + sign * comb(m, j)
-        states += 1
-    return {e: v for e, v in out.items() if v}, states
-
-
-def kauffman_bracket(pd: PDCode) -> dict[int, int]:
-    """State-sum bracket; keys are exponents of A."""
-    poly, _ = kauffman_bracket_stats(pd)
-    return poly
+    return {e: v for e, v in out.items() if v}
 
 
 def bracket_to_t(poly_in_a: dict[int, int]) -> HalfLaurent:

@@ -1,12 +1,16 @@
 """Test-only helpers: constructions and reference formulas that the tests
 use to check the engines, and that no engine needs."""
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import factorial, gcd
 
 from twistknots.casework import CaseRegistry, _matching, _parsed_patterns
-from twistknots.diagrams import DiagramTemplate
-from twistknots.families import BandSpec, FamilySpec
+from twistknots.diagrams import DiagramTemplate, _Builder
+from twistknots.families import BandSpec, FamilySpec, base_case_jones
 from twistknots.laurent import HalfLaurent
+from twistknots.multipoly import MultiPoly
 from twistknots.pdcodes import PDCode
 
 
@@ -16,6 +20,90 @@ def falling_factorial(x: Fraction, k: int) -> Fraction:
     for r in range(k):
         out *= x - r
     return out
+
+
+def substitute(p: MultiPoly, assignment) -> MultiPoly:
+    """Replace variables of p by polynomials over the same variables; the
+    reference for ``MultiPoly.shifted_by_one``."""
+    out = MultiPoly.zero(p.vars)
+    for m, c in p.terms.items():
+        term = MultiPoly.const(p.vars, c)
+        for name, exp in zip(p.vars, m):
+            if exp:
+                term = term * assignment.get(name, MultiPoly.var(p.vars, name)) ** exp
+        out = out + term
+    return out
+
+
+# --- reference assembly: dense prefactors, 2^k state sum ---------------------
+
+def prefactor(s: int, x: int, n: int) -> HalfLaurent:
+    """Skein prefactor of one band: t^(2sn) if the band is retained, else the
+    geometric-sum form (1 + t^(2s) + ... + t^(2s(n-1))) * (s t^s) * (t^(1/2) - t^(-1/2))."""
+    if x == 1:
+        return HalfLaurent.t_power(4 * s * n)
+    geo = HalfLaurent({4 * s * j: 1 for j in range(n)})
+    return geo * HalfLaurent({3 * s: 1, s: -1})
+
+
+def reference_assemble(spec, n, forced=None) -> HalfLaurent:
+    """V = sum over the 2^k states x of prod_i pre(s_i, x_i, n_i) * V_x, with the
+    forced bands (0-based band index -> state 0 resolved or 1 retained) held at
+    their state and their prefactor omitted."""
+    forced = forced or {}
+    active = spec.active_bands
+    choices = [(forced[i],) if i in forced else (0, 1) for i in active]
+    total = HalfLaurent.zero()
+    for x in product(*choices):
+        term = base_case_jones(spec, x)
+        for j, i in enumerate(active):
+            if i not in forced:
+                term = term * prefactor(spec.bands[i].sign, x[j], n[j])
+        total = total + term
+    return total
+
+
+# --- h-expansion and the paper's finite-type formulas ------------------------
+
+def h_coeffs(V: HalfLaurent, N: int = 6) -> tuple[Fraction, ...]:
+    """Coefficients j_0..j_N of h^n in V(e^h), exactly: a term c t^(e/2)
+    contributes c (e/2)^n / n! to j_n.  The reference for
+    ``obstruction.h_coeffs_from_derivs``."""
+    if not V.is_knot_valued():
+        raise ValueError("h-expansion needs integral powers of t")
+    js = []
+    for n in range(N + 1):
+        total = Fraction(0)
+        for e, c in V.terms.items():
+            total += Fraction(c) * Fraction(e, 2) ** n
+        js.append(total / factorial(n))
+    return tuple(js)
+
+
+@dataclass(frozen=True)
+class FiniteTypeInvariants:
+    v4: Fraction
+    w4: Fraction
+    v6: Fraction
+
+
+def finite_type(a2, a4, a6, j4) -> FiniteTypeInvariants:
+    """The degree-4/6 invariants from Conway coefficients and j_4, as printed."""
+    a2, a4, a6, j4 = (Fraction(x) for x in (a2, a4, a6, j4))
+    v4 = -Fraction(1, 2) * a4 - Fraction(1, 24) * a2 + Fraction(1, 4) * a2 ** 2
+    w4 = Fraction(1, 96) * j4 + Fraction(3, 32) * a4 - Fraction(9, 2) * a2 ** 2
+    v6 = (-Fraction(1, 2) * a6 - Fraction(1, 12) * a4 - Fraction(1, 720) * a2
+          + Fraction(1, 24) * a2 ** 2 + Fraction(1, 2) * a2 * a4
+          - Fraction(1, 6) * a2 ** 3)
+    return FiniteTypeInvariants(v4, w4, v6)
+
+
+def ito_residual(p: int, q: int, ft: FiniteTypeInvariants) -> Fraction:
+    """Left side of the slope relation p^2(24 w4 - 5 v4) + 5 v4 + q^2(210 v6 + 5 v4)."""
+    if gcd(p, q) != 1:
+        raise ValueError("slope must be in lowest terms")
+    return (p * p * (24 * ft.w4 - 5 * ft.v4) + 5 * ft.v4
+            + q * q * (210 * ft.v6 + 5 * ft.v4))
 
 
 def mirror(p: HalfLaurent) -> HalfLaurent:
@@ -42,6 +130,18 @@ def mirrored(spec: FamilySpec) -> FamilySpec:
     """The family with every band sign flipped."""
     flipped = tuple(BandSpec(-b.sign, b.parity, b.frozen) for b in spec.bands)
     return FamilySpec(spec.name, flipped, spec.base)
+
+
+def pretzel_pd(*counts: int) -> PDCode:
+    """Columns of vertical twists closed cyclically."""
+    builder = _Builder()
+    cols = [builder.vertical_region(k, band=i) for i, k in enumerate(counts)]
+    m = len(cols)
+    for i in range(m):
+        nxt = cols[(i + 1) % m]
+        builder.weld(cols[i][1], nxt[0])
+        builder.weld(cols[i][3], nxt[2])
+    return builder.realize()
 
 
 def disjoint_union(p1: PDCode, p2: PDCode) -> PDCode:

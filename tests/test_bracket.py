@@ -1,13 +1,12 @@
 import pytest
 
-from helpers import connected_sum, disjoint_union, flipped_foot
+from helpers import connected_sum, disjoint_union, flipped_foot, pretzel_pd, reference_assemble
 from twistknots.diagrams import (
     DiagramError,
     _Builder,
     build_diagram,
     crosscheck,
     load_template,
-    pretzel_pd,
 )
 from twistknots.families import assemble_jones, load_family, xn_jones
 from twistknots.laurent import HalfLaurent, unlink_factor
@@ -18,7 +17,6 @@ from twistknots.pdcodes import (
     format_pd,
     jones_from_pd,
     kauffman_bracket,
-    kauffman_bracket_stats,
     parse_pd,
 )
 
@@ -68,11 +66,6 @@ def test_hopf_bracket():
     assert bracket == {4: -1, -4: -1}
 
 
-def test_bracket_state_count():
-    _, states = kauffman_bracket_stats(pretzel_pd(1, 1, 1))
-    assert states == 2 ** 3
-
-
 def test_bracket_budget():
     big = pretzel_pd(13, 13)
     with pytest.raises(BudgetExceeded):
@@ -120,6 +113,27 @@ def test_connected_sum_multiplies_jones():
     arc = tref.arcs()[0]
     double = connected_sum(tref, tref, arc, arc)
     assert jones_from_pd(double) == jones_from_pd(tref) * jones_from_pd(tref)
+
+
+def resolved_7_6(*bands):
+    spec = load_family("7_6").with_signs("++-+-")
+    return build_diagram(load_template("7_6"), spec, (1,) * 5, resolved=frozenset(bands))
+
+
+@pytest.mark.parametrize("make,count", [
+    (lambda: POS_KINK, 1),
+    (lambda: pretzel_pd(1, 1), 2),
+    (lambda: LEFT_TREFOIL, 1),
+    (lambda: disjoint_union(LEFT_TREFOIL, PDCode((), (), free_loops=1)), 2),
+    (lambda: resolved_7_6(0), 2),
+    (lambda: resolved_7_6(0, 3), 3),
+], ids=["kink", "hopf", "left_trefoil", "trefoil_and_loop", "7_6_resolved_0",
+        "7_6_resolved_0_3"])
+def test_component_count(make, count):
+    """The strand walker's count c agrees with V(1) = (-2)^(c-1)."""
+    pd = make()
+    assert pd.n_components() == count
+    assert sum(jones_from_pd(pd).terms.values()) == (-2) ** (count - 1)
 
 
 def test_pd_parse_rejects_bad_codes():
@@ -208,10 +222,9 @@ def test_crosscheck_budget():
 
 @pytest.mark.parametrize("family", ["7_6", "10_58", "8_12"])
 def test_resolved_band_matches_partial_assembly(family):
-    from twistknots.families import assemble_partial
     tpl = load_template(family)
     spec = load_family(family).with_signs("++-+-")
     n = (1,) * len(spec.active_bands)
     for band in spec.active_bands:
         pd = build_diagram(tpl, spec, n, resolved=frozenset({band}))
-        assert jones_from_pd(pd) == assemble_partial(spec, n, {band: 0})
+        assert jones_from_pd(pd) == reference_assemble(spec, n, {band: 0})

@@ -179,12 +179,26 @@ def test_verify_paper_fault_in_a_later_case_prints_nothing(tmp_path):
     assert not report.exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "", "2.5"])
+@pytest.mark.parametrize("value", ["abc", "", "2.5", "0", "-2"])
 def test_bad_worker_count_exits_2(value, monkeypatch, capsys):
     monkeypatch.setenv("TWISTKNOTS_WORKERS", value)
     assert main(["sweep", "--family", "8_12", "--range", "2"]) == 2
     out, err = capsys.readouterr()
-    assert (out, err) == ("", f"error: TWISTKNOTS_WORKERS must be an integer, got {value!r}\n")
+    assert (out, err) == ("", f"error: TWISTKNOTS_WORKERS must be a positive integer, "
+                              f"got {value!r}\n")
+
+
+@pytest.mark.parametrize("command", [["sweep", "--family", "8_12", "--range", "2"],
+                                     ["verify-paper", "--family", "8_12"]])
+def test_unwritable_output_exits_2(command, tmp_path, capsys):
+    """An --output path in a missing directory is a usage error: one error line
+    naming the path, nothing on stdout, exit 2."""
+    path = tmp_path / "missing" / "out.json"
+    assert main(command + ["--output", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
 
 
 def test_oracle_failure_exits_1(monkeypatch, capsys):

@@ -7,11 +7,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from helpers import mirror, mirrored, shift
+from helpers import mirror, mirrored, prefactor, reference_assemble, shift
 from twistknots.families import (
     FamilyError,
     assemble_jones,
-    assemble_partial,
     base_case_jones,
     check_twists,
     jones_derivs,
@@ -33,33 +32,6 @@ TEN = load_family("10_58")
 EIGHT = load_family("8_12")
 FAMILIES = {"7_6": SEVEN, "10_58": TEN, "8_12": EIGHT}
 ALL_SIGNS = ["".join(c) for c in product("+-", repeat=5)]
-
-
-# --- reference assembly: dense prefactors, 2^k state sum ---------------------
-
-def prefactor(s: int, x: int, n: int) -> HalfLaurent:
-    """Skein prefactor of one band: t^(2sn) if the band is retained, else the
-    geometric-sum form (1 + t^(2s) + ... + t^(2s(n-1))) * (s t^s) * (t^(1/2) - t^(-1/2))."""
-    if x == 1:
-        return HalfLaurent.t_power(4 * s * n)
-    geo = HalfLaurent({4 * s * j: 1 for j in range(n)})
-    return geo * HalfLaurent({3 * s: 1, s: -1})
-
-
-def reference_assemble(spec, n, forced=None) -> HalfLaurent:
-    """V = sum over the 2^k states x of prod_i pre(s_i, x_i, n_i) * V_x, with the
-    forced bands held at their state and their prefactor omitted."""
-    forced = forced or {}
-    active = spec.active_bands
-    choices = [(forced[i],) if i in forced else (0, 1) for i in active]
-    total = HalfLaurent.zero()
-    for x in product(*choices):
-        term = base_case_jones(spec, x)
-        for j, i in enumerate(active):
-            if i not in forced:
-                term = term * prefactor(spec.bands[i].sign, x[j], n[j])
-        total = total + term
-    return total
 
 
 # --- prefactors --------------------------------------------------------------
@@ -196,7 +168,7 @@ def test_skein_recursion_per_band(name, signs, n, band):
         n = n[:band] + (n[band] + 1,) + n[band + 1:]
     s = spec.bands[band].sign
     lower = n[:band] + (n[band] - 1,) + n[band + 1:]
-    resolved = assemble_partial(spec, n, {band: 0})
+    resolved = reference_assemble(spec, n, {band: 0})
     z = HL({1: 1, -1: -1})
     rhs = HL({4 * s: 1}) * assemble_jones(spec, lower) + HL({2 * s: s}) * z * resolved
     assert assemble_jones(spec, n) == rhs
@@ -208,8 +180,8 @@ def test_state_split_identity():
     n = (2, 1, 2, 1, 1)
     for band in range(5):
         s = spec.bands[band].sign
-        retained = assemble_partial(spec, n, {band: 1})
-        resolved = assemble_partial(spec, n, {band: 0})
+        retained = reference_assemble(spec, n, {band: 1})
+        resolved = reference_assemble(spec, n, {band: 0})
         combined = prefactor(s, 1, n[band]) * retained + prefactor(s, 0, n[band]) * resolved
         assert combined == assemble_jones(spec, n)
 
@@ -217,16 +189,12 @@ def test_state_split_identity():
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 @pytest.mark.parametrize("signs", ALL_SIGNS)
 def test_t_form_matches_reference(name, signs):
-    """The T-form assembly, whole and with each band forced to either state,
-    equals the dense 2^k state sum at a random twist vector with entries <= 30."""
+    """The T-form assembly equals the dense 2^k state sum at a random twist
+    vector with entries <= 30."""
     spec = FAMILIES[name].with_signs(signs)
     rng = random.Random(f"{name}{signs}")
     n = tuple(rng.randint(1, 30) for _ in spec.active_bands)
     assert assemble_jones(spec, n) == reference_assemble(spec, n)
-    for band in spec.active_bands:
-        for state in (0, 1):
-            assert (assemble_partial(spec, n, {band: state})
-                    == reference_assemble(spec, n, {band: state}))
 
 
 def test_jones_derivs_examples():

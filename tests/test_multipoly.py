@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
+from helpers import substitute
 from twistknots.multipoly import (
     ExprError,
     MultiPoly,
@@ -167,8 +168,8 @@ def test_shift_certificate():
 
 
 def shifted_by_substitution(p):
-    return p.substitute({v: MultiPoly.var(p.vars, v) + MultiPoly.const(p.vars, 1)
-                         for v in p.vars})
+    return substitute(p, {v: MultiPoly.var(p.vars, v) + MultiPoly.const(p.vars, 1)
+                          for v in p.vars})
 
 
 @given(int_polys)

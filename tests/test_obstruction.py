@@ -4,17 +4,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from helpers import shift
+from helpers import FiniteTypeInvariants, finite_type, h_coeffs, ito_residual, shift
 from twistknots.laurent import HalfLaurent
-from twistknots.obstruction import (
-    Root5Verdict,
-    cosmetic_gate,
-    finite_type,
-    h_coeffs,
-    h_coeffs_from_derivs,
-    ito_residual,
-    root5_gate,
-)
+from twistknots.obstruction import Root5Verdict, cosmetic_gate, h_coeffs_from_derivs, root5_gate
 from twistknots.seifert import ConwaySeries
 
 HL = HalfLaurent
@@ -113,13 +105,11 @@ def test_ito_residual_slope_two():
 
 
 def test_ito_residual_examples():
-    from twistknots.obstruction import FiniteTypeInvariants
     assert ito_residual(2, 1, FiniteTypeInvariants(F(0), F(0), F(0))) == 0
     assert ito_residual(2, 1, FiniteTypeInvariants(F(1), F(0), F(0))) == -10
 
 
 def test_ito_residual_requires_coprime():
-    from twistknots.obstruction import FiniteTypeInvariants
     with pytest.raises(ValueError):
         ito_residual(2, 2, FiniteTypeInvariants(F(0), F(0), F(0)))
 
