@@ -19,8 +19,10 @@ The first gate is a monomial, never 0 since every twist is >= 1, times a core
 that is solved over only the twists it mentions, a grid plane at a time (7_6:
 a b c; 10_58: a d e; 8_12: a constant, so no zeros).  The later gates (a2, d3,
 d4) run with the first gate's zeros as their plane, at each outer prefix of
-the twists the core leaves free, so no other point reaches them.  If the first
-gate is identically 0, every line of the box stays alive, an outer prefix at a
+the twists the core leaves free, so no other point reaches them; a gate's
+rows over that plane are built when a line first reaches it, so a box whose
+lines all stop early never builds d3's or d4's.  If the first gate is
+identically 0, every line of the box stays alive, an outer prefix at a
 time.  The survivors reach full assembly sorted into the order of the box, so
 the reports do not depend on how the zeros are found.
 
@@ -490,12 +492,14 @@ def _gate_loop(gates: list[MultiPoly], axis: range) -> tuple[list[int], list[tup
     passed = [sum(len(a) for _, a in picks) * len(axis) ** len(inner)] + [0] * len(gates[1:])
     survivors = []
     if picks:
-        later = [_gate_rows(gate, plane, at) for gate in gates[1:]]
+        later = {}
         start = list(enumerate(alive for _, alive in picks))
         for outer in product(axis, repeat=len(inner)):
             lines = start
-            for i, rows in enumerate(later, 1):
-                lines = _plane_zeros(rows(outer), lines)
+            for i, gate in enumerate(gates[1:], 1):
+                if i not in later:
+                    later[i] = _gate_rows(gate, plane, at)
+                lines = _plane_zeros(later[i](outer), lines)
                 passed[i] += sum(len(alive) for _, alive in lines)
                 if not lines:
                     break

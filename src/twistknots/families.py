@@ -23,7 +23,9 @@ so clearing the denominators gives the T-form
 in which each c_m is a short Laurent polynomial in t^(1/2) that does not
 depend on n.  ``t_form`` builds the c_m once per sign case; an instance shifts
 each c_m by T^m, adds them up and divides exactly by the (1 + t^(s_i)), in time
-linear in the twists (``assemble_jones``).
+linear in the twists (``assemble_jones``).  The sum of a knot holds integral
+powers of t only, so every half-integral slot must be 0 and the divisions run
+on the integral powers alone, one prefix sum per band.
 
 The derivatives at t=1, as polynomials in n_1..n_k, come from the state sum by
 an independent route: every prefactor and every V_x becomes its Taylor series
@@ -41,8 +43,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
-from itertools import product
+from itertools import accumulate, cycle, product
 from math import factorial, lcm
+from operator import mul
 
 from .laurent import HalfLaurent, exact_quotient, unlink_factor
 from .multipoly import ExprError, MultiPoly, falling_factorial_poly, parse_poly, power_sum_poly
@@ -420,11 +423,13 @@ def base_case_jones(spec: FamilySpec, resolution: tuple[int, ...]) -> HalfLauren
 def t_form(spec: FamilySpec) -> tuple:
     """The closed form  prod_i (1 + t^(s_i)) * V = sum_m T^m c_m(t).
 
-    m runs over 0/1 vectors on the active bands, T^m is the product of the
-    T_i = t^(2 s_i n_i) with m_i = 1, and the result lists the pairs (m, c_m)
-    with c_m != 0, c_m as (doubled exponent, coefficient) pairs in increasing
-    exponent order.  A band's resolved state gives -t^(s/2) to m_i = 0 and
-    t^(s/2) to m_i = 1, its retained state 1 + t^s to m_i = 1."""
+    m runs over 0/1 vectors on the active bands and T^m is the product of the
+    T_i = t^(2 s_i n_i) with m_i = 1.  The result lists, in increasing order
+    of m and for each m with c_m != 0, the pair (bands, c_m): bands the
+    positions j with m_j = 1, over which an instance sums its shifts 4 s_j n_j
+    of the doubled exponent, and c_m as (doubled exponent, coefficient) pairs
+    in increasing exponent order.  A band's resolved state gives -t^(s/2) to
+    m_i = 0 and t^(s/2) to m_i = 1, its retained state 1 + t^s to m_i = 1."""
     active = spec.active_bands
     # position j of a key holds band j's state until band j is summed out,
     # and its T-exponent m_j after
@@ -439,41 +444,48 @@ def t_form(spec: FamilySpec) -> tuple:
                 out = key[:j] + (m,) + key[j + 1:]
                 summed[out] = summed.get(out, HalfLaurent.zero()) + weight * value
         layer = summed
-    return tuple((key, tuple(sorted(value.terms.items())))
-                 for key, value in sorted(layer.items()) if value)
+    return tuple((tuple(j for j, mj in enumerate(m) if mj), tuple(sorted(value.terms.items())))
+                 for m, value in sorted(layer.items()) if value)
 
 
 def assemble_jones(spec: FamilySpec, twists) -> HalfLaurent:
     """Jones polynomial of one family instance; integral powers of t only.
 
     Evaluates the T-form at the twists: shifts each c_m by T^m, sums into one
-    dense coefficient list, and divides it exactly by (1 + t^(s_i)) per active
-    band."""
+    dense coefficient list over the doubled exponent, and divides it exactly
+    by (1 + t^(s_i)) per active band.  A knot's sum has integral powers of t
+    only, so every odd doubled exponent must hold 0, or the family is wrong
+    (``FamilyError``); the divisions then run on the even slots alone, one
+    slot per power of t.  Since 1 + t^(-1) = t^(-1) (1 + t), each division is
+    by 1 + t, and a negative band shifts the result by t.  With the signs
+    alternated, a_k = (-1)^k p_k, the quotient q of p by 1 + t is
+    q_k = (-1)^k A_k for the prefix sums A of a, and the last prefix sum is
+    the remainder, which must be 0; the prefix sums are again q alternated,
+    so every division is one more prefix sum."""
     n = check_twists(spec, twists)
     signs = [spec.bands[i].sign for i in spec.active_bands]
-    shifted = [(sum(4 * s * nj for nj, s, mj in zip(n, signs, m) if mj), terms)
-               for m, terms in t_form(spec)]
+    shifts = [4 * s * v for s, v in zip(signs, n)]
+    shifted = [(sum([shifts[j] for j in bands]), terms) for bands, terms in t_form(spec)]
     if not shifted:
         return HalfLaurent.zero()
-    lo = min(d + terms[0][0] for d, terms in shifted)
-    dense = [0] * (max(d + terms[-1][0] for d, terms in shifted) - lo + 1)
+    lo = min([d + terms[0][0] for d, terms in shifted])
+    dense = [0] * (max([d + terms[-1][0] for d, terms in shifted]) - lo + 1)
     for d, terms in shifted:
+        d -= lo
         for e, c in terms:
-            dense[e + d - lo] += c
-    # in the doubled exponent every division is by 1 + t, since
-    # 1 + t^(-1) = t^(-1) (1 + t); each negative band then shifts by t
+            dense[d + e] += c
+    first = lo % 2   # the index of the first even doubled exponent
+    if any(dense[1 - first::2]):
+        raise FamilyError("assembled Jones polynomial is not knot-valued")
+    alternated = list(map(mul, dense[first::2], cycle((1, -1))))
     for _ in signs:
-        for k in range(2, len(dense)):
-            dense[k] -= dense[k - 2]
-        if any(dense[-2:]):
+        alternated = list(accumulate(alternated))
+        if any(alternated[-1:]):
             raise AssertionError(
                 f"T-form of {spec.name}[{spec.signs_str()}] at {n} is not divisible by 1 + t")
-        del dense[-2:]
-    lo += sum(2 for s in signs if s < 0)
-    total = HalfLaurent({lo + k: c for k, c in enumerate(dense) if c})
-    if not total.is_knot_valued():
-        raise FamilyError("assembled Jones polynomial is not knot-valued")
-    return total
+        del alternated[-1:]
+    lo += first + 2 * sum(s < 0 for s in signs)
+    return HalfLaurent({lo + 2 * k: -c if k % 2 else c for k, c in enumerate(alternated) if c})
 
 
 # every monomial symbolic_derivs has returned, each its own key; at most the

@@ -8,23 +8,40 @@ family derived by freezing bands, as 8_12 is from 10_58, takes its parent's.
 ``families``: band i with sign s_i and parity m_i carries n_i = s_i (2 v - m_i)
 crossings when v is its twist variable, and a frozen band carries none,
 n_i = 0.  The result is the family's template, a square matrix affine in the
-twist parameters with int coefficients, which ``SeifertTemplate.instantiate``
-evaluates at a twist vector with ``MultiPoly.eval`` in int arithmetic.
+twist parameters with int coefficients.  ``SeifertTemplate.affine`` reads
+each entry once as a constant and a coefficient per twist variable, and
+``instantiate`` evaluates the matrix at a twist vector by dot products.
 
-One routine, ``_delta``, takes Delta = det(S - t S^T) as a ``HalfLaurent``
-keyed by the doubled power of t, and one, ``_conway``, reads it in z.  The
-instance and the template differ only in the matrix passed in: the int matrix
-of ``instantiate`` gives the Alexander polynomial of one knot, and the
-template's ``MultiPoly`` rows give coefficients that are polynomials in the
-twist parameters.  The Conway polynomial is det(u S - u^(-1) S^T) with
-u = t^(1/2), which equals u^(-size) * Delta(u^2) because the size is even, so
-the doubled key e of Delta reads as u^(e - size), rewritten exactly in powers
-of z = u - u^(-1).
+``_delta`` takes Delta = det(S - t S^T) as a ``HalfLaurent`` keyed by the
+doubled power of t, and ``_conway`` reads it in z.  The template's
+``MultiPoly`` rows go through ``_delta``, which gives coefficients that are
+polynomials in the twist parameters.  The int matrix of ``instantiate`` goes
+through ``_packed_delta``, which gives the same Delta of one knot from one
+integer determinant by Kronecker substitution: t = X = 2^B, with
+B = bound.bit_length() + 2 and
+
+    bound = prod_i sum_j (|S_ij| + |S_ji|),
+
+so det(S - X S^T) = sum_e c_e X^e and the c_e are read back as balanced
+base-X digits, each in [-X/2, X/2).  That needs |c_e| < X/2, and
+|c_e| <= bound < X/4 holds: expanding the product of the row 1-norms of
+|S| + |S^T| t gives every term of the Leibniz expansion of det(S - t S^T)
+in absolute value, with nonnegative coefficients that sum to the bound.  A
+bound of 0 means a zero row in S - t S^T and in S - X S^T alike, so both
+determinants are 0.  A template keeps ``_delta``, since a polynomial entry
+has no size to bound and no integer to pack, and it is built once per sign
+case.
+
+The Conway polynomial is det(u S - u^(-1) S^T) with u = t^(1/2), which
+equals u^(-size) * Delta(u^2) because the size is even, so the doubled key e
+of Delta reads as u^(e - size), rewritten exactly in powers of z = u - u^(-1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import prod
 
 from .families import load_family
 from .laurent import HalfLaurent
@@ -40,14 +57,44 @@ class SeifertTemplate:
     variables: tuple[str, ...]
     rows: tuple[tuple[MultiPoly, ...], ...]   # square, affine entries
 
+    @cached_property
+    def affine(self) -> tuple:
+        """Each entry as (constant, ((index, coefficient), ...)), one pair per
+        twist variable the entry mentions, indexed as in ``variables``; an
+        entry that is not affine is a ``SeifertError``."""
+        out = []
+        for row in self.rows:
+            entries = []
+            for entry in row:
+                const, linear = 0, []
+                for mono, c in entry.terms.items():
+                    if sum(mono) > 1:
+                        raise SeifertError(f"Seifert entry {entry.format()} is not affine")
+                    if any(mono):
+                        linear.append((mono.index(1), c))
+                    else:
+                        const = c
+                entries.append((const, tuple(linear)))
+            out.append(tuple(entries))
+        return tuple(out)
+
     def instantiate(self, twists) -> tuple[tuple[int, ...], ...]:
         """Integer Seifert matrix at a twist vector; a non-integer entry, which
         only a template with a true fraction can give, is a ``SeifertError``."""
-        point = dict(zip(self.variables, twists))
-        values = [[entry.eval(point) for entry in row] for row in self.rows]
-        if any(v.denominator != 1 for row in values for v in row):
-            raise SeifertError("non-integer Seifert entry; template bug")
-        return tuple(tuple(map(int, row)) for row in values)
+        n = tuple(twists)
+        matrix = []
+        for row in self.affine:
+            values = []
+            for value, linear in row:
+                for i, c in linear:
+                    value += c * n[i]
+                values.append(value)
+            matrix.append(tuple(values))
+        if any(type(v) is not int for row in matrix for v in row):
+            if any(v.denominator != 1 for row in matrix for v in row):
+                raise SeifertError("non-integer Seifert entry; template bug")
+            matrix = [tuple(map(int, row)) for row in matrix]
+        return tuple(matrix)
 
 
 def template_for(family: str, signs) -> SeifertTemplate:
@@ -79,14 +126,18 @@ def template_for(family: str, signs) -> SeifertTemplate:
 # --- determinant and z-rewrite ----------------------------------------------
 
 def _det(rows, zero):
-    """Determinant by cofactor expansion along the first row.
+    """Determinant by cofactor expansion along the first row, down to 2 x 2
+    minors, which are a d - b c.
 
-    Entries need only ``+``, ``-``, ``*`` and truth, so this serves both
-    HalfLaurent and MultiPoly matrices; zero entries are skipped, which keeps
-    the sparse templates to a handful of minors.
+    Entries need only ``+``, ``-``, ``*`` and truth, so this serves
+    HalfLaurent, MultiPoly and int matrices alike; zero entries are skipped,
+    which keeps the sparse templates to a handful of minors.
     """
     if len(rows) == 1:
         return rows[0][0]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
     total = zero
     for j, entry in enumerate(rows[0]):
         if not entry:
@@ -129,11 +180,29 @@ def _rewrite_in_z(laurent: dict) -> dict:
 
 def _delta(rows) -> HalfLaurent:
     """det(S - t S^T) keyed by the doubled power of t, for a square matrix S
-    of ints (an instance) or of ``MultiPoly`` entries (a template)."""
+    of ``MultiPoly`` entries (a template), or of ints as the reference that
+    the tests hold ``_packed_delta`` to."""
     size = len(rows)
     entries = [[HalfLaurent({0: rows[i][j], 2: -rows[j][i]}) for j in range(size)]
                for i in range(size)]
     return _det(entries, HalfLaurent.zero())
+
+
+def _packed_delta(rows) -> HalfLaurent:
+    """``_delta`` of a square int matrix S, from the one int determinant
+    det(S - X S^T) read in balanced base-X digits (module docstring)."""
+    cols = tuple(zip(*rows))
+    bound = prod(sum(map(abs, row)) + sum(map(abs, col)) for row, col in zip(rows, cols))
+    width = bound.bit_length() + 2
+    base, half = 1 << width, 1 << (width - 1)
+    packed = _det([[a - base * b for a, b in zip(row, col)] for row, col in zip(rows, cols)], 0)
+    terms, e = {}, 0
+    while packed:
+        c = (packed + half) % base - half
+        terms[e] = c
+        packed = (packed - c) >> width
+        e += 2
+    return HalfLaurent(terms)
 
 
 def _conway(delta: HalfLaurent, size: int) -> dict:
@@ -143,8 +212,9 @@ def _conway(delta: HalfLaurent, size: int) -> dict:
 
 
 def alexander_poly(tpl: SeifertTemplate, twists) -> HalfLaurent:
-    """det(S - t S^T) at an instance; must be a unit at t = 1."""
-    delta = _delta(tpl.instantiate(twists))
+    """det(S - t S^T) at an instance, from the int matrix of ``instantiate``;
+    must be a unit at t = 1."""
+    delta = _packed_delta(tpl.instantiate(twists))
     if delta.eval_at_one() not in (1, -1):
         raise SeifertError(f"Alexander value at 1 is {delta.eval_at_one()}, not a unit")
     return delta

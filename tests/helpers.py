@@ -35,6 +35,13 @@ def substitute(p: MultiPoly, assignment) -> MultiPoly:
     return out
 
 
+def instantiate_by_eval(tpl, twists) -> tuple[tuple[int, ...], ...]:
+    """The Seifert matrix of a template at a twist vector, each entry by
+    ``MultiPoly.eval``; the reference for ``SeifertTemplate.instantiate``."""
+    point = dict(zip(tpl.variables, twists))
+    return tuple(tuple(entry.eval(point) for entry in row) for row in tpl.rows)
+
+
 # --- reference assembly: dense prefactors, 2^k state sum ---------------------
 
 def prefactor(s: int, x: int, n: int) -> HalfLaurent:

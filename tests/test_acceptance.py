@@ -4,7 +4,6 @@ Run with:  pytest tests/test_acceptance.py -v -s
 """
 
 import time
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -30,7 +29,6 @@ from twistknots.families import (
     assemble_jones,
     load_family,
     prefactor_deriv_poly,
-    symbolic_derivs,
 )
 from twistknots.laurent import HalfLaurent
 from twistknots.multipoly import parse_poly

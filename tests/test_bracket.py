@@ -2,13 +2,12 @@ import pytest
 
 from helpers import connected_sum, disjoint_union, flipped_foot, pretzel_pd, reference_assemble
 from twistknots.diagrams import (
-    DiagramError,
     _Builder,
     build_diagram,
     crosscheck,
     load_template,
 )
-from twistknots.families import assemble_jones, load_family, xn_jones
+from twistknots.families import load_family, xn_jones
 from twistknots.laurent import HalfLaurent, unlink_factor
 from twistknots.pdcodes import (
     BudgetExceeded,

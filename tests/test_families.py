@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import mirror, mirrored, prefactor, reference_assemble, shift
+from twistknots import families
 from twistknots.families import (
     FamilyError,
     assemble_jones,
@@ -195,6 +196,37 @@ def test_t_form_matches_reference(name, signs):
     rng = random.Random(f"{name}{signs}")
     n = tuple(rng.randint(1, 30) for _ in spec.active_bands)
     assert assemble_jones(spec, n) == reference_assemble(spec, n)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("signs", ALL_SIGNS[::4])
+def test_t_form_matches_reference_at_twists_up_to_40(name, signs):
+    """As above, on every fourth sign case, at twists in [30..40]."""
+    spec = FAMILIES[name].with_signs(signs)
+    rng = random.Random(f"{name}{signs}40")
+    n = tuple(rng.randint(30, 40) for _ in spec.active_bands)
+    assert assemble_jones(spec, n) == reference_assemble(spec, n)
+
+
+def _with_term(form: tuple, extra) -> tuple:
+    """``form``, a ``t_form`` result, with one more term (e, 1) after the last
+    term of its last c_m, e = extra(the exponent of that term)."""
+    *front, (bands, terms) = form
+    return (*front, (bands, terms + ((extra(terms[-1][0]), 1),)))
+
+
+@pytest.mark.parametrize("extra, error, match", [
+    (lambda e: e + 2 - e % 2, AssertionError, r"not divisible by 1 \+ t"),   # an integral power
+    (lambda e: e + 1 + e % 2, FamilyError, "not knot-valued"),              # a half-integral one
+], ids=["integral", "half_integral"])
+def test_assembly_rejects_a_changed_t_form(monkeypatch, extra, error, match):
+    spec = SEVEN.with_signs("++-+-")
+    n = (1, 2, 1, 3, 2)
+    assert assemble_jones(spec, n) == reference_assemble(spec, n)
+    original = families.t_form
+    monkeypatch.setattr(families, "t_form", lambda spec: _with_term(original(spec), extra))
+    with pytest.raises(error, match=match):
+        assemble_jones(spec, n)
 
 
 def test_jones_derivs_examples():

@@ -2,18 +2,22 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from helpers import equal_up_to_unit, mirror
+from helpers import equal_up_to_unit, instantiate_by_eval, mirror
 from twistknots.families import FamilyError, assemble_jones, load_family, symbolic_derivs
 from twistknots.laurent import HalfLaurent
 from twistknots.multipoly import MultiPoly, parse_poly
+from twistknots import seifert
 from twistknots.seifert import (
     SeifertError,
     SeifertTemplate,
+    _delta,
+    _packed_delta,
     alexander_poly,
     conway_poly,
     conway_symbolic,
@@ -193,6 +197,75 @@ def test_instantiate_rejects_half_integer_entry():
     with pytest.raises(SeifertError, match="non-integer Seifert entry"):
         tpl.instantiate((1,))
     assert tpl.instantiate((2,)) == ((1,),) and type(tpl.instantiate((2,))[0][0]) is int
+
+
+def test_instantiate_rejects_entry_that_is_not_affine():
+    square = MultiPoly(("a",), {(2,): 1})
+    with pytest.raises(SeifertError, match="not affine"):
+        SeifertTemplate(("a",), ((square,),)).instantiate((1,))
+
+
+def _instances():
+    """(template, twists) over every sign case of the three families: two
+    random twist vectors in [1..30], and all twists 200 and all 10^6."""
+    rng = random.Random(28)
+    for name in ("7_6", "10_58", "8_12"):
+        for signs in ("".join(p) for p in product("+-", repeat=5)):
+            tpl = template_for(name, signs)
+            k = len(tpl.variables)
+            for n in ([tuple(rng.randint(1, 30) for _ in range(k)) for _ in range(2)]
+                      + [(200,) * k, (10 ** 6,) * k]):
+                yield tpl, n
+
+
+def test_instantiate_and_packed_delta_match_references():
+    # the affine dot products against entry-wise MultiPoly.eval, and the one
+    # packed integer determinant against Delta over HalfLaurent entries
+    for tpl, n in _instances():
+        matrix = tpl.instantiate(n)
+        assert matrix == instantiate_by_eval(tpl, n), (tpl.variables, n)
+        assert all(type(v) is int for row in matrix for v in row)
+        assert alexander_poly(tpl, n) == _delta(matrix), (tpl.rows, n)
+
+
+def _bound(rows) -> int:
+    """prod_i sum_j (|S_ij| + |S_ji|)."""
+    size = len(rows)
+    return prod(sum(abs(rows[i][j]) + abs(rows[j][i]) for j in range(size)) for i in range(size))
+
+
+@pytest.mark.parametrize("rows", [
+    # the t^2 coefficient is 1 - 4e-5 times the bound, and three of the five
+    # coefficients are negative
+    ((0, -10 ** 6, 0, 0), (-2, 0, 0, 0), (0, 0, -8, -7), (0, 0, 10 ** 6, 0)),
+    # every entry +-10^6: (-16, 64, -96, 64, -16) * 10^24
+    ((-10 ** 6, 10 ** 6, 10 ** 6, -10 ** 6), (10 ** 6, -10 ** 6, 10 ** 6, -10 ** 6),
+     (10 ** 6, 10 ** 6, -10 ** 6, -10 ** 6), (-10 ** 6, -10 ** 6, -10 ** 6, -10 ** 6)),
+    # the t^2 coefficient is the bound itself
+    ((0, -10 ** 6, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 10 ** 6, 0)),
+    # a bound of 0: row and column 3 are 0, and so is Delta
+    ((5, -10 ** 6, 0, 0), (3, 10 ** 6, 7, 0), (0, 0, -10 ** 6, 0), (0, 0, 0, 0)),
+], ids=["near_bound", "dense", "at_bound", "zero"])
+def test_packed_delta_near_its_coefficient_bound(rows):
+    expected = _delta(rows)
+    assert _packed_delta(rows) == expected
+    assert max(map(abs, expected.terms.values()), default=0) >= _bound(rows) // 50
+
+
+def test_unit_check_survives_packing(monkeypatch):
+    # Delta(1) = det(S - S^T) is the square of a Pfaffian, so an honest matrix
+    # gives 0 or 4 but never 2; a packed determinant off by one in its t^0
+    # digit turns the unit Delta(1) = 1 of a knot into 2
+    for rows in (((0, 2), (0, 0)), ((1, 1), (1, 1))):
+        const = tuple(tuple(MultiPoly.const((), v) for v in row) for row in rows)
+        with pytest.raises(SeifertError, match="not a unit"):
+            alexander_poly(SeifertTemplate((), const), ())
+    tpl, n = template_for("7_6", "++-+-"), (1, 2, 1, 3, 2)
+    assert alexander_poly(tpl, n).eval_at_one() == 1
+    det = seifert._det
+    monkeypatch.setattr(seifert, "_det", lambda rows, zero: det(rows, zero) + (len(rows) == 4))
+    with pytest.raises(SeifertError, match="Alexander value at 1 is 2, not a unit"):
+        alexander_poly(tpl, n)
 
 
 def _at_minus_one(poly: HalfLaurent) -> int:
