@@ -176,6 +176,14 @@ class DiagramTemplate:
     disks: tuple   # each disk's feet (band, end, flip) in boundary order
 
 
+def band_crossings(spec: FamilySpec, twists) -> list[int]:
+    """The signed crossing count s (2n - m) of each band's twist region, by
+    0-based band index; 0 on a frozen band."""
+    by_band = dict(zip(spec.active_bands, check_twists(spec, twists)))
+    return [0 if band.frozen else band.sign * (2 * by_band[i] - band.parity)
+            for i, band in enumerate(spec.bands)]
+
+
 def build_diagram(tpl: DiagramTemplate, spec: FamilySpec, twists,
                   resolved: frozenset[int] = frozenset()) -> PDCode:
     """Instantiate the template at a sign case and twist vector.
@@ -185,19 +193,16 @@ def build_diagram(tpl: DiagramTemplate, spec: FamilySpec, twists,
     consecutive feet.  ``resolved`` lists 0-based band indices replaced by the
     oriented smoothing (the cut band), for skein cross-checks.
     """
-    n = check_twists(spec, twists)
-    by_band = dict(zip(spec.active_bands, n))
+    counts = band_crossings(spec, twists)
     builder = _Builder()
     ports: dict[int, tuple] = {}
 
     def region(i0: int):
         if i0 not in ports:
-            band = spec.bands[i0]
             if i0 in resolved:
                 ports[i0] = builder.cut_region()
             else:
-                count = 0 if band.frozen else band.sign * (2 * by_band[i0] - band.parity)
-                ports[i0] = builder.vertical_region(count, band=i0)
+                ports[i0] = builder.vertical_region(counts[i0], band=i0)
         return ports[i0]
 
     for feet in tpl.disks:
@@ -214,12 +219,12 @@ def build_diagram(tpl: DiagramTemplate, spec: FamilySpec, twists,
 def crosscheck(spec: FamilySpec, tpl: DiagramTemplate, twists,
                budget: int = 18) -> bool:
     """True when the state-sum Jones of the expanded diagram matches the
-    family-engine assembly exactly."""
-    pd = build_diagram(tpl, spec, twists)
-    if pd.n_crossings > budget:
-        raise BudgetExceeded(
-            f"{pd.n_crossings} crossings over the spot-check budget {budget}")
-    return jones_from_pd(pd) == assemble_jones(spec, twists)
+    family-engine assembly exactly.  The budget is checked on the band counts
+    before anything is drawn."""
+    n_crossings = sum(map(abs, band_crossings(spec, twists)))
+    if n_crossings > budget:
+        raise BudgetExceeded(f"{n_crossings} crossings over the spot-check budget {budget}")
+    return jones_from_pd(build_diagram(tpl, spec, twists)) == assemble_jones(spec, twists)
 
 
 def load_template(family: str) -> DiagramTemplate:

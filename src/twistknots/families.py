@@ -448,6 +448,12 @@ def t_form(spec: FamilySpec) -> tuple:
                  for m, value in sorted(layer.items()) if value)
 
 
+# the longest dense coefficient list assemble_jones allocates, 32 MB of slots;
+# the span is about 4 (n_1 + ... + n_k), so twists up to about 200,000 in
+# each of five bands fit
+MAX_DENSE = 1 << 22
+
+
 def assemble_jones(spec: FamilySpec, twists) -> HalfLaurent:
     """Jones polynomial of one family instance; integral powers of t only.
 
@@ -469,7 +475,11 @@ def assemble_jones(spec: FamilySpec, twists) -> HalfLaurent:
     if not shifted:
         return HalfLaurent.zero()
     lo = min([d + terms[0][0] for d, terms in shifted])
-    dense = [0] * (max([d + terms[-1][0] for d, terms in shifted]) - lo + 1)
+    size = max([d + terms[-1][0] for d, terms in shifted]) - lo + 1
+    if size > MAX_DENSE:
+        raise FamilyError(f"twists {n} span {size} doubled exponents, "
+                          f"over the assembly limit of {MAX_DENSE}")
+    dense = [0] * size
     for d, terms in shifted:
         d -= lo
         for e, c in terms:

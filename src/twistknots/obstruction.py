@@ -6,6 +6,11 @@ Conway polynomial, V''(1) != 0, V'''(1) != 0, V''''(1) != 0 (equivalently
 j_4 != 0 once the earlier gates pass), and optionally V at a fifth root of
 unity different from 1.  Instances surviving every gate are exceptions and
 must be certified trivial elsewhere.
+
+Each verdict records j_4, the coefficient of h^4 in V(e^h).  It comes from the
+derivatives at 1 through the Stirling row S(4, k) = 0, 1, 7, 6, 1:
+j_4 = (V'(1) + 7 V''(1) + 6 V'''(1) + V''''(1)) / 4!, an int where 24 divides
+the sum and the exact ``Fraction`` otherwise.
 """
 
 from __future__ import annotations
@@ -13,36 +18,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
 from typing import Optional, Sequence
 
 from .laurent import HalfLaurent, exact_quotient
 from .seifert import ConwaySeries
-
-
-@lru_cache(maxsize=None)
-def _stirling2(n: int, k: int) -> int:
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-
-
-def h_coeffs_from_derivs(derivs: Sequence[int | Fraction],
-                         N: int = 6) -> tuple[int | Fraction, ...]:
-    """Coefficients j_0..j_N of h^n in V(e^h), from the derivatives at 1 via
-    Stirling numbers: j_n = sum_k V^(k)(1) S(n,k) / n!.
-
-    The sum is taken in the derivatives' own arithmetic, ints for a knot, and
-    divided by n! once per order, so j_n is an int where n! divides it and the
-    exact ``Fraction`` otherwise."""
-    if len(derivs) <= N:
-        raise ValueError(f"need derivatives up to order {N}")
-    return tuple(exact_quotient(sum(derivs[k] * _stirling2(n, k) for k in range(n + 1)),
-                                factorial(n))
-                 for n in range(N + 1))
 
 
 class Root5Verdict(enum.Enum):
@@ -103,7 +82,7 @@ def cosmetic_gate(jones: HalfLaurent, derivs: Sequence[int | Fraction],
     other gate runs from the derivative values and the Conway series.
     """
     d2, d3, d4 = derivs[2:5]
-    j4 = h_coeffs_from_derivs(derivs, 4)[4]
+    j4 = exact_quotient(derivs[1] + 7 * d2 + 6 * d3 + d4, 24)
     root5 = root5_gate(jones) if use_root5 else None
 
     conway_trivial = conway.is_trivial()

@@ -3,7 +3,11 @@
 A crossing is a 4-tuple of arc labels listed counterclockwise from the incoming
 under-strand, plus a marker saying at which tuple position (1 or 3) the over
 strand enters.  With the corners of the tuple at south/east/north/west, a
-crossing is positive exactly when the over strand enters at position 3.
+crossing is positive exactly when the over strand enters at position 3.  The
+A-smoothing joins tuple positions 0-1 and 2-3.
+
+A ``PDCode`` need not be planar, and the diagrams that the oracle draws from a
+family's disk layout are not (docs/family-format.md).
 
 The bracket is a plain enumeration over all 2^c smoothings with union-find loop
 counting; it is deliberately simple so it can serve as an independent oracle.
@@ -188,43 +192,3 @@ def jones_from_pd(pd: PDCode) -> HalfLaurent:
     shifted = {e - 3 * w: c for e, c in bracket.items()}
     value = bracket_to_t(shifted)
     return value if w % 2 == 0 else -value
-
-
-# --- text format ----------------------------------------------------------------
-
-def parse_pd(text: str) -> PDCode:
-    """One crossing per line 'X a b c d', then a line 'orient <b|d>...' with one
-    letter per crossing for the over-strand entry position; 'loops n' adds
-    crossingless components."""
-    crossings = []
-    over = []
-    loops = 0
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "X":
-            if len(fields) != 5:
-                raise PDError(f"crossing line needs 4 arcs: {line!r}")
-            crossings.append(tuple(int(v) for v in fields[1:]))
-        elif fields[0] == "orient":
-            for letter in fields[1:]:
-                if letter not in ("b", "d"):
-                    raise PDError(f"orientation letters must be b or d: {line!r}")
-                over.append(1 if letter == "b" else 3)
-        elif fields[0] == "loops":
-            loops = int(fields[1])
-        else:
-            raise PDError(f"unknown PD directive {fields[0]!r}")
-    pd = PDCode(tuple(crossings), tuple(over), loops)
-    pd.validate_orientation()
-    return pd
-
-
-def format_pd(pd: PDCode) -> str:
-    lines = [f"X {a} {b} {c} {d}" for a, b, c, d in pd.crossings]
-    lines.append("orient " + " ".join("b" if p == 1 else "d" for p in pd.over_in))
-    if pd.free_loops:
-        lines.append(f"loops {pd.free_loops}")
-    return "\n".join(lines) + "\n"

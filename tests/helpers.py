@@ -74,8 +74,8 @@ def reference_assemble(spec, n, forced=None) -> HalfLaurent:
 
 def h_coeffs(V: HalfLaurent, N: int = 6) -> tuple[Fraction, ...]:
     """Coefficients j_0..j_N of h^n in V(e^h), exactly: a term c t^(e/2)
-    contributes c (e/2)^n / n! to j_n.  The reference for
-    ``obstruction.h_coeffs_from_derivs``."""
+    contributes c (e/2)^n / n! to j_n.  The reference for the j_4 that
+    ``obstruction.cosmetic_gate`` records."""
     if not V.is_knot_valued():
         raise ValueError("h-expansion needs integral powers of t")
     js = []

@@ -3,6 +3,7 @@ import pytest
 from helpers import connected_sum, disjoint_union, flipped_foot, pretzel_pd, reference_assemble
 from twistknots.diagrams import (
     _Builder,
+    band_crossings,
     build_diagram,
     crosscheck,
     load_template,
@@ -13,10 +14,8 @@ from twistknots.pdcodes import (
     BudgetExceeded,
     PDCode,
     PDError,
-    format_pd,
     jones_from_pd,
     kauffman_bracket,
-    parse_pd,
 )
 
 HL = HalfLaurent
@@ -24,12 +23,7 @@ HL = HalfLaurent
 POS_KINK = PDCode(((1, 1, 2, 2),), (3,))
 NEG_KINK = PDCode(((1, 2, 2, 1),), (1,))
 # left trefoil as tabulated: all crossings negative
-LEFT_TREFOIL = parse_pd("""
-X 1 4 2 5
-X 3 6 4 1
-X 5 2 6 3
-orient b b b
-""")
+LEFT_TREFOIL = PDCode(((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)), (1, 1, 1))
 
 
 def braid_pd(word, strands):
@@ -137,36 +131,21 @@ def test_component_count(make, count):
 
 def test_pd_parse_rejects_bad_codes():
     with pytest.raises(PDError):
-        parse_pd("X 1 2 3\norient b\n")
-    with pytest.raises(PDError):
-        parse_pd("X 1 2 3 4\norient q\n")
-    with pytest.raises(PDError):
         PDCode(((1, 2, 3, 4),), (3,))  # arcs appear once
-
-
-def test_pd_format_round_trip():
-    text = format_pd(LEFT_TREFOIL)
-    again = parse_pd(text)
-    assert again.crossings == LEFT_TREFOIL.crossings
-    assert again.over_in == LEFT_TREFOIL.over_in
-
-
-def test_pd_fixture_file():
-    from importlib import resources
-    text = resources.files("twistknots").joinpath("data/pd/left_trefoil.pd").read_text()
-    pd = parse_pd(text)
-    assert jones_from_pd(pd) == xn_jones([-1, -1, -1])
 
 
 # each family's diagram at unit twists and all-plus signs; 8_12 is drawn with
 # 10_58's disk layout
-BASE_PD_7_6 = ("X 3 4 2 1", "X 6 7 5 2", "X 7 6 8 9", "X 10 11 9 5", "X 11 10 1 12",
-               "X 4 14 13 8", "X 14 3 12 13", "orient d d d d d d d")
-BASE_PD_10_58 = ("X 3 4 2 1", "X 4 3 5 6", "X 8 9 7 2", "X 9 8 1 10", "X 12 13 11 7",
-                 "X 13 12 6 14", "X 15 16 10 11", "X 16 15 17 18", "X 19 20 18 5",
-                 "X 20 19 14 17", "orient d d d d d d d d d d")
-BASE_PD_8_12 = ("X 3 4 2 1", "X 4 3 5 6", "X 8 9 7 2", "X 9 8 1 10", "X 11 12 6 7",
-                "X 12 11 13 14", "X 15 16 14 5", "X 16 15 10 13", "orient d d d d d d d d")
+BASE_PD_7_6 = PDCode(((3, 4, 2, 1), (6, 7, 5, 2), (7, 6, 8, 9), (10, 11, 9, 5),
+                      (11, 10, 1, 12), (4, 14, 13, 8), (14, 3, 12, 13)),
+                     (3, 3, 3, 3, 3, 3, 3))
+BASE_PD_10_58 = PDCode(((3, 4, 2, 1), (4, 3, 5, 6), (8, 9, 7, 2), (9, 8, 1, 10),
+                        (12, 13, 11, 7), (13, 12, 6, 14), (15, 16, 10, 11), (16, 15, 17, 18),
+                        (19, 20, 18, 5), (20, 19, 14, 17)),
+                       (3, 3, 3, 3, 3, 3, 3, 3, 3, 3))
+BASE_PD_8_12 = PDCode(((3, 4, 2, 1), (4, 3, 5, 6), (8, 9, 7, 2), (9, 8, 1, 10), (11, 12, 6, 7),
+                       (12, 11, 13, 14), (15, 16, 14, 5), (16, 15, 10, 13)),
+                      (3, 3, 3, 3, 3, 3, 3, 3))
 BASE_PD = {"7_6": BASE_PD_7_6, "10_58": BASE_PD_10_58, "8_12": BASE_PD_8_12}
 
 
@@ -176,10 +155,7 @@ def test_template_base_pd_matches_expansion(family):
     fam = load_family(family)
     spec = fam.with_signs("+++++")
     n = (1,) * len(spec.active_bands)
-    built = build_diagram(tpl, spec, n)
-    stored = parse_pd("\n".join(BASE_PD[family]))
-    assert built.crossings == stored.crossings
-    assert built.over_in == stored.over_in
+    assert build_diagram(tpl, spec, n) == BASE_PD[family]
 
 
 def test_expand_adds_two_crossings_per_increment():
@@ -217,6 +193,21 @@ def test_crosscheck_budget():
     spec = load_family("7_6").with_signs("+++++")
     with pytest.raises(BudgetExceeded):
         crosscheck(spec, tpl, (4, 4, 4, 4, 4), budget=18)
+
+
+@pytest.mark.parametrize("family", ["7_6", "10_58", "8_12"])
+def test_band_crossings_count_the_drawn_diagram(family):
+    """crosscheck budgets on the band counts before drawing, so over the CLI's
+    default battery they must add up to the crossings build_diagram draws."""
+    fam = load_family(family)
+    tpl = load_template(family)
+    for signs in ("+++++", "++-+-", "-+-++"):
+        spec = fam.with_signs(signs)
+        k = len(spec.active_bands)
+        for i in range(-1, k):
+            n = tuple(2 if j == i else 1 for j in range(k))
+            drawn = build_diagram(tpl, spec, n).n_crossings
+            assert sum(map(abs, band_crossings(spec, n))) == drawn
 
 
 @pytest.mark.parametrize("family", ["7_6", "10_58", "8_12"])

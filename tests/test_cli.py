@@ -201,6 +201,23 @@ def test_unwritable_output_exits_2(command, tmp_path, capsys):
     assert str(path) in err
 
 
+def test_crosscheck_checks_budget_before_drawing(monkeypatch, capsys):
+    """An instance far over the budget is skipped without building its diagram."""
+    import twistknots.diagrams as diagrams
+
+    def no_drawing(*args, **kwargs):
+        raise AssertionError("built a diagram over the crossing budget")
+
+    monkeypatch.setattr(diagrams, "build_diagram", no_drawing)
+    huge = 10 ** 20
+    assert main(["crosscheck", "--family", "8_12", "--signs", "+++++",
+                 "--twists", f"1,1,1,{huge}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"8_12[+++++](1,1,1,{huge}): skipped (")
+    assert captured.out.endswith(" crossings over the spot-check budget 18)\n")
+    assert captured.err == "error: no cross-check fits the crossing budget 18\n"
+
+
 def test_oracle_failure_exits_1(monkeypatch, capsys):
     import twistknots.diagrams as diagrams
 
@@ -342,3 +359,25 @@ def test_large_twists_match_seifert_route(capsys):
     jones, derivs = jones_derivs(load_family("7_6").with_signs("++-+-"), n)
     assert derivs[2] == -6 * a2
     assert jones.derivs_at_one(4) == derivs
+
+
+@pytest.mark.parametrize("command", ["jones", "check"])
+def test_oversized_twists_exit_2(command, capsys):
+    """Twists whose assembly would outgrow the dense list are refused with one
+    error line naming the limit, not a traceback."""
+    from twistknots.families import MAX_DENSE
+
+    assert main([command, "--family", "7_6", "--signs", "++-+-",
+                 "--twists", f"1,1,1,1,{10 ** 20}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"limit of {MAX_DENSE}" in captured.err
+
+
+def test_alexander_takes_oversized_twists(capsys):
+    """The Seifert route has no dense list, so alexander answers at any twist."""
+    huge = 10 ** 20
+    assert main(["alexander", "--family", "7_6", "--signs", "++-+-",
+                 "--twists", f"1,1,1,1,{huge}"]) == 0
+    assert f"conway: a2 = {-huge}, a4 = 0, a6 = 0" in capsys.readouterr().out.splitlines()

@@ -6,7 +6,7 @@ from hypothesis import given
 
 from helpers import FiniteTypeInvariants, finite_type, h_coeffs, ito_residual, shift
 from twistknots.laurent import HalfLaurent
-from twistknots.obstruction import Root5Verdict, cosmetic_gate, h_coeffs_from_derivs, root5_gate
+from twistknots.obstruction import Root5Verdict, cosmetic_gate, root5_gate
 from twistknots.seifert import ConwaySeries
 
 HL = HalfLaurent
@@ -38,13 +38,17 @@ knot_polys = st.dictionaries(
 ).map(HL)
 
 
+def gate_j4(p):
+    """j4 as ``cosmetic_gate`` records it from p's derivatives at 1."""
+    return cosmetic_gate(p, p.derivs_at_one(4), TRIVIAL, 0).j4
+
+
 @given(knot_polys)
 def test_h_coeffs_routes_agree(p):
-    direct = h_coeffs(p, 6)
-    via_derivs = h_coeffs_from_derivs(p.derivs_at_one(6), 6)
-    assert direct == via_derivs
-    # int derivatives sum in ints: j_n is an int exactly where n! divides the sum
-    assert all(type(j) is (int if j.denominator == 1 else Fraction) for j in via_derivs)
+    j4 = gate_j4(p)
+    assert j4 == h_coeffs(p, 4)[4]
+    # int derivatives sum in ints: j4 is an int exactly where 24 divides the sum
+    assert type(j4) is (int if j4.denominator == 1 else Fraction)
 
 
 fraction_knot_polys = st.dictionaries(
@@ -62,15 +66,14 @@ half_polys = st.dictionaries(
 
 @given(fraction_knot_polys)
 def test_h_coeffs_routes_agree_on_fraction_coefficients(p):
-    assert h_coeffs_from_derivs(p.derivs_at_one(6), 6) == h_coeffs(p, 6)
+    assert gate_j4(p) == h_coeffs(p, 4)[4]
 
 
 @given(half_polys)
 def test_h_coeffs_routes_agree_on_half_exponents(p):
-    # p(e^h) = q(e^(h/2)) with q(t) = p(t^2), knot-valued, so j_n(p) = j_n(q) / 2^n
+    # p(e^h) = q(e^(h/2)) with q(t) = p(t^2), knot-valued, so j4(p) = j4(q) / 2^4
     q = HL({2 * e: c for e, c in p.terms.items()})
-    via_derivs = h_coeffs_from_derivs(p.derivs_at_one(6), 6)
-    assert via_derivs == tuple(j / 2 ** n for n, j in enumerate(h_coeffs(q, 6)))
+    assert gate_j4(p) == h_coeffs(q, 4)[4] / 2 ** 4
 
 
 def test_j_invariants_of_knots():
