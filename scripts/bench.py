@@ -58,17 +58,23 @@ Rows:
   --family F`` process per run, for 7_6, 10_58 and 8_12.
 - ``cli.check``, ``cli.jones``: a whole ``twistknots check`` or ``twistknots
   jones`` process on 7_6 ``++-+-`` at twists 1,2,1,2,1.
+- ``cli.import``: a whole ``python3 -c "import twistknots.cli"`` process, the
+  start-up that every query pays before its command runs.
+- ``python.start``: a whole ``python3 -c pass`` process, the interpreter's own
+  start-up (site hooks included), which no change to the package can move.
 - ``tier1``: one run of the Tier-1 suite (``python3 -m pytest -q
   --continue-on-collection-errors``) of the checkout that holds ``--src``, in
   that checkout, with ``--src`` first on ``PYTHONPATH``; ``s`` is its wall
   time, ``passed`` and ``failed`` the counts of pytest's summary line and
   ``exit`` its exit code.
 
-Each ``cli.*`` row starts ``CLI_RUNS`` processes of ``python3 -m
-twistknots.cli`` one after another, with ``--src`` as ``PYTHONPATH`` and
-``TWISTKNOTS_WORKERS`` unset; ``s`` is the median wall time, not normalised,
-since the speed probe runs in this process and cannot be taken out of a
-child's time.  The ``tier1`` row is timed the same way.
+Each ``cli.*`` and ``python.start`` row starts ``CLI_RUNS`` processes one
+after another (``python3 -m twistknots.cli`` for the commands), with
+``--src`` as ``PYTHONPATH`` and ``TWISTKNOTS_WORKERS`` unset; ``s`` is the
+median wall time, not normalised, since the speed probe runs in this process
+and cannot be taken out of a child's time.  One process's time moves by
+10-30 % on a shared machine, so a row takes the median of 11.  The ``tier1``
+row is timed the same way, once.
 
 Every timed run of a symbolic-case, sweep or paper-case row starts with empty
 ``casework.symbolic_case`` and ``casework._formula_checks`` memos, so each run
@@ -129,7 +135,7 @@ ROOT5_CALLS = 20
 PAPER_CASE_RANGE = 4
 BRACKET = (12, 13, 14, 15, 16)      # crossing counts
 BRACKET_SEED = 1
-CLI_RUNS = 3
+CLI_RUNS = 11
 CLI_INSTANCE = ("--family", "7_6", "--signs", "++-+-", "--twists", "1,2,1,2,1")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
@@ -247,13 +253,13 @@ def exceptions_row(casework, family: str, signs: str, n_range: int) -> dict:
             **summary(runs, "us", 1e6 / len(twists))}
 
 
-def assemble_row(casework, family: str, signs: str, n: int) -> dict:
-    spec = casework.load_family(family).with_signs(signs)
+def assemble_row(families, family: str, signs: str, n: int) -> dict:
+    spec = families.load_family(family).with_signs(signs)
     twists = (n,) * len(spec.variables)
     runs = []
     start = time.perf_counter()
     while len(runs) < REPEAT and (not runs or time.perf_counter() - start < ROW_BUDGET_S):
-        runs.append(timed(lambda: casework.assemble_jones(spec, twists)))
+        runs.append(timed(lambda: families.assemble_jones(spec, twists)))
     jones = runs[0][2]
     derivs = [timed(lambda: jones.derivs_at_one(4)) for _ in range(REPEAT)]
     return {"family": family, "signs": signs, "twist": n, "terms": len(jones.terms),
@@ -261,9 +267,9 @@ def assemble_row(casework, family: str, signs: str, n: int) -> dict:
             "derivs_ms": round(1e3 * statistics.median(r[0] for r in derivs), 4)}
 
 
-def eval_root5_row(casework, family: str, signs: str, n: int) -> dict:
-    spec = casework.load_family(family).with_signs(signs)
-    jones = casework.assemble_jones(spec, (n,) * len(spec.variables))
+def eval_root5_row(families, family: str, signs: str, n: int) -> dict:
+    spec = families.load_family(family).with_signs(signs)
+    jones = families.assemble_jones(spec, (n,) * len(spec.variables))
 
     def calls():
         for _ in range(ROOT5_CALLS):
@@ -365,19 +371,23 @@ def child_env(src: Path) -> dict:
     return env
 
 
-def cli_row(src: Path, *argv: str) -> dict:
-    """Median wall time of CLI_RUNS whole ``twistknots`` processes."""
+def process_row(src: Path, *argv: str) -> dict:
+    """Median wall time of CLI_RUNS whole ``python3 <argv>`` processes."""
     env = child_env(src)
     runs = []
     for _ in range(CLI_RUNS):
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "twistknots.cli", *argv],
-                              env=env, capture_output=True)
+        proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
         runs.append(time.perf_counter() - start)
         if proc.returncode != 0:
-            raise RuntimeError(f"twistknots {' '.join(argv)} exited {proc.returncode}")
+            raise RuntimeError(f"python3 {' '.join(argv)} exited {proc.returncode}")
     return {"argv": list(argv), "s": round(statistics.median(runs), 4),
             "runs_s": [round(r, 4) for r in runs]}
+
+
+def cli_row(src: Path, *argv: str) -> dict:
+    """``process_row`` of a whole ``twistknots`` command; argv is its arguments."""
+    return {**process_row(src, "-m", "twistknots.cli", *argv), "argv": list(argv)}
 
 
 def tier1_row(src: Path) -> dict:
@@ -407,6 +417,7 @@ def main() -> int:
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import twistknots.casework as casework
+    import twistknots.families as families
 
     rows = {f"symbolic_derivs.{family}": symbolic_row(casework, family)
             for family in SYMBOLIC}
@@ -419,13 +430,13 @@ def main() -> int:
     rows["root5_sweep"] = row(casework, *ROOT5_SWEEP, use_root5=True)
     rows[f"exceptions.{EXCEPTIONS[0]}"] = exceptions_row(casework, *EXCEPTIONS)
     family, signs, twists = ASSEMBLE
-    spec = casework.load_family(family).with_signs(signs)
-    casework.assemble_jones(spec, (1,) * len(spec.variables))
+    spec = families.load_family(family).with_signs(signs)
+    families.assemble_jones(spec, (1,) * len(spec.variables))
     for n in twists:
-        rows[f"assemble.n{n}"] = assemble_row(casework, family, signs, n)
+        rows[f"assemble.n{n}"] = assemble_row(families, family, signs, n)
     family, signs, twists = EVAL_ROOT5
     for n in twists:
-        rows[f"eval_root5.n{n}"] = eval_root5_row(casework, family, signs, n)
+        rows[f"eval_root5.n{n}"] = eval_root5_row(families, family, signs, n)
     for family in PAPER_CASES:
         rows[f"paper_case.{family}"] = paper_case_row(casework, family)
     rows["parse_poly"] = parse_poly_row(casework)
@@ -436,6 +447,8 @@ def main() -> int:
         rows[f"cli.verify_paper.{family}"] = cli_row(src, "verify-paper", "--family", family)
     rows["cli.check"] = cli_row(src, "check", *CLI_INSTANCE)
     rows["cli.jones"] = cli_row(src, "jones", *CLI_INSTANCE)
+    rows["cli.import"] = process_row(src, "-c", "import twistknots.cli")
+    rows["python.start"] = process_row(src, "-c", "pass")
     rows["tier1"] = tier1_row(src)
     result = {"revision": git_revision(src), "nproc": os.cpu_count(),
               "python": platform.python_version(), "repeat": REPEAT, "rows": rows}

@@ -4,7 +4,12 @@ For each of the 32 sign cases of a family, the sweep evaluates every instance
 in a twist box through the obstruction gates, using the symbolic derivative
 and Alexander-coefficient polynomials for speed.  Surviving instances are
 matched against the registered parametric exception patterns, and their Jones
-and Conway polynomials are certified trivial.
+and Conway polynomials are certified trivial.  ``instance_verdict``, which
+certifies one instance, and ``instance_id`` live in ``obstruction`` beside the
+gates and are imported back here, so that a one-instance query (``check``,
+``jones``, ``alexander``) never imports this module.  The records here stay
+frozen dataclasses, unlike the NamedTuples of the instance path (see
+``obstruction``): only sweeps and the oracle load this module.
 
 The gates are solved a plane of lines at a time.  A line is the last twist
 axis v at a prefix of the other twists; a plane is a list of such prefixes
@@ -64,12 +69,12 @@ from math import lcm, prod
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .families import FamilySpec, assemble_jones, load_family, symbolic_derivs
+from .families import FamilySpec, load_family, symbolic_derivs
 from .laurent import HalfLaurent
 from .multipoly import ExprError, MultiPoly, parse_poly
-from .obstruction import GATE_ORDER, ObstructionVerdict, cosmetic_gate
-from .seifert import (SeifertTemplate, conway_poly, conway_symbolic, leading_coeff_symbolic,
-                      template_for)
+# instance_id is re-exported: callers of the sweeps name instances with it
+from .obstruction import GATE_ORDER, ObstructionVerdict, instance_id, instance_verdict  # noqa: F401
+from .seifert import SeifertTemplate, conway_symbolic, leading_coeff_symbolic, template_for
 
 ALL_CASES = ["".join(p) for p in product("+-", repeat=5)]
 
@@ -538,22 +543,6 @@ def sweep_case(cfg: SweepConfig, signs: str,
                         formula_records(cfg.family, signs))
     report.check()
     return report
-
-
-def instance_id(family: str, signs: str, n) -> str:
-    return f"{family}[{signs}]({','.join(str(v) for v in n)})"
-
-
-def instance_verdict(spec: FamilySpec, template: SeifertTemplate, n: tuple[int, ...],
-                     use_root5: bool):
-    """(verdict, jones, conway): the cosmetic-gate verdict of instance n, with
-    the assembled Jones and Conway polynomials it reads."""
-    jones = assemble_jones(spec, n)
-    conway = conway_poly(template, n)
-    verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway, conway.a4,
-                            use_root5=use_root5, twists=n,
-                            instance=instance_id(spec.name, spec.signs_str(), n))
-    return verdict, jones, conway
 
 
 def sweep(cfg: SweepConfig) -> list[CaseReport]:

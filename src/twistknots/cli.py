@@ -11,15 +11,8 @@ import argparse
 import json
 import sys
 
-from .casework import (
-    SweepConfig,
-    full_report,
-    instance_id,
-    instance_verdict,
-    load_registry,
-    verify_paper_case,
-)
 from .families import FAMILIES, FamilyError, check_twists, jones_derivs, load_family
+from .obstruction import instance_id, instance_verdict
 from .seifert import SeifertError, alexander_poly, conway_poly, template_for
 
 
@@ -63,6 +56,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # only sweep and verify-paper use the sweep engine, so only they import it
+    from .casework import SweepConfig, full_report
+
     cfg = SweepConfig(args.family, n_range=args.range, use_root5=args.root5)
     report = full_report(cfg)
     blob = json.dumps(report, indent=1, sort_keys=True)
@@ -86,6 +82,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    from .casework import load_registry, verify_paper_case
+
     registry = load_registry(args.family)
     cases = [args.case] if args.case else sorted(registry.cases)
     # every case is checked and the output written before anything prints, so
@@ -111,11 +109,12 @@ def _verification_failed(exc: Exception) -> int:
 def cmd_crosscheck(args) -> int:
     if bool(args.signs) != bool(args.twists):
         raise ValueError("crosscheck needs --signs and --twists together, or neither")
-    if args.budget < 1:
-        raise ValueError(f"--budget must be at least 1, got {args.budget}")
     # only crosscheck uses the diagram oracle, so only it imports it
     from .diagrams import DiagramError, crosscheck, load_template
-    from .pdcodes import BudgetExceeded, PDError
+    from .pdcodes import MAX_CROSSINGS, BudgetExceeded, PDError
+
+    if not 1 <= args.budget <= MAX_CROSSINGS:
+        raise ValueError(f"--budget must be from 1 to {MAX_CROSSINGS}, got {args.budget}")
 
     try:
         fam = load_family(args.family)

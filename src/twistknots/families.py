@@ -39,13 +39,13 @@ its diagrams, which ``seifert`` and ``diagrams`` read (docs/family-format.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from itertools import accumulate, cycle, product
 from math import factorial, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .laurent import HalfLaurent, exact_quotient, unlink_factor
 from .multipoly import ExprError, MultiPoly, falling_factorial_poly, parse_poly, power_sum_poly
@@ -57,19 +57,12 @@ class FamilyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BandSpec:
+class BandSpec(NamedTuple):
+    """One band of a sign case; ``FamilyDef.with_signs`` checks its fields."""
+
     sign: int        # +1 or -1
     parity: int      # 1 = odd band, 0 = even band
     frozen: bool = False  # frozen bands carry no twists and no parameter
-
-    def __post_init__(self):
-        if self.sign not in (+1, -1):
-            raise FamilyError("band sign must be +1 or -1")
-        if self.parity not in (0, 1):
-            raise FamilyError("band parity must be 0 or 1")
-        if self.frozen and self.parity != 0:
-            raise FamilyError("frozen bands must be even")
 
 
 # The base links of a family, one entry per full band state x, at the index
@@ -80,15 +73,16 @@ class BandSpec:
 BaseTable = tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family with concrete band signs; twist parameters stay free."""
+class FamilySpec(NamedTuple):
+    """A family with concrete band signs; twist parameters stay free.
+
+    It keys the ``t_form`` cache, so it compares and hashes by value."""
 
     name: str
     bands: tuple[BandSpec, ...]
     base: BaseTable
 
-    @cached_property
+    @property
     def active_bands(self) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.bands) if not b.frozen)
 
@@ -181,8 +175,7 @@ def xn_jones(args) -> HalfLaurent:
 
 # --- family definition files -------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyDef:
+class FamilyDef(NamedTuple):
     name: str
     parities: tuple[int, ...]
     frozen: tuple[bool, ...]
@@ -195,6 +188,12 @@ class FamilyDef:
             signs = parse_signs(signs, len(self.parities))
         if len(signs) != len(self.parities):
             raise FamilyError("sign count does not match band count")
+        if any(s not in (+1, -1) for s in signs):
+            raise FamilyError("band sign must be +1 or -1")
+        if any(p not in (0, 1) for p in self.parities):
+            raise FamilyError("band parity must be 0 or 1")
+        if any(f and p for p, f in zip(self.parities, self.frozen)):
+            raise FamilyError("frozen bands must be even")
         bands = tuple(BandSpec(s, p, f)
                       for s, p, f in zip(signs, self.parities, self.frozen))
         return FamilySpec(self.name, bands, self.base)
@@ -328,7 +327,7 @@ def _derive(name: str, line: str) -> FamilyDef:
         if not 1 <= i <= len(parent.parities) or parent.parities[i - 1] != 0:
             raise FamilyError(f"bad from line {line!r}: {parent.name} has no even band {i}")
     frozen = tuple(f or i + 1 in bands for i, f in enumerate(parent.frozen))
-    return replace(parent, name=name, frozen=frozen)
+    return parent._replace(name=name, frozen=frozen)
 
 
 def _ints(fields, line: str) -> tuple[int, ...]:

@@ -11,17 +11,28 @@ Each verdict records j_4, the coefficient of h^4 in V(e^h).  It comes from the
 derivatives at 1 through the Stirling row S(4, k) = 0, 1, 7, 6, 1:
 j_4 = (V'(1) + 7 V''(1) + 6 V'''(1) + V''''(1)) / 4!, an int where 24 divides
 the sum and the exact ``Fraction`` otherwise.
+
+``instance_verdict`` runs the gates on one instance from its assembled Jones
+polynomial and its Seifert-route Conway series.  It lives here, beside the
+gates, so that a ``check`` query loads the instance engine alone; the sweeps
+of ``casework`` import it from here.  For the same reason the records on that
+path are ``typing.NamedTuple``s, not frozen dataclasses: ``ObstructionVerdict``
+here, ``ConwaySeries`` in ``seifert``, and ``BandSpec``, ``FamilySpec`` and
+``FamilyDef`` in ``families``.  Importing ``dataclasses`` pulls in ``inspect``
+and ``dis``, about 10 ms of a query's start-up, and each frozen dataclass
+takes about 1 ms more to create than a NamedTuple.  Value equality, hashing
+and pickling stay as they were.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
+from .families import FamilySpec, assemble_jones
 from .laurent import HalfLaurent, exact_quotient
-from .seifert import ConwaySeries
+from .seifert import ConwaySeries, SeifertTemplate, conway_poly
 
 
 class Root5Verdict(enum.Enum):
@@ -37,8 +48,7 @@ def root5_gate(V: HalfLaurent) -> Root5Verdict:
 GATE_ORDER = ("alexander_leading", "conway", "d2", "d3", "d4", "root5")
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(NamedTuple):
     instance: str
     twists: tuple[int, ...]           # the twist vector; not part of to_dict()
     alex_leading: int | Fraction      # exact values, as the caller gives them
@@ -91,3 +101,19 @@ def cosmetic_gate(jones: HalfLaurent, derivs: Sequence[int | Fraction],
     excluded_by = next((gate for gate, e in zip(GATE_ORDER, excludes) if e), None)
     return ObstructionVerdict(instance, tuple(twists), alex_leading, conway_trivial,
                               d2, d3, d4, j4, root5, excluded_by)
+
+
+def instance_id(family: str, signs: str, n) -> str:
+    return f"{family}[{signs}]({','.join(str(v) for v in n)})"
+
+
+def instance_verdict(spec: FamilySpec, template: SeifertTemplate, n: tuple[int, ...],
+                     use_root5: bool):
+    """(verdict, jones, conway): the cosmetic-gate verdict of instance n, with
+    the assembled Jones and Conway polynomials it reads."""
+    jones = assemble_jones(spec, n)
+    conway = conway_poly(template, n)
+    verdict = cosmetic_gate(jones, jones.derivs_at_one(4), conway, conway.a4,
+                            use_root5=use_root5, twists=n,
+                            instance=instance_id(spec.name, spec.signs_str(), n))
+    return verdict, jones, conway

@@ -39,9 +39,9 @@ of Delta reads as u^(e - size), rewritten exactly in powers of z = u - u^(-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+from typing import NamedTuple
 
 from .families import load_family
 from .laurent import HalfLaurent
@@ -52,10 +52,24 @@ class SeifertError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class SeifertTemplate:
-    variables: tuple[str, ...]
-    rows: tuple[tuple[MultiPoly, ...], ...]   # square, affine entries
+    """A square matrix of affine entries in the twist parameters ``variables``.
+
+    A plain class, not a NamedTuple, since ``affine`` is cached on it; it
+    compares and hashes by its two fields and is never changed after it is
+    made."""
+
+    def __init__(self, variables: tuple[str, ...], rows: tuple[tuple[MultiPoly, ...], ...]):
+        self.variables = variables
+        self.rows = rows
+
+    def __eq__(self, other):
+        if not isinstance(other, SeifertTemplate):
+            return NotImplemented
+        return (self.variables, self.rows) == (other.variables, other.rows)
+
+    def __hash__(self):
+        return hash((self.variables, self.rows))
 
     @cached_property
     def affine(self) -> tuple:
@@ -220,8 +234,7 @@ def alexander_poly(tpl: SeifertTemplate, twists) -> HalfLaurent:
     return delta
 
 
-@dataclass(frozen=True)
-class ConwaySeries:
+class ConwaySeries(NamedTuple):
     """Coefficients of z^0, z^2, z^4, z^6 of the Conway polynomial."""
 
     a0: int

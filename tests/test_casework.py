@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import twistknots.casework as casework
+import twistknots.obstruction as obstruction
 from helpers import match_exception
 from twistknots.casework import (
     ALL_CASES,
@@ -66,9 +67,9 @@ def test_sweep_survivor_excluded_by_another_gate_raises(monkeypatch):
     # a survivor of the gate loop has a2 = 0, so a Seifert route that reads
     # a2 = 1 there disagrees with it; that must fail, not count as excluded
     def nontrivial(tpl, n):
-        return dataclasses.replace(conway_poly(tpl, n), a2=Fraction(1))
+        return conway_poly(tpl, n)._replace(a2=Fraction(1))
 
-    monkeypatch.setattr(casework, "conway_poly", nontrivial)
+    monkeypatch.setattr(obstruction, "conway_poly", nontrivial)
     with pytest.raises(AssertionError,
                        match=re.escape("7_6[++-+-](1,2,1,1,1) passed the gate loop "
                                        "but conway excludes it")):
@@ -207,13 +208,18 @@ def test_root5_sweep_records_gate():
 
 
 def test_parallel_sweep_matches_serial(monkeypatch):
+    """The workers' reports, verdicts included, come back whole: 7_6's 40
+    exceptions cross the process boundary as ``ObstructionVerdict``s."""
     from twistknots.casework import sweep
-    cfg = SweepConfig("8_12", n_range=2)
-    serial = sweep(cfg)
-    monkeypatch.setenv("TWISTKNOTS_WORKERS", "2")
-    parallel = sweep(cfg)
-    assert [r.exclusions for r in parallel] == [r.exclusions for r in serial]
-    assert [r.signs for r in parallel] == [r.signs for r in serial]
+    for family, exceptions in (("8_12", 0), ("7_6", 40)):
+        cfg = SweepConfig(family, n_range=2)
+        monkeypatch.delenv("TWISTKNOTS_WORKERS", raising=False)
+        serial = sweep(cfg)
+        monkeypatch.setenv("TWISTKNOTS_WORKERS", "2")
+        parallel = sweep(cfg)
+        assert sum(len(r.exceptions) for r in serial) == exceptions
+        assert [r.exceptions for r in parallel] == [r.exceptions for r in serial]
+        assert [report_to_dict(r) for r in parallel] == [report_to_dict(r) for r in serial]
 
 
 def test_sweep_pool_capped_at_sign_cases(monkeypatch):

@@ -218,6 +218,24 @@ def test_crosscheck_checks_budget_before_drawing(monkeypatch, capsys):
     assert captured.err == "error: no cross-check fits the crossing budget 18\n"
 
 
+def test_crosscheck_refuses_budget_over_the_bracket_limit(monkeypatch, capsys):
+    """A budget the state sum could never run is bad input, refused before
+    any diagram is drawn."""
+    import twistknots.diagrams as diagrams
+
+    def no_drawing(*args, **kwargs):
+        raise AssertionError("built a diagram for a budget over the bracket's limit")
+
+    monkeypatch.setattr(diagrams, "build_diagram", no_drawing)
+    assert main(["crosscheck", "--family", "7_6", "--signs", "+++++",
+                 "--twists", "1,1,1,1,3000", "--budget", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --budget must be from 1 to 24, got 100000\n"
+    assert main(["crosscheck", "--family", "8_12", "--budget", "25"]) == 2
+    assert capsys.readouterr().err == "error: --budget must be from 1 to 24, got 25\n"
+
+
 def test_oracle_failure_exits_1(monkeypatch, capsys):
     import twistknots.diagrams as diagrams
 
@@ -233,14 +251,18 @@ def test_oracle_failure_exits_1(monkeypatch, capsys):
 
 
 def test_cli_import_leaves_out_the_oracle():
-    """check and jones never use the diagram oracle, so importing the CLI
-    does not import it."""
-    probe = ("import sys, twistknots.cli; "
-             "print(sorted(m for m in ('twistknots.diagrams', 'twistknots.pdcodes') "
-             "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": SRC})
-    assert out.stdout.strip() == "[]"
+    """check and jones run on the instance engine alone: a query process never
+    imports the sweep engine, the diagram oracle or ``dataclasses``."""
+    probe = ("import sys; from twistknots.cli import main; code = main(sys.argv[1:]); "
+             "print(sorted(m for m in ('dataclasses', 'inspect', 'twistknots.casework', "
+             "'twistknots.diagrams', 'twistknots.pdcodes') if m in sys.modules)); "
+             "sys.exit(code)")
+    for command in ("check", "jones"):
+        out = subprocess.run([sys.executable, "-c", probe, command, "--family", "7_6",
+                              "--signs", "++-+-", "--twists", "1,2,1,1,1"],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.splitlines()[-1] == "[]", command
 
 
 def test_usage_error_exit_codes(capsys):
@@ -271,14 +293,13 @@ def test_route_disagreement_exits_1(monkeypatch, capsys):
 
 
 def test_sweep_survivor_disagreement_exits_1(monkeypatch, capsys):
-    import dataclasses
     from fractions import Fraction
 
-    import twistknots.casework as casework
+    import twistknots.obstruction as obstruction
 
-    real = casework.conway_poly
-    monkeypatch.setattr(casework, "conway_poly",
-                        lambda tpl, n: dataclasses.replace(real(tpl, n), a2=Fraction(1)))
+    real = obstruction.conway_poly
+    monkeypatch.setattr(obstruction, "conway_poly",
+                        lambda tpl, n: real(tpl, n)._replace(a2=Fraction(1)))
     code = main(["sweep", "--family", "7_6", "--range", "2"])
     err = capsys.readouterr().err
     assert code == 1
@@ -304,13 +325,13 @@ def test_jones_assembles_once(monkeypatch, capsys):
 
 
 def test_internal_error_exits_1(monkeypatch, capsys):
-    import twistknots.casework as casework
+    import twistknots.obstruction as obstruction
     from twistknots.seifert import SeifertError
 
     def broken(tpl, n):
         raise SeifertError("Alexander value at 1 is 3, not a unit")
 
-    monkeypatch.setattr(casework, "conway_poly", broken)
+    monkeypatch.setattr(obstruction, "conway_poly", broken)
     code = main(["check", "--family", "7_6", "--signs", "++-+-",
                  "--twists", "1,2,1,1,1"])
     err = capsys.readouterr().err

@@ -353,6 +353,14 @@ def test_parse_signs_rejects_bad_input():
         parse_signs("++++", 5)
     with pytest.raises(FamilyError):
         parse_signs("++x++", 5)
+    # with_signs checks the bands it makes: a sign of +1 or -1, a parity of
+    # 0 or 1, and no frozen odd band
+    with pytest.raises(FamilyError, match="band sign must be"):
+        SEVEN.with_signs((2, 1, 1, 1, 1))
+    with pytest.raises(FamilyError, match="band parity must be"):
+        SEVEN._replace(parities=(2, 1, 1, 0, 0)).with_signs("+++++")
+    with pytest.raises(FamilyError, match="frozen bands must be even"):
+        SEVEN._replace(frozen=(True,) + (False,) * 4).with_signs("+++++")
 
 
 def test_check_twists():
