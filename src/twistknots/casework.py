@@ -9,7 +9,8 @@ certifies one instance, and ``instance_id`` live in ``obstruction`` beside the
 gates and are imported back here, so that a one-instance query (``check``,
 ``jones``, ``alexander``) never imports this module.  The records here stay
 frozen dataclasses, unlike the NamedTuples of the instance path (see
-``obstruction``): only sweeps and the oracle load this module.
+``obstruction``): of the commands, only ``sweep`` and ``verify-paper`` load
+this module.
 
 The gates are solved a plane of lines at a time.  A line is the last twist
 axis v at a prefix of the other twists; a plane is a list of such prefixes
