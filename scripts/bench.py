@@ -97,11 +97,22 @@ also records nproc, the Python version and the git revision of the checkout
 that holds ``--src``.  Usage:
 
     python3 scripts/bench.py [--src DIR] [--out FILE --label NAME]
+    python3 scripts/bench.py --pair BEFORE AFTER [--rounds N] --out FILE
 
 ``--src`` is the ``src`` directory to import ``twistknots`` from (default: this
 checkout's), so a second checkout of another commit can be timed with the same
 script.  With ``--out``, the rows are stored under ``--label`` in FILE, keeping
-any other labels already there (for example ``before`` and ``after``).
+any other labels already there.
+
+``--pair`` times two ``src`` directories, BEFORE and AFTER, in ``--rounds``
+rounds (default 3).  Each round runs this script once per side, each run a
+fresh process, and the side that goes first alternates from round to round,
+since a shared machine's speed drifts and the second of two runs can read
+slower.  FILE gets the labels ``before`` and ``after``.  In each, a row keeps
+its descriptive fields from the first round; each timing (``MEASURES``) is the
+median over the rounds, with ``<timing>_quartiles`` [first, third] and
+``<timing>_rounds``, the figure of each round; a row's per-run lists of one
+round are dropped.
 """
 
 import argparse
@@ -138,6 +149,8 @@ BRACKET_SEED = 1
 CLI_RUNS = 11
 CLI_INSTANCE = ("--family", "7_6", "--signs", "++-+-", "--twists", "1,2,1,2,1")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+MEASURES = ("s", "ms", "us", "wall_s", "wall_ms", "wall_us", "gate_loop_us_per_instance",
+            "derivs_ms", "us_per_string")
 
 
 def git_revision(src: Path) -> str:
@@ -243,10 +256,13 @@ def exceptions_row(casework, family: str, signs: str, n_range: int) -> dict:
     patterns = casework._parsed_patterns(family, casework.load_registry(family), signs,
                                          variables)
 
+    # a checkout whose patterns hold no affine rows matches through the variables
+    extra = (variables,) if casework._matching.__code__.co_argcount == 3 else ()
+
     def certify():
         for n in twists:
             casework.instance_verdict(sym.spec, sym.template, n, False)
-            casework._matching(patterns, n, variables)
+            casework._matching(patterns, n, *extra)
 
     runs = [timed(certify) for _ in range(REPEAT)]
     return {"family": family, "signs": signs, "range": n_range, "exceptions": len(twists),
@@ -404,13 +420,59 @@ def tier1_row(src: Path) -> dict:
             "exit": proc.returncode}
 
 
+def quartiles(values: list) -> list:
+    """[first, third] quartile of values, inclusive of the extremes."""
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [round(q1, 4), round(q3, 4)]
+
+
+def merged(results: list) -> dict:
+    """One side's rounds as one result: each ``MEASURES`` field the median over
+    the rounds, with its quartiles and per-round figures."""
+    rows = {}
+    for name, first in results[0]["rows"].items():
+        row = {k: v for k, v in first.items() if not k.startswith("runs_")}
+        for key in (k for k in MEASURES if k in first):
+            values = [r["rows"][name][key] for r in results]
+            row[key] = round(statistics.median(values), 4)
+            row[f"{key}_quartiles"] = quartiles(values)
+            row[f"{key}_rounds"] = values
+        rows[name] = row
+    return {**{k: v for k, v in results[0].items() if k != "rows"},
+            "rounds": len(results), "rows": rows}
+
+
+def pair(before: Path, after: Path, rounds: int, out: Path) -> None:
+    """Time both src directories in alternating order and write their merged rows."""
+    results = {"before": [], "after": []}
+    for r in range(rounds):
+        sides = [("before", before), ("after", after)]
+        for label, src in sides[::-1] if r % 2 else sides:
+            print(f"round {r + 1}/{rounds}: {label} ({src})", file=sys.stderr, flush=True)
+            proc = subprocess.run([sys.executable, __file__, "--src", str(src)],
+                                  capture_output=True, text=True, check=True)
+            results[label].append(json.loads(proc.stdout))
+    blob = {label: merged(runs) for label, runs in results.items()}
+    out.write_text(json.dumps(blob, indent=1, sort_keys=True) + "\n")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="src directory holding the twistknots package")
     parser.add_argument("--out", help="JSON file to store the rows in")
     parser.add_argument("--label", help="key of the rows in --out")
+    parser.add_argument("--pair", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="two src directories to time in alternating rounds")
+    parser.add_argument("--rounds", type=int, default=3, help="rounds of --pair")
     args = parser.parse_args()
+    if args.pair:
+        if not args.out or args.label or args.rounds < 1:
+            parser.error("--pair takes --out, no --label, and --rounds of at least 1")
+        pair(*(Path(p).resolve() for p in args.pair), args.rounds, Path(args.out))
+        return 0
     if bool(args.out) != bool(args.label):
         parser.error("--out and --label go together")
 

@@ -371,25 +371,39 @@ def verify_paper_case(family: str, signs: str,
 # --- exceptions -------------------------------------------------------------------
 
 def _parsed_patterns(family: str, registry: CaseRegistry, signs: str, variables) -> list:
-    """The sign case's exception patterns as (tuple, [(variable, polynomial)]);
-    a constraint that does not parse is a ``RegistryError`` naming its place."""
+    """The sign case's exception patterns as (tuple, constraints), each
+    constraint an affine row (i, constant, ((j, coefficient), ...)): twist i
+    must equal the constant plus the sum of the coefficients times twists j,
+    indexed as in ``variables``.  A constraint that does not parse, or is not
+    affine, is a ``RegistryError`` naming its place."""
 
-    def parse(i: int, var: str, expr: str) -> MultiPoly:
+    def row(i: int, var: str, expr: str) -> tuple:
+        where = f"{family} registry, exceptions[{signs!r}][{i}] constraints[{var!r}]"
         try:
-            return parse_poly(expr, variables)
+            poly = parse_poly(expr, variables)
         except ExprError as exc:
-            raise RegistryError(f"{family} registry, exceptions[{signs!r}][{i}] "
-                                f"constraints[{var!r}]: {exc}") from None
+            raise RegistryError(f"{where}: {exc}") from None
+        if any(sum(mono) > 1 for mono in poly.terms):
+            raise RegistryError(f"{where}: {expr!r} is not affine")
+        linear = tuple((mono.index(1), c) for mono, c in poly.terms.items() if any(mono))
+        return variables.index(var), poly.terms.get((0,) * len(variables), 0), linear
 
-    return [(row["tuple"], [(var, parse(i, var, expr))
-                            for var, expr in row["constraints"].items()])
-            for i, row in enumerate(registry.exceptions.get(signs, ()))]
+    return [(r["tuple"], tuple(row(i, var, expr) for var, expr in r["constraints"].items()))
+            for i, r in enumerate(registry.exceptions.get(signs, ()))]
 
 
-def _matching(patterns: list, n: tuple[int, ...], variables) -> list[str]:
-    point = dict(zip(variables, n))
-    return [pattern for pattern, constraints in patterns
-            if all(point[var] == poly.eval(point) for var, poly in constraints)]
+def _matching(patterns: list, n: tuple[int, ...]) -> list[str]:
+    """The patterns of ``_parsed_patterns`` whose every constraint holds at n."""
+    out = []
+    for pattern, constraints in patterns:
+        for i, value, linear in constraints:
+            for j, c in linear:
+                value += c * n[j]
+            if value != n[i]:
+                break
+        else:
+            out.append(pattern)
+    return out
 
 
 # --- sweeping ----------------------------------------------------------------------
@@ -573,7 +587,7 @@ def classify_exceptions(cfg: SweepConfig, reports: list[CaseReport],
         parsed = _parsed_patterns(cfg.family, registry, report.signs, variables)
         for verdict in report.exceptions:
             n = verdict.twists
-            for pat in _matching(parsed, n, variables) or [None]:   # None: unmatched
+            for pat in _matching(parsed, n) or [None]:   # None: unmatched
                 records.setdefault((report.signs, pat),
                                    ExceptionRecord(report.signs, pat)).instances.append(n)
     return [records[k] for k in sorted(records, key=lambda kk: (kk[0], kk[1] or ""))]

@@ -25,7 +25,11 @@ depend on n.  ``t_form`` builds the c_m once per sign case; an instance shifts
 each c_m by T^m, adds them up and divides exactly by the (1 + t^(s_i)), in time
 linear in the twists (``assemble_jones``).  The sum of a knot holds integral
 powers of t only, so every half-integral slot must be 0 and the divisions run
-on the integral powers alone, one prefix sum per band.
+on the integral powers alone, one prefix sum per band.  V = 1 exactly when the
+sum equals prod_i (1 + t^(s_i)); each side packed into one int by Kronecker
+substitution, t^(1/2) = 2^W with W fixed per sign case by a bound on the
+coefficients, that identity is tested before any division, and it decides
+every sweep exception without a dense list.
 
 The derivatives at t=1, as polynomials in n_1..n_k, come from the state sum by
 an independent route: every prefactor and every V_x becomes its Taylor series
@@ -44,7 +48,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import accumulate, cycle, product
 from math import factorial, lcm
-from operator import mul
+from operator import add, lshift, mul
 from typing import NamedTuple
 
 from .laurent import HalfLaurent, exact_quotient, unlink_factor
@@ -76,15 +80,17 @@ BaseTable = tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
 class FamilySpec(NamedTuple):
     """A family with concrete band signs; twist parameters stay free.
 
-    It keys the ``t_form`` cache, so it compares and hashes by value."""
+    It keys the ``t_form`` cache, so it compares by value.  It hashes by its
+    name and bands alone, which equal specs share, since hashing the base
+    table on every lookup cost more than the lookup saved."""
 
     name: str
     bands: tuple[BandSpec, ...]
     base: BaseTable
+    active_bands: tuple[int, ...]   # the bands that are not frozen, in order
 
-    @property
-    def active_bands(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.bands) if not b.frozen)
+    def __hash__(self):
+        return hash((self.name, self.bands))
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -196,7 +202,8 @@ class FamilyDef(NamedTuple):
             raise FamilyError("frozen bands must be even")
         bands = tuple(BandSpec(s, p, f)
                       for s, p, f in zip(signs, self.parities, self.frozen))
-        return FamilySpec(self.name, bands, self.base)
+        active = tuple(i for i, f in enumerate(self.frozen) if not f)
+        return FamilySpec(self.name, bands, self.base, active)
 
 
 def parse_family_file(text: str) -> FamilyDef:
@@ -423,12 +430,11 @@ def t_form(spec: FamilySpec) -> tuple:
     """The closed form  prod_i (1 + t^(s_i)) * V = sum_m T^m c_m(t).
 
     m runs over 0/1 vectors on the active bands and T^m is the product of the
-    T_i = t^(2 s_i n_i) with m_i = 1.  The result lists, in increasing order
-    of m and for each m with c_m != 0, the pair (bands, c_m): bands the
-    positions j with m_j = 1, over which an instance sums its shifts 4 s_j n_j
-    of the doubled exponent, and c_m as (doubled exponent, coefficient) pairs
-    in increasing exponent order.  A band's resolved state gives -t^(s/2) to
-    m_i = 0 and t^(s/2) to m_i = 1, its retained state 1 + t^s to m_i = 1."""
+    T_i = t^(2 s_i n_i) with m_i = 1.  A band's resolved state gives -t^(s/2)
+    to m_i = 0 and t^(s/2) to m_i = 1, its retained state 1 + t^s to m_i = 1.
+    The result is ``_packed_form`` of the nonzero c_m, in increasing order of
+    m, each with the index sum_j m_j 2^j of m, and c_m as (doubled exponent,
+    coefficient) pairs in increasing exponent order."""
     active = spec.active_bands
     # position j of a key holds band j's state until band j is summed out,
     # and its T-exponent m_j after
@@ -443,8 +449,31 @@ def t_form(spec: FamilySpec) -> tuple:
                 out = key[:j] + (m,) + key[j + 1:]
                 summed[out] = summed.get(out, HalfLaurent.zero()) + weight * value
         layer = summed
-    return tuple((tuple(j for j, mj in enumerate(m) if mj), tuple(sorted(value.terms.items())))
-                 for m, value in sorted(layer.items()) if value)
+    rows = [(sum(mj << j for j, mj in enumerate(m)), tuple(sorted(value.terms.items())))
+            for m, value in sorted(layer.items()) if value]
+    return _packed_form(rows, len(active))
+
+
+def _packed_form(rows, k: int) -> tuple:
+    """The T-form of the (index, c_m) pairs ``rows`` over k bands, as
+    (width, unit, index, firsts, lasts, packed, terms): one column per field,
+    a row per c_m.  first and last are the lowest and highest exponent of c_m,
+    and packed = c_m(X) / X^first, where X = 2^width stands for t^(1/2);
+    unit = (1 + X^2)^k is prod_i (1 + t^(s_i)) over its lowest power of t,
+    packed alike.
+
+    width = B.bit_length() + 1 with B = sum_m L1(c_m) + 2^k, so 2 B < X: every
+    coefficient of sum_m T^m c_m - prod_i (1 + t^(s_i)) is at most B, and a
+    sum of such digits times powers of X is 0 only when every digit is 0.
+    ``assemble_jones`` reads V = 1 from that."""
+    bound = sum(abs(c) for _, terms in rows for _, c in terms) + 2 ** k
+    width = bound.bit_length() + 1
+    index, terms = zip(*rows) if rows else ((), ())
+    firsts = tuple(c_m[0][0] for c_m in terms)
+    packed = tuple(sum(c << width * (e - first) for e, c in c_m)
+                   for first, c_m in zip(firsts, terms))
+    return (width, (1 + (1 << 2 * width)) ** k, index, firsts,
+            tuple(c_m[-1][0] for c_m in terms), packed, terms)
 
 
 # the longest dense coefficient list assemble_jones allocates, 32 MB of slots;
@@ -456,9 +485,15 @@ MAX_DENSE = 1 << 22
 def assemble_jones(spec: FamilySpec, twists) -> HalfLaurent:
     """Jones polynomial of one family instance; integral powers of t only.
 
-    Evaluates the T-form at the twists: shifts each c_m by T^m, sums into one
-    dense coefficient list over the doubled exponent, and divides it exactly
-    by (1 + t^(s_i)) per active band.  A knot's sum has integral powers of t
+    Evaluates the T-form at the twists.  T^m shifts c_m by the sum of the
+    4 s_j n_j of the bands in m, one of the 2^k subset sums of the shifts,
+    which also bound the span of the sum.  V = 1 exactly when
+    sum_m T^m c_m = prod_i (1 + t^(s_i)), and that is tested first on one
+    packed int per side at the base X of ``_packed_form``, with every power
+    shifted by the lowest; the two ints are equal only when the polynomials
+    are.  Otherwise the c_m, each shifted by T^m, are summed into one dense
+    coefficient list over the doubled exponent and divided exactly by
+    (1 + t^(s_i)) per active band.  A knot's sum has integral powers of t
     only, so every odd doubled exponent must hold 0, or the family is wrong
     (``FamilyError``); the divisions then run on the even slots alone, one
     slot per power of t.  Since 1 + t^(-1) = t^(-1) (1 + t), each division is
@@ -469,19 +504,28 @@ def assemble_jones(spec: FamilySpec, twists) -> HalfLaurent:
     so every division is one more prefix sum."""
     n = check_twists(spec, twists)
     signs = [spec.bands[i].sign for i in spec.active_bands]
-    shifts = [4 * s * v for s, v in zip(signs, n)]
-    shifted = [(sum([shifts[j] for j in bands]), terms) for bands, terms in t_form(spec)]
-    if not shifted:
+    width, unit, index, firsts, lasts, packed, terms = t_form(spec)
+    if not terms:
         return HalfLaurent.zero()
-    lo = min([d + terms[0][0] for d, terms in shifted])
-    size = max([d + terms[-1][0] for d, terms in shifted]) - lo + 1
+    offsets = [0]   # the doubled exponent of T^m, at the index of m
+    for s, v in zip(signs, n):
+        shift = 4 * s * v
+        offsets += [d + shift for d in offsets]
+    at = [offsets[i] for i in index]
+    starts = list(map(add, at, firsts))
+    lo = min(starts)
+    size = max(map(add, at, lasts)) - lo + 1
     if size > MAX_DENSE:
         raise FamilyError(f"twists {n} span {size} doubled exponents, "
                           f"over the assembly limit of {MAX_DENSE}")
+    low = -2 * signs.count(-1)   # the lowest doubled exponent of prod_i (1 + t^(s_i))
+    if lo <= low and (sum(map(lshift, packed, [width * (s - lo) for s in starts]))
+                      == unit << width * (low - lo)):
+        return HalfLaurent.one()
     dense = [0] * size
-    for d, terms in shifted:
+    for d, c_m in zip(at, terms):
         d -= lo
-        for e, c in terms:
+        for e, c in c_m:
             dense[d + e] += c
     first = lo % 2   # the index of the first even doubled exponent
     if any(dense[1 - first::2]):
@@ -493,7 +537,7 @@ def assemble_jones(spec: FamilySpec, twists) -> HalfLaurent:
             raise AssertionError(
                 f"T-form of {spec.name}[{spec.signs_str()}] at {n} is not divisible by 1 + t")
         del alternated[-1:]
-    lo += first + 2 * sum(s < 0 for s in signs)
+    lo += first - low
     return HalfLaurent({lo + 2 * k: -c if k % 2 else c for k, c in enumerate(alternated) if c})
 
 

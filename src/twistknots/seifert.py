@@ -28,9 +28,12 @@ base-X digits, each in [-X/2, X/2).  That needs |c_e| < X/2, and
 |S| + |S^T| t gives every term of the Leibniz expansion of det(S - t S^T)
 in absolute value, with nonnegative coefficients that sum to the bound.  A
 bound of 0 means a zero row in S - t S^T and in S - X S^T alike, so both
-determinants are 0.  A template keeps ``_delta``, since a polynomial entry
-has no size to bound and no integer to pack, and it is built once per sign
-case.
+determinants are 0.  By the same reading, Delta = t^g, g half the size,
+holds exactly when the packed determinant is X^g, and ``_packed_delta``
+returns t^g as soon as it sees that.  Such a Delta is the Conway polynomial 1,
+which every sweep exception has, and ``conway_poly`` returns it without the
+z-rewrite.  A template keeps ``_delta``, since a polynomial entry has no size
+to bound and no integer to pack, and it is built once per sign case.
 
 The Conway polynomial is det(u S - u^(-1) S^T) with u = t^(1/2), which
 equals u^(-size) * Delta(u^2) because the size is even, so the doubled key e
@@ -140,25 +143,33 @@ def template_for(family: str, signs) -> SeifertTemplate:
 # --- determinant and z-rewrite ----------------------------------------------
 
 def _det(rows, zero):
-    """Determinant by cofactor expansion along the first row, down to 2 x 2
-    minors, which are a d - b c.
+    """Determinant of a square matrix of even size by Laplace expansion along
+    its first two rows: each 2 x 2 minor of those rows, a d - b c, times the
+    determinant of the rows below without the minor's two columns, with sign
+    (-1)^(j + l + 1) for columns j < l counted from 0.
 
     Entries need only ``+``, ``-``, ``*`` and truth, so this serves
-    HalfLaurent, MultiPoly and int matrices alike; zero entries are skipped,
-    which keeps the sparse templates to a handful of minors.
+    HalfLaurent, MultiPoly and int matrices alike; zero columns of the two
+    rows and zero minors are skipped, which keeps the sparse templates to a
+    handful of products.  A Seifert matrix has even size (``families``
+    refuses any other).
     """
-    if len(rows) == 1:
-        return rows[0][0]
     if len(rows) == 2:
         (a, b), (c, d) = rows
         return a * d - b * c
+    top, second, below = rows[0], rows[1], rows[2:]
+    size = len(rows)
     total = zero
-    for j, entry in enumerate(rows[0]):
-        if not entry:
+    for j in range(size - 1):
+        a, c = top[j], second[j]
+        if not (a or c):
             continue
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = entry * _det(minor, zero)
-        total = total - term if j % 2 else total + term
+        for l in range(j + 1, size):
+            minor = a * second[l] - top[l] * c
+            if not minor:
+                continue
+            term = minor * _det([row[:j] + row[j + 1:l] + row[l + 1:] for row in below], zero)
+            total = total + term if (j + l) % 2 else total - term
     return total
 
 
@@ -210,6 +221,8 @@ def _packed_delta(rows) -> HalfLaurent:
     width = bound.bit_length() + 2
     base, half = 1 << width, 1 << (width - 1)
     packed = _det([[a - base * b for a, b in zip(row, col)] for row, col in zip(rows, cols)], 0)
+    if packed == 1 << width * (len(rows) // 2):
+        return HalfLaurent({len(rows): 1})   # t^g, the Delta of a trivial Conway polynomial
     terms, e = {}, 0
     while packed:
         c = (packed + half) % base - half
@@ -247,8 +260,13 @@ class ConwaySeries(NamedTuple):
 
 
 def conway_poly(tpl: SeifertTemplate, twists) -> ConwaySeries:
-    """det(t^(1/2) S - t^(-1/2) S^T) rewritten in z; normalized so a0 = 1."""
-    z_coeffs = _conway(alexander_poly(tpl, twists), len(tpl.rows))
+    """det(t^(1/2) S - t^(-1/2) S^T) rewritten in z; normalized so a0 = 1.
+    A Delta of t^g, g half the size, is the Conway polynomial 1 and needs no
+    rewrite."""
+    delta = alexander_poly(tpl, twists)
+    if delta.terms == {len(tpl.rows): 1}:
+        return ConwaySeries(1, 0, 0, 0)
+    z_coeffs = _conway(delta, len(tpl.rows))
     if any(d % 2 for d in z_coeffs):
         raise SeifertError("odd z-powers in a knot Conway polynomial")
     if z_coeffs.get(0, 0) != 1:

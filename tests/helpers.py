@@ -136,7 +136,7 @@ def equal_up_to_unit(p: HalfLaurent, q: HalfLaurent) -> bool:
 def mirrored(spec: FamilySpec) -> FamilySpec:
     """The family with every band sign flipped."""
     flipped = tuple(BandSpec(-b.sign, b.parity, b.frozen) for b in spec.bands)
-    return FamilySpec(spec.name, flipped, spec.base)
+    return spec._replace(bands=flipped)
 
 
 def pretzel_pd(*counts: int) -> PDCode:
@@ -210,4 +210,4 @@ def flipped_foot(tpl: DiagramTemplate, band: int = 1) -> DiagramTemplate:
 def match_exception(family: str, registry: CaseRegistry, signs: str, n: tuple[int, ...],
                     variables) -> list[str]:
     """The registered exception patterns of the sign case that n satisfies."""
-    return _matching(_parsed_patterns(family, registry, signs, variables), n, variables)
+    return _matching(_parsed_patterns(family, registry, signs, variables), n)

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 
 import twistknots.casework as casework
+import twistknots.families as families
 import twistknots.obstruction as obstruction
-from helpers import match_exception
+import twistknots.seifert as seifert
+from helpers import match_exception, reference_assemble
 from twistknots.casework import (
     ALL_CASES,
     RegistryEntry,
@@ -38,6 +40,7 @@ from twistknots.casework import (
     verify_paper_case,
 )
 from twistknots.families import FAMILIES, assemble_jones, load_family
+from twistknots.laurent import HalfLaurent
 from twistknots.multipoly import MultiPoly, parse_poly
 from twistknots.obstruction import GATE_ORDER, cosmetic_gate
 from twistknots.seifert import conway_poly, template_for
@@ -74,6 +77,68 @@ def test_sweep_survivor_excluded_by_another_gate_raises(monkeypatch):
                        match=re.escape("7_6[++-+-](1,2,1,1,1) passed the gate loop "
                                        "but conway excludes it")):
         sweep_case(SweepConfig("7_6", n_range=2), "++-+-")
+
+
+# the three box cases of scripts/bench.py, beside every sign case at range 4
+_EXIT_CASES = ([(f, s, 4) for f in FAMILIES for s in ALL_CASES]
+               + [("7_6", "++-+-", 12), ("10_58", "+-+-+", 12), ("8_12", "-++-+", 20)])
+
+
+def test_sweep_exceptions_take_the_early_exits(monkeypatch):
+    """Every exception is certified by the packed T-form identity and the
+    packed Delta = t^g alone: with the dense division and the z-rewrite cut
+    off, the sweeps still pass.  Each exception's Jones polynomial is then
+    checked against the dense state sum, and its Delta against the Delta of
+    its int Seifert matrix over ``HalfLaurent`` entries."""
+    for family, signs, _ in _EXIT_CASES:
+        symbolic_case(family, signs)   # the symbolic set-up rewrites in z
+
+    def cut(*args):
+        raise AssertionError("a survivor left the early exit")
+
+    found = []
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "accumulate", cut)
+        patch.setattr(seifert, "_conway", cut)
+        for family, signs, n_range in _EXIT_CASES:
+            report = sweep_case(SweepConfig(family, n_range=n_range), signs)
+            found += [(family, signs, v.twists) for v in report.exceptions]
+    assert len(found) == 208 + 132
+    for family, signs, n in found:
+        sym = symbolic_case(family, signs)
+        assert assemble_jones(sym.spec, n) == reference_assemble(sym.spec, n) == HalfLaurent.one()
+        delta = seifert._delta(sym.template.instantiate(n))
+        assert seifert.alexander_poly(sym.template, n) == delta == HalfLaurent({4: 1})
+
+
+def _with_n3_on_s13(monkeypatch, signs: str):
+    """7_6's template with n3 added to S_13 and S_31: S - S^T, Delta(1) and a2
+    stay as they were, while the leading coefficient changes."""
+    fam = load_family("7_6")
+    rows = [list(row) for row in fam.seifert]
+    n3 = MultiPoly.var(rows[0][0].vars, "n3")
+    rows[0][2], rows[2][0] = rows[0][2] + n3, rows[2][0] + n3
+    with monkeypatch.context() as patch:
+        patch.setattr(seifert, "load_family",
+                      lambda name: fam._replace(seifert=tuple(map(tuple, rows))))
+        return template_for("7_6", signs)
+
+
+# the first survivor in box order where the change reaches the leading
+# coefficient; at those before it the added n3 leaves it 0
+@pytest.mark.parametrize("signs, n", [("+-++-", (1, 1, 2, 1, 1)), ("+--++", (1, 1, 2, 1, 2))])
+def test_sweep_raises_on_a_changed_seifert_matrix_at_a_survivor(monkeypatch, signs, n):
+    # the gates stay right and only the instance's matrix changes, so the
+    # packed Delta of a survivor is no longer t^2 and the routes disagree
+    changed = _with_n3_on_s13(monkeypatch, signs)
+    real = symbolic_case("7_6", signs)
+    assert conway_poly(changed, n).a4 != 0 == conway_poly(real.template, n).a4
+    monkeypatch.setattr(casework, "symbolic_case",
+                        lambda family, s: dataclasses.replace(real, template=changed))
+    with pytest.raises(AssertionError, match=re.escape(
+            f"7_6[{signs}]({','.join(map(str, n))}) passed the gate loop "
+            "but alexander_leading excludes it")):
+        sweep_case(SweepConfig("7_6", n_range=2), signs)
 
 
 def test_exception_classification_patterns():
@@ -713,6 +778,32 @@ def test_constraint_that_does_not_parse_names_its_place():
     message = "7_6 registry, exceptions['++-+-'][0] constraints['a']: '(' was never closed in '(1'"
     with pytest.raises(RegistryError, match=re.escape(message)):
         classify_exceptions(cfg, [sweep_case(cfg, "++-+-")], registry)
+
+
+@pytest.mark.parametrize("expr", ["b*c", "e^2 - 1", "1 + a*b"])
+def test_constraint_that_is_not_affine_names_its_place(expr):
+    registry = parse_registry(_edited("7_6", '"a": "1"', f'"a": "{expr}"'), "7_6")
+    cfg = SweepConfig("7_6", n_range=2)
+    message = f"7_6 registry, exceptions['++-+-'][0] constraints['a']: {expr!r} is not affine"
+    with pytest.raises(RegistryError, match=re.escape(message)):
+        classify_exceptions(cfg, [sweep_case(cfg, "++-+-")], registry)
+
+
+def test_affine_constraints_match_as_their_polynomials():
+    # every shipped row, read as affine rows, matches exactly where its
+    # constraints' polynomials, evaluated in full, equal the twists
+    for family in FAMILIES:
+        registry = load_registry(family)
+        for signs, rows in registry.exceptions.items():
+            variables = load_family(family).with_signs(signs).variables
+            parsed = casework._parsed_patterns(family, registry, signs, variables)
+            polys = [(r["tuple"], [(v, parse_poly(e, variables))
+                                   for v, e in r["constraints"].items()]) for r in rows]
+            for n in product(range(1, 4), repeat=len(variables)):
+                point = dict(zip(variables, n))
+                expected = [pattern for pattern, constraints in polys
+                            if all(point[v] == poly.eval(point) for v, poly in constraints)]
+                assert casework._matching(parsed, n) == expected, (family, signs, n)
 
 
 def test_parse_registry_parses_no_formula(monkeypatch):

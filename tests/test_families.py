@@ -209,24 +209,40 @@ def test_t_form_matches_reference_at_twists_up_to_40(name, signs):
 
 
 def _with_term(form: tuple, extra) -> tuple:
-    """``form``, a ``t_form`` result, with one more term (e, 1) after the last
-    term of its last c_m, e = extra(the exponent of that term)."""
-    *front, (bands, terms) = form
-    return (*front, (bands, terms + ((extra(terms[-1][0]), 1),)))
+    """``form``, a ``t_form`` result over five bands, with one more term (e, 1)
+    after the last term of its last c_m, e = extra(the exponent of that term),
+    packed anew as ``t_form`` packs it."""
+    *front, (index, terms) = zip(form[2], form[-1])
+    return families._packed_form([*front, (index, terms + ((extra(terms[-1][0]), 1),))], 5)
 
 
 @pytest.mark.parametrize("extra, error, match", [
     (lambda e: e + 2 - e % 2, AssertionError, r"not divisible by 1 \+ t"),   # an integral power
     (lambda e: e + 1 + e % 2, FamilyError, "not knot-valued"),              # a half-integral one
 ], ids=["integral", "half_integral"])
-def test_assembly_rejects_a_changed_t_form(monkeypatch, extra, error, match):
+# (1, 2, 1, 1, 1) is a sweep exception, V = 1, where the packed identity
+# decides; at (1, 2, 1, 3, 2) it fails and the dense division runs
+@pytest.mark.parametrize("n", [(1, 2, 1, 3, 2), (1, 2, 1, 1, 1)])
+def test_assembly_rejects_a_changed_t_form(monkeypatch, extra, error, match, n):
     spec = SEVEN.with_signs("++-+-")
-    n = (1, 2, 1, 3, 2)
     assert assemble_jones(spec, n) == reference_assemble(spec, n)
     original = families.t_form
     monkeypatch.setattr(families, "t_form", lambda spec: _with_term(original(spec), extra))
     with pytest.raises(error, match=match):
         assemble_jones(spec, n)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_packing_width_bounds_every_coefficient(name):
+    """2 B < 2^W in every sign case, B = sum_m L1(c_m) + 2^k: a coefficient of
+    sum_m T^m c_m - prod_i (1 + t^(s_i)) stays under half the packing base."""
+    for signs in ALL_SIGNS:
+        spec = FAMILIES[name].with_signs(signs)
+        width, unit, *_, terms = families.t_form(spec)
+        k = len(spec.active_bands)
+        bound = sum(abs(c) for c_m in terms for _, c in c_m) + 2 ** k
+        assert 2 * bound < 2 ** width, (name, signs)
+        assert unit == (1 + 2 ** (2 * width)) ** k
 
 
 def test_jones_derivs_examples():
