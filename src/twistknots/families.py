@@ -519,8 +519,11 @@ def assemble_jones(spec: FamilySpec, twists) -> HalfLaurent:
         raise FamilyError(f"twists {n} span {size} doubled exponents, "
                           f"over the assembly limit of {MAX_DENSE}")
     low = -2 * signs.count(-1)   # the lowest doubled exponent of prod_i (1 + t^(s_i))
-    if lo <= low and (sum(map(lshift, packed, [width * (s - lo) for s in starts]))
-                      == unit << width * (low - lo)):
+    # a lowest start that one c_m alone reaches cannot cancel, so V = 1 then
+    # needs lo = low; this spares large instances the packed sum
+    if ((lo == low or lo < low and starts.count(lo) > 1)
+            and (sum(map(lshift, packed, [width * (s - lo) for s in starts]))
+                 == unit << width * (low - lo))):
         return HalfLaurent.one()
     dense = [0] * size
     for d, c_m in zip(at, terms):
