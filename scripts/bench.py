@@ -25,9 +25,9 @@ Rows:
 - ``root5_sweep``: 7_6 ``++-+-`` over [1..3]^5 with the root-of-unity gate.
 - ``exceptions.7_6``: the certification of the exceptions of the
   ``box_sweep.7_6`` case, 7_6 ``++-+-`` over [1..12]^5: ``instance_verdict``
-  (assembly, Seifert route and gates) and then ``_matching`` against the
-  registered patterns, per exception.  The exceptions come from one untimed
-  sweep and the patterns are parsed before the timing; ``us`` is the median
+  (assembly, Seifert route and gates) on each exception, then one
+  ``classify_exceptions`` of the report (the registry's patterns parsed and
+  matched).  The exceptions come from one untimed sweep; ``us`` is the median
   over ``REPEAT`` runs of the time for all of them, per exception.
 - ``assemble.n<N>``: ``families.assemble_jones`` on 7_6 ``++-+-`` at twists
   (N,)^5 for N = 10, 50, 200 and 1000, after one untimed call at (1,)^5 that
@@ -96,20 +96,19 @@ the traced call count as ``sweep_case`` self time, about 2 % of it.  The output
 also records nproc, the Python version and the git revision of the checkout
 that holds ``--src``.  Usage:
 
-    python3 scripts/bench.py [--src DIR] [--out FILE --label NAME]
-    python3 scripts/bench.py --pair BEFORE AFTER [--rounds N] --out FILE
+    python3 scripts/bench.py [--src DIR] > FILE
+    python3 scripts/bench.py --pair BEFORE AFTER > FILE
 
-``--src`` is the ``src`` directory to import ``twistknots`` from (default: this
-checkout's), so a second checkout of another commit can be timed with the same
-script.  With ``--out``, the rows are stored under ``--label`` in FILE, keeping
-any other labels already there.
+Both print their JSON to stdout.  ``--src`` is the ``src`` directory to import
+``twistknots`` from (default: this checkout's), so a second checkout of
+another commit can be timed with the same script.
 
-``--pair`` times two ``src`` directories, BEFORE and AFTER, in ``--rounds``
-rounds (default 3).  Each round runs this script once per side, each run a
-fresh process, and the side that goes first alternates from round to round,
-since a shared machine's speed drifts and the second of two runs can read
-slower.  FILE gets the labels ``before`` and ``after``.  In each, a row keeps
-its descriptive fields from the first round; each timing (``MEASURES``) is the
+``--pair`` times two ``src`` directories, BEFORE and AFTER, in ``PAIR_ROUNDS``
+rounds.  Each round runs this script once per side, each run a fresh process,
+and the side that goes first alternates from round to round, since a shared
+machine's speed drifts and the second of two runs can read slower.  The output
+holds the labels ``before`` and ``after``.  In each, a row keeps its
+descriptive fields from the first round; each timing (``MEASURES``) is the
 median over the rounds, with ``<timing>_quartiles`` [first, third] and
 ``<timing>_rounds``, the figure of each round; a row's per-run lists of one
 round are dropped.
@@ -147,6 +146,7 @@ PAPER_CASE_RANGE = 4
 BRACKET = (12, 13, 14, 15, 16)      # crossing counts
 BRACKET_SEED = 1
 CLI_RUNS = 11
+PAIR_ROUNDS = 5
 CLI_INSTANCE = ("--family", "7_6", "--signs", "++-+-", "--twists", "1,2,1,2,1")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 MEASURES = ("s", "ms", "us", "wall_s", "wall_ms", "wall_us", "gate_loop_us_per_instance",
@@ -250,19 +250,15 @@ def row(casework, family: str, signs: str, n_range: int, use_root5: bool = False
 
 def exceptions_row(casework, family: str, signs: str, n_range: int) -> dict:
     cfg = casework.SweepConfig(family, n_range=n_range)
-    twists = [v.twists for v in casework.sweep_case(cfg, signs).exceptions]
+    report = casework.sweep_case(cfg, signs)
+    twists = [v.twists for v in report.exceptions]
     sym = casework.symbolic_case(family, signs)
-    variables = sym.spec.variables
-    patterns = casework._parsed_patterns(family, casework.load_registry(family), signs,
-                                         variables)
-
-    # a checkout whose patterns hold no affine rows matches through the variables
-    extra = (variables,) if casework._matching.__code__.co_argcount == 3 else ()
+    registry = casework.load_registry(family)
 
     def certify():
         for n in twists:
             casework.instance_verdict(sym.spec, sym.template, n, False)
-            casework._matching(patterns, n, *extra)
+        casework.classify_exceptions(cfg, [report], registry)
 
     runs = [timed(certify) for _ in range(REPEAT)]
     return {"family": family, "signs": signs, "range": n_range, "exceptions": len(twists),
@@ -444,37 +440,30 @@ def merged(results: list) -> dict:
             "rounds": len(results), "rows": rows}
 
 
-def pair(before: Path, after: Path, rounds: int, out: Path) -> None:
-    """Time both src directories in alternating order and write their merged rows."""
+def pair(before: Path, after: Path) -> dict:
+    """Both src directories timed in alternating order, their rounds merged."""
     results = {"before": [], "after": []}
-    for r in range(rounds):
+    for r in range(PAIR_ROUNDS):
         sides = [("before", before), ("after", after)]
         for label, src in sides[::-1] if r % 2 else sides:
-            print(f"round {r + 1}/{rounds}: {label} ({src})", file=sys.stderr, flush=True)
+            print(f"round {r + 1}/{PAIR_ROUNDS}: {label} ({src})", file=sys.stderr, flush=True)
             proc = subprocess.run([sys.executable, __file__, "--src", str(src)],
                                   capture_output=True, text=True, check=True)
             results[label].append(json.loads(proc.stdout))
-    blob = {label: merged(runs) for label, runs in results.items()}
-    out.write_text(json.dumps(blob, indent=1, sort_keys=True) + "\n")
+    return {label: merged(runs) for label, runs in results.items()}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="src directory holding the twistknots package")
-    parser.add_argument("--out", help="JSON file to store the rows in")
-    parser.add_argument("--label", help="key of the rows in --out")
     parser.add_argument("--pair", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="two src directories to time in alternating rounds")
-    parser.add_argument("--rounds", type=int, default=3, help="rounds of --pair")
     args = parser.parse_args()
     if args.pair:
-        if not args.out or args.label or args.rounds < 1:
-            parser.error("--pair takes --out, no --label, and --rounds of at least 1")
-        pair(*(Path(p).resolve() for p in args.pair), args.rounds, Path(args.out))
+        print(json.dumps(pair(*(Path(p).resolve() for p in args.pair)), indent=1,
+                         sort_keys=True))
         return 0
-    if bool(args.out) != bool(args.label):
-        parser.error("--out and --label go together")
 
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
@@ -514,12 +503,6 @@ def main() -> int:
     rows["tier1"] = tier1_row(src)
     result = {"revision": git_revision(src), "nproc": os.cpu_count(),
               "python": platform.python_version(), "repeat": REPEAT, "rows": rows}
-
-    if args.out:
-        path = Path(args.out)
-        blob = json.loads(path.read_text()) if path.exists() else {}
-        blob[args.label] = result
-        path.write_text(json.dumps(blob, indent=1, sort_keys=True) + "\n")
     print(json.dumps(result, indent=1, sort_keys=True))
     return 0
 

@@ -80,9 +80,12 @@ BaseTable = tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
 class FamilySpec(NamedTuple):
     """A family with concrete band signs; twist parameters stay free.
 
-    It keys the ``t_form`` cache, so it compares by value.  It hashes by its
-    name and bands alone, which equal specs share, since hashing the base
-    table on every lookup cost more than the lookup saved."""
+    Build one with ``FamilyDef.with_signs`` only: it fills ``active_bands``
+    from the bands' frozen flags, once per spec, where a property would
+    recompute it on every read.  It keys the ``t_form`` cache, so it compares
+    by value.  It hashes by its name and bands alone, which equal specs share,
+    since hashing the base table on every lookup cost more than the lookup
+    saved."""
 
     name: str
     bands: tuple[BandSpec, ...]

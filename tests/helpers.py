@@ -8,7 +8,7 @@ from math import factorial, gcd
 
 from twistknots.casework import CaseRegistry, _matching, _parsed_patterns
 from twistknots.diagrams import DiagramTemplate, _Builder
-from twistknots.families import BandSpec, FamilySpec, base_case_jones
+from twistknots.families import FamilyDef, FamilySpec, base_case_jones
 from twistknots.laurent import HalfLaurent
 from twistknots.multipoly import MultiPoly
 from twistknots.pdcodes import PDCode
@@ -135,8 +135,9 @@ def equal_up_to_unit(p: HalfLaurent, q: HalfLaurent) -> bool:
 
 def mirrored(spec: FamilySpec) -> FamilySpec:
     """The family with every band sign flipped."""
-    flipped = tuple(BandSpec(-b.sign, b.parity, b.frozen) for b in spec.bands)
-    return spec._replace(bands=flipped)
+    fam = FamilyDef(spec.name, tuple(b.parity for b in spec.bands),
+                    tuple(b.frozen for b in spec.bands), spec.base, (), ())
+    return fam.with_signs(tuple(-b.sign for b in spec.bands))
 
 
 def pretzel_pd(*counts: int) -> PDCode:

@@ -141,6 +141,17 @@ def test_assembly_matches_mirror_family():
     assert assemble_jones(flipped, n) == mirror(assemble_jones(spec, n))
 
 
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_specs_hold_their_unfrozen_bands(name):
+    """``active_bands`` lists the bands that are not frozen, in order, in every
+    spec that ``with_signs`` builds, mirrored specs included."""
+    for signs in ALL_SIGNS:
+        spec = FAMILIES[name].with_signs(signs)
+        for s in (spec, mirrored(spec)):
+            assert s.active_bands == tuple(i for i, b in enumerate(s.bands) if not b.frozen)
+    assert len(EIGHT.with_signs("+++++").active_bands) == 4
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(["7_6", "10_58", "8_12"]),
        st.tuples(*[st.sampled_from("+-")] * 5).map("".join),
