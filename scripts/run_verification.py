@@ -26,7 +26,7 @@ def main() -> int:
     args = parser.parse_args()
 
     out_dir = Path(args.out)
-    out_dir.mkdir(exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
     for family in FAMILIES:
         runs = (

@@ -72,7 +72,7 @@ from typing import Mapping, Optional
 
 from .families import FamilySpec, load_family, symbolic_derivs
 from .laurent import HalfLaurent
-from .multipoly import ExprError, MultiPoly, parse_poly
+from .multipoly import ExprError, MultiPoly, affine_values, parse_poly
 # instance_id is re-exported: callers of the sweeps name instances with it
 from .obstruction import GATE_ORDER, ObstructionVerdict, instance_id, instance_verdict  # noqa: F401
 from .seifert import SeifertTemplate, conway_symbolic, leading_coeff_symbolic, template_for
@@ -371,39 +371,29 @@ def verify_paper_case(family: str, signs: str,
 # --- exceptions -------------------------------------------------------------------
 
 def _parsed_patterns(family: str, registry: CaseRegistry, signs: str, variables) -> list:
-    """The sign case's exception patterns as (tuple, constraints), each
-    constraint an affine row (i, constant, ((j, coefficient), ...)): twist i
-    must equal the constant plus the sum of the coefficients times twists j,
-    indexed as in ``variables``.  A constraint that does not parse, or is not
-    affine, is a ``RegistryError`` naming its place."""
+    """The sign case's exception patterns as (tuple, forms), one affine form per
+    constraint: its expression less its twist, over ``variables``, so that a
+    pattern matches where all its forms are 0.  A constraint that does not
+    parse, or is not affine, is a ``RegistryError`` naming its place."""
 
-    def row(i: int, var: str, expr: str) -> tuple:
+    def form(i: int, var: str, expr: str) -> tuple:
         where = f"{family} registry, exceptions[{signs!r}][{i}] constraints[{var!r}]"
         try:
             poly = parse_poly(expr, variables)
         except ExprError as exc:
             raise RegistryError(f"{where}: {exc}") from None
-        if any(sum(mono) > 1 for mono in poly.terms):
-            raise RegistryError(f"{where}: {expr!r} is not affine")
-        linear = tuple((mono.index(1), c) for mono, c in poly.terms.items() if any(mono))
-        return variables.index(var), poly.terms.get((0,) * len(variables), 0), linear
+        try:
+            return (poly - MultiPoly.var(variables, var)).affine()
+        except ExprError:
+            raise RegistryError(f"{where}: {expr!r} is not affine") from None
 
-    return [(r["tuple"], tuple(row(i, var, expr) for var, expr in r["constraints"].items()))
+    return [(r["tuple"], tuple(form(i, var, expr) for var, expr in r["constraints"].items()))
             for i, r in enumerate(registry.exceptions.get(signs, ()))]
 
 
 def _matching(patterns: list, n: tuple[int, ...]) -> list[str]:
     """The patterns of ``_parsed_patterns`` whose every constraint holds at n."""
-    out = []
-    for pattern, constraints in patterns:
-        for i, value, linear in constraints:
-            for j, c in linear:
-                value += c * n[j]
-            if value != n[i]:
-                break
-        else:
-            out.append(pattern)
-    return out
+    return [pattern for pattern, forms in patterns if not any(affine_values(forms, n))]
 
 
 # --- sweeping ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .families import FamilySpec, assemble_jones, check_twists, load_family
+from .multipoly import affine_values
 from .pdcodes import BudgetExceeded, PDCode, jones_from_pd, strand_cycles
 
 # slot indices inside a crossing
@@ -176,12 +177,10 @@ class DiagramTemplate:
     disks: tuple   # each disk's feet (band, end, flip) in boundary order
 
 
-def band_crossings(spec: FamilySpec, twists) -> list[int]:
-    """The signed crossing count s (2n - m) of each band's twist region, by
-    0-based band index; 0 on a frozen band."""
-    by_band = dict(zip(spec.active_bands, check_twists(spec, twists)))
-    return [0 if band.frozen else band.sign * (2 * by_band[i] - band.parity)
-            for i, band in enumerate(spec.bands)]
+def band_crossings(spec: FamilySpec, twists) -> tuple[int, ...]:
+    """The signed crossing count of each band's twist region, by 0-based band
+    index: the band rule of ``FamilySpec.band_counts`` at the twists."""
+    return affine_values(spec.band_counts(), check_twists(spec, twists))
 
 
 def build_diagram(tpl: DiagramTemplate, spec: FamilySpec, twists,

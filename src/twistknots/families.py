@@ -37,8 +37,10 @@ in (t - 1), and the states are summed out one band at a time, in integers
 over one common denominator (``symbolic_derivs``).  It never uses the T-form,
 so ``jones_derivs`` compares two constructions.
 
-A family file also holds its skeleton's Seifert matrix and the disk layout of
-its diagrams, which ``seifert`` and ``diagrams`` read (docs/family-format.md).
+A family file also holds its skeleton's Seifert matrix, affine forms in the
+bands' crossing counts, and the disk layout of its diagrams, which ``seifert``
+and ``diagrams`` read with the band rule ``FamilySpec.band_counts``
+(docs/family-format.md).
 """
 
 from __future__ import annotations
@@ -102,6 +104,13 @@ class FamilySpec(NamedTuple):
     def signs_str(self) -> str:
         return "".join("+" if b.sign > 0 else "-" for b in self.bands)
 
+    def band_counts(self) -> tuple:
+        """The band rule: the signed crossing count n_i = s_i (2 v - m_i) of each
+        band as an affine form over ``variables``, v the band's twist variable,
+        and 0 on a frozen band."""
+        return tuple((-b.sign * b.parity, ((self.active_bands.index(i), 2 * b.sign),))
+                     if i in self.active_bands else (0, ()) for i, b in enumerate(self.bands))
+
 
 def parse_signs(text: str, k: int) -> tuple[int, ...]:
     if len(text) != k or any(ch not in "+-" for ch in text):
@@ -109,8 +118,16 @@ def parse_signs(text: str, k: int) -> tuple[int, ...]:
     return tuple(+1 if ch == "+" else -1 for ch in text)
 
 
+def int_twists(twists) -> tuple[int, ...]:
+    """The twists as a tuple; a twist whose type is not int is a ``FamilyError``."""
+    n = tuple(twists)
+    if any(type(v) is not int for v in n):
+        raise FamilyError(f"twist parameters must be ints, got {n}")
+    return n
+
+
 def check_twists(spec: FamilySpec, twists) -> tuple[int, ...]:
-    n = tuple(int(v) for v in twists)
+    n = int_twists(twists)
     if len(n) != len(spec.active_bands):
         raise FamilyError(
             f"{spec.name} takes {len(spec.active_bands)} twist parameters, got {len(n)}")
@@ -189,7 +206,7 @@ class FamilyDef(NamedTuple):
     parities: tuple[int, ...]
     frozen: tuple[bool, ...]
     base: BaseTable
-    seifert: tuple[tuple[MultiPoly, ...], ...]   # over the crossing counts n1..nk
+    seifert: tuple[tuple[tuple, ...], ...]   # affine forms over the crossing counts n1..nk
     disks: tuple[tuple[tuple[int, int, int], ...], ...]   # each disk's (band, end, flip) feet
 
     def with_signs(self, signs) -> FamilySpec:
@@ -285,15 +302,21 @@ def parse_family_file(text: str) -> FamilyDef:
                      _seifert(layout["seifert"], k), _disks(layout["disk"], k))
 
 
-def _seifert(lines, k: int) -> tuple[tuple[MultiPoly, ...], ...]:
-    """The 'seifert' lines as a square matrix of even size over n1..nk."""
+def _seifert(lines, k: int) -> tuple[tuple[tuple, ...], ...]:
+    """The 'seifert' lines as a square matrix of even size of affine forms over
+    n1..nk; an entry that does not parse or is not affine is a load error
+    naming its line."""
     counts = tuple(f"n{i + 1}" for i in range(k))
-    matrix = tuple(tuple(_poly(entry, counts, line) for entry in rest.split(","))
-                   for line, rest in lines)
+    matrix = []
+    for line, rest in lines:
+        try:
+            matrix.append(tuple(parse_poly(entry, counts).affine() for entry in rest.split(",")))
+        except ExprError as exc:
+            raise FamilyError(f"bad seifert line {line!r}: {exc}") from None
     if not matrix or len(matrix) % 2 or any(len(row) != len(matrix) for row in matrix):
         raise FamilyError(f"'seifert' lines give rows of lengths {[len(r) for r in matrix]}: "
                           f"want a nonempty square matrix of even size")
-    return matrix
+    return tuple(matrix)
 
 
 def _disks(lines, k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:

@@ -7,6 +7,8 @@ evaluator, keeps them in ints at an integer point.
 
 Used for symbolic twist-parameter computations: derivative polynomials in the
 twist counts, leading Alexander coefficients, and the per-case formula checks.
+Seifert entries, the band rule and exception constraints are affine forms
+(constant, ((index, coefficient), ...)): ``MultiPoly.affine`` reads them.
 Substitution of a rational expression for a variable is done fraction-free by
 clearing the denominator.  ``parse_poly`` reads the formula text of the package
 data through Python's ``ast`` parser and builds the polynomial from a whitelist
@@ -62,6 +64,14 @@ class MultiPoly:
         mono = [0] * len(variables)
         mono[variables.index(name)] = 1
         return cls(variables, {tuple(mono): 1})
+
+    @classmethod
+    def from_affine(cls, variables: Iterable[str], form) -> "MultiPoly":
+        """The polynomial of an affine form over ``variables``."""
+        variables = tuple(variables)
+        zero = (0,) * len(variables)
+        return cls(variables, {zero: form[0], **{zero[:i] + (1,) + zero[i + 1:]: c
+                                                 for i, c in form[1]}})
 
     # --- ring structure -----------------------------------------------
 
@@ -132,6 +142,15 @@ class MultiPoly:
         for m, c in self.terms.items():
             buckets.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
         return {d: MultiPoly(self.vars, t) for d, t in buckets.items()}
+
+    def affine(self) -> tuple:
+        """The affine form (constant, ((index, coefficient), ...)), the pairs in
+        increasing index; a term of degree 2 or more is an ``ExprError``."""
+        if self.total_degree() > 1:
+            raise ExprError(f"{self.format()!r} is not affine")
+        zero = (0,) * len(self.vars)
+        return self.terms.get(zero, 0), tuple(sorted((m.index(1), c) for m, c in self.terms.items()
+                                                     if m != zero))
 
     def eval(self, point: Mapping[str, object]) -> int | Fraction:
         """Exact value at ``point``; every variable must be assigned.
@@ -294,6 +313,17 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
         return walk(tree.body)
     except RecursionError:
         raise ExprError(f"expression nested too deeply in {text!r}") from None
+
+
+def affine_values(forms, point) -> tuple:
+    """The values of the affine forms ``forms`` at ``point``, a sequence indexed
+    as their variables; ints wherever the forms and the point are."""
+    out = []
+    for value, linear in forms:
+        for i, c in linear:
+            value += c * point[i]
+        out.append(value)
+    return tuple(out)
 
 
 # --- standard symbolic helpers ----------------------------------------------

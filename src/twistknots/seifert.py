@@ -1,16 +1,17 @@
 """Parametric Seifert matrices, Alexander and Conway polynomials.
 
 Each family file holds its skeleton's raw Seifert matrix, one ``seifert``
-line per row, each entry an affine expression in the signed crossing counts
-n1..nk of the bands, parsed when the family loads (``FamilyDef.seifert``).  A
-family derived by freezing bands, as 8_12 is from 10_58, takes its parent's.
-``template_for`` specialises the matrix to a sign case by the band rule of
-``families``: band i with sign s_i and parity m_i carries n_i = s_i (2 v - m_i)
-crossings when v is its twist variable, and a frozen band carries none,
-n_i = 0.  The result is the family's template, a square matrix affine in the
-twist parameters with int coefficients.  ``SeifertTemplate.affine`` reads
-each entry once as a constant and a coefficient per twist variable, and
-``instantiate`` evaluates the matrix at a twist vector by dot products.
+line per row, read when the family loads as affine forms in the signed
+crossing counts n1..nk of the bands (``FamilyDef.seifert``); a family derived
+by freezing bands, as 8_12 is from 10_58, takes its parent's.
+``template_for`` composes each entry with the band rule of
+``FamilySpec.band_counts``, n_i = s_i (2 v - m_i) for band i of sign s_i and
+parity m_i with twist variable v, and 0 on a frozen band.  The template holds
+affine forms in the twist parameters with int coefficients; an entry left
+with a true fraction is refused, as it is not an integer at some twist
+vector.  ``instantiate`` evaluates it a row at a time by
+``multipoly.affine_values``; ``rows``, its entries as ``MultiPoly``s, serves
+the symbolic determinants.
 
 ``_delta`` takes Delta = det(S - t S^T) as a ``HalfLaurent`` keyed by the
 doubled power of t, and ``_conway`` reads it in z.  The template's
@@ -42,102 +43,57 @@ of Delta reads as u^(e - size), rewritten exactly in powers of z = u - u^(-1).
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import prod
 from typing import NamedTuple
 
-from .families import load_family
+from .families import FamilyError, int_twists, load_family
 from .laurent import HalfLaurent
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, affine_values
 
 
 class SeifertError(ValueError):
     pass
 
 
-class SeifertTemplate:
-    """A square matrix of affine entries in the twist parameters ``variables``.
+class SeifertTemplate(NamedTuple):
+    """A square matrix of affine forms (constant, ((index, coefficient), ...))
+    with int coefficients, indexed as the twist parameters ``variables``."""
 
-    A plain class, not a NamedTuple, since ``affine`` is cached on it; it
-    compares and hashes by its two fields and is never changed after it is
-    made."""
+    variables: tuple[str, ...]
+    entries: tuple[tuple[tuple, ...], ...]
 
-    def __init__(self, variables: tuple[str, ...], rows: tuple[tuple[MultiPoly, ...], ...]):
-        self.variables = variables
-        self.rows = rows
-
-    def __eq__(self, other):
-        if not isinstance(other, SeifertTemplate):
-            return NotImplemented
-        return (self.variables, self.rows) == (other.variables, other.rows)
-
-    def __hash__(self):
-        return hash((self.variables, self.rows))
-
-    @cached_property
-    def affine(self) -> tuple:
-        """Each entry as (constant, ((index, coefficient), ...)), one pair per
-        twist variable the entry mentions, indexed as in ``variables``; an
-        entry that is not affine is a ``SeifertError``."""
-        out = []
-        for row in self.rows:
-            entries = []
-            for entry in row:
-                const, linear = 0, []
-                for mono, c in entry.terms.items():
-                    if sum(mono) > 1:
-                        raise SeifertError(f"Seifert entry {entry.format()} is not affine")
-                    if any(mono):
-                        linear.append((mono.index(1), c))
-                    else:
-                        const = c
-                entries.append((const, tuple(linear)))
-            out.append(tuple(entries))
-        return tuple(out)
+    @property
+    def rows(self) -> tuple[tuple[MultiPoly, ...], ...]:
+        """The entries as ``MultiPoly``s, for the symbolic determinants."""
+        return tuple(tuple(MultiPoly.from_affine(self.variables, e) for e in row)
+                     for row in self.entries)
 
     def instantiate(self, twists) -> tuple[tuple[int, ...], ...]:
-        """Integer Seifert matrix at a twist vector; a non-integer entry, which
-        only a template with a true fraction can give, is a ``SeifertError``."""
-        n = tuple(twists)
-        matrix = []
-        for row in self.affine:
-            values = []
-            for value, linear in row:
-                for i, c in linear:
-                    value += c * n[i]
-                values.append(value)
-            matrix.append(tuple(values))
-        if any(type(v) is not int for row in matrix for v in row):
-            if any(v.denominator != 1 for row in matrix for v in row):
-                raise SeifertError("non-integer Seifert entry; template bug")
-            matrix = [tuple(map(int, row)) for row in matrix]
-        return tuple(matrix)
+        """The int Seifert matrix at a twist vector of ints."""
+        n = int_twists(twists)
+        return tuple(affine_values(row, n) for row in self.entries)
 
 
 def template_for(family: str, signs) -> SeifertTemplate:
-    """The family's Seifert matrix with n_i = s_i (2 v - m_i) on an active band
-    whose twist variable is v, and n_i = 0 on a frozen band."""
+    """The family's Seifert matrix with ``FamilySpec.band_counts`` put in for the
+    crossing counts; an entry left with a true fraction is a ``FamilyError``."""
     fam = load_family(family)
     spec = fam.with_signs(signs)
-    V = spec.variables
-    zero = MultiPoly.zero(V)
-    counts = [zero] * len(spec.bands)
-    for v, i in zip(V, spec.active_bands):
-        band = spec.bands[i]
-        counts[i] = (MultiPoly.var(V, v).scale(2 * band.sign)
-                     - MultiPoly.const(V, band.sign * band.parity))
+    counts = spec.band_counts()
 
-    def specialise(entry: MultiPoly) -> MultiPoly:
-        out = zero
-        for mono, c in entry.terms.items():
-            term = MultiPoly.const(V, c)
-            for n, e in zip(counts, mono):
-                for _ in range(e):
-                    term = term * n
-            out = out + term
-        return out
+    def specialise(form) -> tuple:
+        const, coeffs = form[0], {}
+        for i, c in form[1]:
+            count, linear = counts[i]
+            const += c * count
+            for j, a in linear:
+                coeffs[j] = coeffs.get(j, 0) + c * a
+        if any(x.denominator != 1 for x in (const, *coeffs.values())):
+            text = MultiPoly.from_affine(spec.variables, (const, coeffs.items())).format()
+            raise FamilyError(f"non-integer Seifert entry {text} in {family}[{spec.signs_str()}]")
+        return const.numerator, tuple((j, a.numerator) for j, a in sorted(coeffs.items()) if a)
 
-    return SeifertTemplate(V, tuple(tuple(map(specialise, row)) for row in fam.seifert))
+    return SeifertTemplate(spec.variables, tuple(tuple(map(specialise, row)) for row in fam.seifert))
 
 
 # --- determinant and z-rewrite ----------------------------------------------
@@ -264,9 +220,9 @@ def conway_poly(tpl: SeifertTemplate, twists) -> ConwaySeries:
     A Delta of t^g, g half the size, is the Conway polynomial 1 and needs no
     rewrite."""
     delta = alexander_poly(tpl, twists)
-    if delta.terms == {len(tpl.rows): 1}:
+    if delta.terms == {len(tpl.entries): 1}:
         return ConwaySeries(1, 0, 0, 0)
-    z_coeffs = _conway(delta, len(tpl.rows))
+    z_coeffs = _conway(delta, len(tpl.entries))
     if any(d % 2 for d in z_coeffs):
         raise SeifertError("odd z-powers in a knot Conway polynomial")
     if z_coeffs.get(0, 0) != 1:
@@ -282,4 +238,4 @@ def leading_coeff_symbolic(tpl: SeifertTemplate) -> MultiPoly:
 def conway_symbolic(tpl: SeifertTemplate) -> dict[int, MultiPoly]:
     """Conway z-coefficients as polynomials in the twist parameters, from
     det(S - t S^T) over the template's rows."""
-    return _conway(_delta(tpl.rows), len(tpl.rows))
+    return _conway(_delta(tpl.rows), len(tpl.entries))

@@ -3,14 +3,15 @@ use to check the engines, and that no engine needs."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 from itertools import product
 from math import factorial, gcd
 
 from twistknots.casework import CaseRegistry, _matching, _parsed_patterns
 from twistknots.diagrams import DiagramTemplate, _Builder
-from twistknots.families import FamilyDef, FamilySpec, base_case_jones
+from twistknots.families import FamilyDef, FamilySpec, base_case_jones, load_family
 from twistknots.laurent import HalfLaurent
-from twistknots.multipoly import MultiPoly
+from twistknots.multipoly import MultiPoly, parse_poly
 from twistknots.pdcodes import PDCode
 
 
@@ -35,11 +36,28 @@ def substitute(p: MultiPoly, assignment) -> MultiPoly:
     return out
 
 
-def instantiate_by_eval(tpl, twists) -> tuple[tuple[int, ...], ...]:
-    """The Seifert matrix of a template at a twist vector, each entry by
-    ``MultiPoly.eval``; the reference for ``SeifertTemplate.instantiate``."""
-    point = dict(zip(tpl.variables, twists))
-    return tuple(tuple(entry.eval(point) for entry in row) for row in tpl.rows)
+def family_text(name: str) -> str:
+    """The text of the family file shipped for ``name``."""
+    return resources.files("twistknots").joinpath(f"data/families/{name}.family").read_text()
+
+
+def instantiate_by_eval(family: str, signs: str, twists) -> tuple[tuple, ...]:
+    """The Seifert matrix of a family at a sign case and twist vector: each
+    ``seifert`` entry of the family file, its parent's for a derived family,
+    parsed by ``parse_poly`` and evaluated at the crossing counts
+    n_i = s_i (2 v - m_i) of the active bands, v the band's twist, and 0 of
+    the frozen ones; the reference for ``SeifertTemplate.instantiate``."""
+    fam = load_family(family)
+    lines = family_text(family).splitlines()
+    while not any(line.startswith("seifert ") for line in lines):
+        parent = next(line.split()[1] for line in lines if line.startswith("from "))
+        lines = family_text(parent).splitlines()
+    twist = iter(twists)
+    counts = {f"n{i + 1}": 0 if frozen else (1 if s == "+" else -1) * (2 * next(twist) - m)
+              for i, (s, m, frozen) in enumerate(zip(signs, fam.parities, fam.frozen))}
+    return tuple(tuple(parse_poly(entry, tuple(counts)).eval(counts)
+                       for entry in line.split(" ", 1)[1].split(","))
+                 for line in lines if line.startswith("seifert "))
 
 
 # --- reference assembly: dense prefactors, 2^k state sum ---------------------

@@ -15,7 +15,7 @@ import twistknots.casework as casework
 import twistknots.families as families
 import twistknots.obstruction as obstruction
 import twistknots.seifert as seifert
-from helpers import match_exception, reference_assemble
+from helpers import family_text, match_exception, reference_assemble
 from twistknots.casework import (
     ALL_CASES,
     RegistryEntry,
@@ -39,7 +39,7 @@ from twistknots.casework import (
     verify_entry,
     verify_paper_case,
 )
-from twistknots.families import FAMILIES, assemble_jones, load_family
+from twistknots.families import FAMILIES, assemble_jones, load_family, parse_family_file
 from twistknots.laurent import HalfLaurent
 from twistknots.multipoly import MultiPoly, parse_poly
 from twistknots.obstruction import GATE_ORDER, cosmetic_gate
@@ -114,13 +114,14 @@ def test_sweep_exceptions_take_the_early_exits(monkeypatch):
 def _with_n3_on_s13(monkeypatch, signs: str):
     """7_6's template with n3 added to S_13 and S_31: S - S^T, Delta(1) and a2
     stay as they were, while the leading coefficient changes."""
-    fam = load_family("7_6")
-    rows = [list(row) for row in fam.seifert]
-    n3 = MultiPoly.var(rows[0][0].vars, "n3")
-    rows[0][2], rows[2][0] = rows[0][2] + n3, rows[2][0] + n3
+    text = family_text("7_6")
+    for old, new in (("-(n1+n2)/2, -(n1+1)/2, 0, 1", "-(n1+n2)/2, -(n1+1)/2, n3, 1"),
+                     ("0, 0, -n4/2, 1", "n3, 0, -n4/2, 1")):
+        assert f"seifert {old}\n" in text
+        text = text.replace(f"seifert {old}\n", f"seifert {new}\n")
+    fam = parse_family_file(text)
     with monkeypatch.context() as patch:
-        patch.setattr(seifert, "load_family",
-                      lambda name: fam._replace(seifert=tuple(map(tuple, rows))))
+        patch.setattr(seifert, "load_family", lambda name: fam)
         return template_for("7_6", signs)
 
 

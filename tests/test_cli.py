@@ -324,6 +324,26 @@ def test_jones_assembles_once(monkeypatch, capsys):
     assert calls == [(1, 2, 1, 1, 1)]
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("-n1/2", "error: non-integer Seifert entry -a + 1/2 in 7_6[++-+-]\n"),
+    ("n1*n2", "error: bad seifert line 'seifert n1*n2, -(n1+1)/2, 0, 1': "
+              "'n1*n2' is not affine\n"),
+], ids=["fraction", "not-affine"])
+def test_bad_seifert_entry_exits_2(monkeypatch, capsys, entry, message):
+    """A Seifert entry that is not affine, or that the band rule leaves with a
+    true fraction on an odd band, is bad input, not a failed verification."""
+    import twistknots.cli as cli
+    import twistknots.seifert as seifert
+    from helpers import family_text
+    from twistknots.families import parse_family_file
+
+    text = family_text("7_6").replace("seifert -(n1+n2)/2,", f"seifert {entry},")
+    monkeypatch.setattr(cli, "load_family", lambda name: parse_family_file(text))
+    monkeypatch.setattr(seifert, "load_family", lambda name: parse_family_file(text))
+    assert main(["check", "--family", "7_6", "--signs", "++-+-", "--twists", "1,2,1,1,1"]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_internal_error_exits_1(monkeypatch, capsys):
     import twistknots.obstruction as obstruction
     from twistknots.seifert import SeifertError

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -24,6 +25,7 @@ from twistknots.families import (
 )
 from twistknots.laurent import HalfLaurent, unlink_factor
 from twistknots.multipoly import MultiPoly, parse_poly
+from twistknots.seifert import conway_poly, template_for
 
 HL = HalfLaurent
 DELTA = unlink_factor()   # -(t^(1/2) + t^(-1/2))
@@ -402,6 +404,18 @@ def test_check_twists():
     assert check_twists(s8, (1, 2, 3, 4)) == (1, 2, 3, 4)
 
 
+@pytest.mark.parametrize("bad", [1.9, 2.0, "3", True, Fraction(2)], ids=repr)
+def test_twists_that_are_not_ints_are_refused(bad):
+    # neither route truncates or converts a twist: the Jones route's
+    # check_twists and the Seifert route's instantiate both refuse it
+    spec, n = SEVEN.with_signs("++-+-"), (bad, 2, 1, 2, 1)
+    message = f"twist parameters must be ints, got {n}"
+    with pytest.raises(FamilyError, match=re.escape(message)):
+        assemble_jones(spec, n)
+    with pytest.raises(FamilyError, match=re.escape(message)):
+        conway_poly(template_for("7_6", "++-+-"), n)
+
+
 def test_family_file_errors():
     with pytest.raises(FamilyError):
         parse_family_file("family x\nband 2 odd\nbase compose\n")
@@ -446,9 +460,9 @@ DISKS = "disk 1:0:0\ndisk 1:1:1\n"
 
 
 def test_family_file_reads_seifert_and_disk_lines():
+    # each entry an affine form (constant, ((index, coefficient), ...)) over n1
     fam = parse_family_file(ONE_BAND + SEIFERT + DISKS)
-    one, n1 = MultiPoly.const(("n1",), 1), MultiPoly.var(("n1",), "n1")
-    assert fam.seifert == ((n1.scale(Fraction(-1, 2)), one), (one - one, one - one))
+    assert fam.seifert == (((0, ((0, Fraction(-1, 2)),)), (1, ())), ((0, ()), (0, ())))
     assert fam.disks == (((1, 0, 0),), ((1, 1, 1),))
     assert TEN.disks == (((5, 0, 0), (2, 0, 0), (1, 0, 0), (4, 0, 0), (2, 1, 1)),
                          ((5, 1, 1), (3, 0, 0), (4, 1, 1), (3, 1, 1), (1, 1, 1)))
@@ -462,6 +476,8 @@ def test_family_file_reads_seifert_and_disk_lines():
     ("seifert -n1/2, (1\nseifert 0, 0\n" + DISKS, "bad seifert line .* never closed"),
     ("seifert -n2/2, 1\nseifert 0, 0\n" + DISKS, "bad seifert line .* unknown variable 'n2'"),
     ("seifert -n1/2, , 1\nseifert 0, 0\n" + DISKS, "bad seifert line"),
+    ("seifert -n1/2, 1\nseifert 0, n1*n1 + 1\n" + DISKS,
+     "bad seifert line 'seifert 0, n1\\*n1 \\+ 1': 'n1\\^2 \\+ 1' is not affine"),
     (SEIFERT, "two 'disk' lines, got 0"),
     (SEIFERT + "disk 1:0:0 1:1:1\n", "two 'disk' lines, got 1"),
     (SEIFERT + DISKS + "disk\n", "two 'disk' lines, got 3"),
@@ -476,9 +492,9 @@ def test_family_file_reads_seifert_and_disk_lines():
     (SEIFERT + "disk 1:0:0\ndisk\n", "bad disk lines \\['1:0:0', ''\\]: .* of bands 1..1"),
     (SEIFERT + "disk 1:0:0 1:1:0\ndisk 1:1:1\n", "one at each end 0 and 1"),
 ], ids=["no-seifert", "ragged", "not-square", "odd-size", "entry-syntax", "entry-variable",
-        "entry-empty", "no-disks", "one-disk", "three-disks", "foot-band-2", "foot-band-0",
-        "foot-end-2", "foot-flip-2", "foot-short", "foot-long", "foot-letter", "foot-sign",
-        "end-without-foot", "end-with-two-feet"])
+        "entry-empty", "entry-not-affine", "no-disks", "one-disk", "three-disks", "foot-band-2",
+        "foot-band-0", "foot-end-2", "foot-flip-2", "foot-short", "foot-long", "foot-letter",
+        "foot-sign", "end-without-foot", "end-with-two-feet"])
 def test_family_file_rejects_bad_seifert_and_disk_lines(layout, match):
     with pytest.raises(FamilyError, match=match):
         parse_family_file(ONE_BAND + layout)

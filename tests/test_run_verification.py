@@ -53,3 +53,13 @@ def test_run_verification_exits_1_when_a_run_fails(monkeypatch, tmp_path, capsys
     out = capsys.readouterr().out
     assert "FAILED: twistknots crosscheck --family 10_58" in out
     assert out.endswith("FAILURES: 1\n")
+
+
+def test_run_verification_makes_a_nested_out_directory(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "a" / "b"
+    calls = []
+    assert _run_script(monkeypatch, lambda argv: calls.append(argv) or 0,
+                       "--out", str(out)) == 0
+    assert out.is_dir()
+    assert calls == _expected(out, ["--range", "4"])
+    assert capsys.readouterr().out == "FAILURES: 0\n"

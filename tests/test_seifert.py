@@ -1,6 +1,6 @@
 import hashlib
 import random
-from fractions import Fraction
+import re
 from itertools import product
 from math import prod
 
@@ -9,9 +9,15 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import equal_up_to_unit, instantiate_by_eval, mirror
-from twistknots.families import FamilyError, assemble_jones, load_family, symbolic_derivs
+from twistknots.families import (
+    FamilyError,
+    assemble_jones,
+    load_family,
+    parse_family_file,
+    symbolic_derivs,
+)
 from twistknots.laurent import HalfLaurent
-from twistknots.multipoly import MultiPoly, parse_poly
+from twistknots.multipoly import ExprError, MultiPoly, parse_poly
 from twistknots import seifert
 from twistknots.seifert import (
     SeifertError,
@@ -181,27 +187,55 @@ def test_conway_telescope_is_band_independent():
 
 
 def test_alexander_rejects_bad_matrix():
+    # S_13 one more than the template's: the Pfaffian of S - S^T goes from -1
+    # to -2, so Delta(1) = det(S - S^T) from 1 to 4
     tpl = template_for("10_58", (1, 1, 1, 1, 1))
-    broken = tpl.rows[0][0] + MultiPoly.const(V5, Fraction(1, 2))
-    rows = ((broken,) + tpl.rows[0][1:],) + tpl.rows[1:]
-    bad = SeifertTemplate(tpl.variables, rows)
-    with pytest.raises(SeifertError):
+    row = tpl.entries[0]
+    (const, linear) = row[2]
+    bad = tpl._replace(entries=(row[:2] + ((const + 1, linear),) + row[3:],) + tpl.entries[1:])
+    with pytest.raises(SeifertError, match="not a unit"):
         alexander_poly(bad, (1, 1, 1, 1, 1))
 
 
-def test_instantiate_rejects_half_integer_entry():
-    # a true fraction in a template is caught at instantiation, not rounded
-    half = MultiPoly(("a",), {(1,): Fraction(1, 2)})
-    tpl = SeifertTemplate(("a",), ((half,),))
-    with pytest.raises(SeifertError, match="non-integer Seifert entry"):
-        tpl.instantiate((1,))
-    assert tpl.instantiate((2,)) == ((1,),) and type(tpl.instantiate((2,))[0][0]) is int
+def _one_band(monkeypatch, parity: str, entry: str):
+    """A one-band family whose Seifert matrix is ((entry, 1), (0, 0)), in place
+    of every family ``template_for`` loads."""
+    fam = parse_family_file(f"family x\nband 1 {parity}\nbase count\norder 1\n"
+                            f"count 0 -> 1\ncount 1 -> 1\nseifert {entry}, 1\nseifert 0, 0\n"
+                            f"disk 1:0:0\ndisk 1:1:1\n")
+    monkeypatch.setattr(seifert, "load_family", lambda name: fam)
+
+
+def test_instantiate_rejects_half_integer_entry(monkeypatch):
+    # a true fraction left by the band rule is refused with the template,
+    # before any instance, not rounded; n1/2 is an integer on an even band
+    _one_band(monkeypatch, "odd", "n1/2")
+    with pytest.raises(FamilyError, match="non-integer Seifert entry"):
+        template_for("x", "+")
+    _one_band(monkeypatch, "even", "n1/2")
+    tpl = template_for("x", "+")
+    assert tpl.instantiate((2,)) == ((2, 1), (0, 0))
+    assert type(tpl.instantiate((2,))[0][0]) is int
+
+
+@pytest.mark.parametrize("signs, entry", [("+", "-a + 1/2"), ("-", "a - 1/2")])
+def test_template_for_refuses_a_fraction_on_an_odd_band(monkeypatch, signs, entry):
+    # -n1/2 with n1 = s (2a - 1) is -s a + s/2, not an integer at any a
+    _one_band(monkeypatch, "odd", "-n1/2")
+    with pytest.raises(FamilyError, match=re.escape(
+            f"non-integer Seifert entry {entry} in x[{signs}]")):
+        template_for("x", signs)
 
 
 def test_instantiate_rejects_entry_that_is_not_affine():
+    # the one affine reader refuses a term of degree 2, so such an entry
+    # never reaches a template: its family file does not load
     square = MultiPoly(("a",), {(2,): 1})
-    with pytest.raises(SeifertError, match="not affine"):
-        SeifertTemplate(("a",), ((square,),)).instantiate((1,))
+    with pytest.raises(ExprError, match="not affine"):
+        square.affine()
+    with pytest.raises(FamilyError, match="not affine"):
+        parse_family_file("family x\nband 1 odd\nbase count\norder 1\ncount 0 -> 1\n"
+                          "count 1 -> 1\nseifert n1^2, 1\nseifert 0, 0\n")
 
 
 def _instances():
@@ -214,15 +248,16 @@ def _instances():
             k = len(tpl.variables)
             for n in ([tuple(rng.randint(1, 30) for _ in range(k)) for _ in range(2)]
                       + [(200,) * k, (10 ** 6,) * k]):
-                yield tpl, n
+                yield name, signs, tpl, n
 
 
 def test_instantiate_and_packed_delta_match_references():
-    # the affine dot products against entry-wise MultiPoly.eval, and the one
-    # packed integer determinant against Delta over HalfLaurent entries
-    for tpl, n in _instances():
+    # the affine dot products against the family file's entries by
+    # MultiPoly.eval, and the one packed integer determinant against Delta
+    # over HalfLaurent entries
+    for name, signs, tpl, n in _instances():
         matrix = tpl.instantiate(n)
-        assert matrix == instantiate_by_eval(tpl, n), (tpl.variables, n)
+        assert matrix == instantiate_by_eval(name, signs, n), (name, signs, n)
         assert all(type(v) is int for row in matrix for v in row)
         assert alexander_poly(tpl, n) == _delta(matrix), (tpl.rows, n)
 
@@ -256,7 +291,7 @@ def test_unit_check_survives_packing(monkeypatch):
     # gives 0 or 4 but never 2; a packed determinant off by one in its t^0
     # digit turns the unit Delta(1) = 1 of a knot into 2
     for rows in (((0, 2), (0, 0)), ((1, 1), (1, 1))):
-        const = tuple(tuple(MultiPoly.const((), v) for v in row) for row in rows)
+        const = tuple(tuple((v, ()) for v in row) for row in rows)
         with pytest.raises(SeifertError, match="not a unit"):
             alexander_poly(SeifertTemplate((), const), ())
     tpl, n = template_for("7_6", "++-+-"), (1, 2, 1, 3, 2)
