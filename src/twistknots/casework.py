@@ -383,9 +383,10 @@ def _parsed_patterns(family: str, registry: CaseRegistry, signs: str, variables)
         except ExprError as exc:
             raise RegistryError(f"{where}: {exc}") from None
         try:
-            return (poly - MultiPoly.var(variables, var)).affine()
+            const, linear = poly.affine()
         except ExprError:
             raise RegistryError(f"{where}: {expr!r} is not affine") from None
+        return const, linear + ((variables.index(var), -1),)
 
     return [(r["tuple"], tuple(form(i, var, expr) for var, expr in r["constraints"].items()))
             for i, r in enumerate(registry.exceptions.get(signs, ()))]
