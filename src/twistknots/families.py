@@ -38,9 +38,8 @@ over one common denominator (``symbolic_derivs``).  It never uses the T-form,
 so ``jones_derivs`` compares two constructions.
 
 A family file also holds its skeleton's Seifert matrix, affine forms in the
-bands' crossing counts, and the disk layout of its diagrams, which ``seifert``
-and ``diagrams`` read with the band rule ``FamilySpec.band_counts``
-(docs/family-format.md).
+bands' crossing counts, and its diagrams' disk layout, which ``seifert`` and
+``diagrams`` read with ``FamilySpec.band_counts`` (docs/family-format.md).
 """
 
 from __future__ import annotations

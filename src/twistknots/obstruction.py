@@ -18,10 +18,10 @@ gates, so that a ``check`` query loads the instance engine alone; the sweeps
 of ``casework`` import it from here.  For the same reason the records on that
 path are ``typing.NamedTuple``s, not frozen dataclasses: ``ObstructionVerdict``
 here, ``ConwaySeries`` and ``SeifertTemplate`` in ``seifert``, and
-``BandSpec``, ``FamilySpec`` and ``FamilyDef`` in ``families``.  Importing ``dataclasses`` pulls in ``inspect``
-and ``dis``, about 10 ms of a query's start-up, and each frozen dataclass
-takes about 1 ms more to create than a NamedTuple.  Value equality, hashing
-and pickling stay as they were.
+``BandSpec``, ``FamilySpec`` and ``FamilyDef`` in ``families``.  Importing
+``dataclasses`` pulls in ``inspect`` and ``dis``, about 10 ms of a query's
+start-up, and each frozen dataclass takes about 1 ms more to create than a
+NamedTuple.  Value equality, hashing and pickling stay as they were.
 """
 
 from __future__ import annotations

@@ -93,7 +93,8 @@ def template_for(family: str, signs) -> SeifertTemplate:
             raise FamilyError(f"non-integer Seifert entry {text} in {family}[{spec.signs_str()}]")
         return const.numerator, tuple((j, a.numerator) for j, a in sorted(coeffs.items()) if a)
 
-    return SeifertTemplate(spec.variables, tuple(tuple(map(specialise, row)) for row in fam.seifert))
+    return SeifertTemplate(spec.variables,
+                           tuple(tuple(map(specialise, row)) for row in fam.seifert))
 
 
 # --- determinant and z-rewrite ----------------------------------------------

@@ -191,7 +191,7 @@ def test_alexander_rejects_bad_matrix():
     # to -2, so Delta(1) = det(S - S^T) from 1 to 4
     tpl = template_for("10_58", (1, 1, 1, 1, 1))
     row = tpl.entries[0]
-    (const, linear) = row[2]
+    const, linear = row[2]
     bad = tpl._replace(entries=(row[:2] + ((const + 1, linear),) + row[3:],) + tpl.entries[1:])
     with pytest.raises(SeifertError, match="not a unit"):
         alexander_poly(bad, (1, 1, 1, 1, 1))
