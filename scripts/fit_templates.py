@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from twistknots.diagrams import DiagramTemplate, DiagramError, build_diagram  # noqa: E402
+from twistknots.diagrams import DiagramError, build_diagram  # noqa: E402
 from twistknots.families import (FAMILIES, assemble_jones, base_case_jones,  # noqa: E402
                                  load_family)
 from twistknots.pdcodes import jones_from_pd  # noqa: E402
@@ -81,7 +81,7 @@ def fit_disks(name):
             fa = tuple((b, e, f) for (b, e), f in zip(walk_a, (0,) + bits_a))
             for bits_b in product((0, 1), repeat=len(walk_b)):
                 fb = tuple((b, e, f) for (b, e), f in zip(walk_b, bits_b))
-                tpl = DiagramTemplate((fa, fb))
+                tpl = (fa, fb)
                 # the component counts build the unit diagram too (no band
                 # cut), so a layout that cannot be drawn fails there
                 if (component_counts_ok(tpl, fam)
@@ -99,7 +99,7 @@ def main():
         tpl = fit_disks(name)
         if tpl is None:
             raise SystemExit(f"no {name} layout found")
-        disks = iter(tpl.disks)   # replaces the disk lines in order
+        disks = iter(tpl)   # replaces the disk lines in order
         path.write_text("".join(
             ("disk " + " ".join(f"{b}:{e}:{f}" for b, e, f in next(disks)) + "\n"
              if line.startswith("disk ") else line)

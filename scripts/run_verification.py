@@ -20,7 +20,7 @@ from twistknots.families import FAMILIES  # noqa: E402
 
 def main() -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--range", type=int, default=4)
+    parser.add_argument("--range", default="4", help="passed to sweep, which reads it")
     parser.add_argument("--root5", action="store_true")
     parser.add_argument("--out", default="out")
     args = parser.parse_args()
@@ -32,7 +32,7 @@ def main() -> int:
         runs = (
             ["verify-paper", "--family", family,
              "--output", str(out_dir / f"{family}-formulas.json")],
-            ["sweep", "--family", family, "--range", str(args.range)]
+            ["sweep", "--family", family, "--range", args.range]
             + (["--root5"] if args.root5 else [])
             + ["--output", str(out_dir / f"{family}-sweep.json")],
             ["crosscheck", "--family", family],

@@ -70,7 +70,7 @@ from math import lcm, prod
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .families import FamilySpec, load_family, symbolic_derivs
+from .families import FamilySpec, load_family, parse_ints, symbolic_derivs
 from .laurent import HalfLaurent
 from .multipoly import ExprError, MultiPoly, affine_values, parse_poly
 # instance_id is re-exported: callers of the sweeps name instances with it
@@ -294,6 +294,14 @@ def _certify_sign(poly: MultiPoly, claim: str, shift: Optional[tuple[str, MultiP
     return consts > 0 and all(c > 0 for c in shifted.terms.values())
 
 
+def _registry_poly(text: str, variables, where: str) -> MultiPoly:
+    """``parse_poly`` of a registry field, or a ``RegistryError`` naming its place."""
+    try:
+        return parse_poly(text, variables)
+    except ExprError as exc:
+        raise RegistryError(f"{where}: {exc}") from None
+
+
 def verify_entry(sym: SymbolicCase, entry: RegistryEntry) -> dict:
     """The entry's check record; a formula that does not parse, or a denominator
     that is the zero polynomial, is a ``RegistryError``."""
@@ -304,10 +312,7 @@ def verify_entry(sym: SymbolicCase, entry: RegistryEntry) -> dict:
 
     def parse(text: str, field: str, denominator: bool = False) -> MultiPoly:
         where = f"{sym.spec.name} registry, cases[{sym.spec.signs_str()!r}][{entry.index}] {field}"
-        try:
-            poly = parse_poly(text, variables)
-        except ExprError as exc:
-            raise RegistryError(f"{where}: {exc}") from None
+        poly = _registry_poly(text, variables, where)
         if denominator and not poly:
             raise RegistryError(f"{where}: denominator {text!r} is zero")
         return poly
@@ -378,14 +383,10 @@ def _parsed_patterns(family: str, registry: CaseRegistry, signs: str, variables)
 
     def form(i: int, var: str, expr: str) -> tuple:
         where = f"{family} registry, exceptions[{signs!r}][{i}] constraints[{var!r}]"
-        try:
-            poly = parse_poly(expr, variables)
-        except ExprError as exc:
-            raise RegistryError(f"{where}: {exc}") from None
-        try:
-            const, linear = poly.affine()
-        except ExprError:
-            raise RegistryError(f"{where}: {expr!r} is not affine") from None
+        poly = _registry_poly(expr, variables, where)
+        if poly.total_degree() > 1:
+            raise RegistryError(f"{where}: {expr!r} is not affine")
+        const, linear = poly.affine()
         return const, linear + ((variables.index(var), -1),)
 
     return [(r["tuple"], tuple(form(i, var, expr) for var, expr in r["constraints"].items()))
@@ -554,12 +555,10 @@ def sweep_case(cfg: SweepConfig, signs: str,
 def sweep(cfg: SweepConfig) -> list[CaseReport]:
     """All 32 sign cases; deterministic order and content."""
     text = os.environ.get("TWISTKNOTS_WORKERS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0   # refused below, with the text as given
+    message = f"TWISTKNOTS_WORKERS must be a positive integer, got {text!r}"
+    (workers,) = parse_ints([text], message)
     if workers < 1:
-        raise ValueError(f"TWISTKNOTS_WORKERS must be a positive integer, got {text!r}")
+        raise ValueError(message)
     workers = min(workers, len(ALL_CASES))
     if workers > 1:
         import multiprocessing

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .families import FAMILIES, FamilyError, check_twists, jones_derivs, load_family
+from .families import FAMILIES, FamilyError, check_twists, jones_derivs, load_family, parse_ints
 from .obstruction import instance_id, instance_verdict
 from .seifert import SeifertError, alexander_poly, conway_poly, template_for
 
@@ -22,7 +22,12 @@ def _spec(args):
 
 
 def _twists(args, spec):
-    return check_twists(spec, [int(v) for v in args.twists.split(",")])
+    return check_twists(spec, parse_ints(
+        args.twists.split(","), f"--twists must be comma-separated integers, got {args.twists!r}"))
+
+
+def _int(text: str, flag: str) -> int:
+    return parse_ints([text], f"{flag} must be an integer, got {text!r}")[0]
 
 
 def cmd_jones(args) -> int:
@@ -59,7 +64,7 @@ def cmd_sweep(args) -> int:
     # only sweep and verify-paper use the sweep engine, so only they import it
     from .casework import SweepConfig, full_report
 
-    cfg = SweepConfig(args.family, n_range=args.range, use_root5=args.root5)
+    cfg = SweepConfig(args.family, n_range=_int(args.range, "--range"), use_root5=args.root5)
     report = full_report(cfg)
     blob = json.dumps(report, indent=1, sort_keys=True)
     if args.output:
@@ -113,8 +118,9 @@ def cmd_crosscheck(args) -> int:
     from .diagrams import DiagramError, crosscheck, load_template
     from .pdcodes import MAX_CROSSINGS, BudgetExceeded, PDError
 
-    if not 1 <= args.budget <= MAX_CROSSINGS:
-        raise ValueError(f"--budget must be from 1 to {MAX_CROSSINGS}, got {args.budget}")
+    budget = _int(args.budget, "--budget")
+    if not 1 <= budget <= MAX_CROSSINGS:
+        raise ValueError(f"--budget must be from 1 to {MAX_CROSSINGS}, got {budget}")
 
     try:
         fam = load_family(args.family)
@@ -131,7 +137,7 @@ def cmd_crosscheck(args) -> int:
         for spec, n in jobs:
             name = instance_id(args.family, spec.signs_str(), n)
             try:
-                ok = crosscheck(spec, tpl, n, budget=args.budget)
+                ok = crosscheck(spec, tpl, n, budget=budget)
             except BudgetExceeded as exc:
                 print(f"{name}: skipped ({exc})")
                 skipped += 1
@@ -141,7 +147,7 @@ def cmd_crosscheck(args) -> int:
     except (PDError, DiagramError) as exc:
         return _verification_failed(exc)
     if skipped == len(jobs):
-        raise ValueError(f"no cross-check fits the crossing budget {args.budget}")
+        raise ValueError(f"no cross-check fits the crossing budget {budget}")
     print(f"{len(jobs) - skipped} cross-checks, {failures} failures"
           + (f", {skipped} skipped" if skipped else ""))
     return 0 if failures == 0 else 1
@@ -176,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep all 32 sign cases over a twist box")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--range", type=int, default=4, help="twist box upper bound")
+    p.add_argument("--range", default="4", help="twist box upper bound")
     p.add_argument("--root5", action="store_true")
     p.add_argument("--output", help="write the JSON report here")
     p.set_defaults(func=cmd_sweep)
@@ -193,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--signs")
     p.add_argument("--twists")
-    p.add_argument("--budget", type=int, default=18,
+    p.add_argument("--budget", default="18",
                    help="crossing budget for the state sum")
     p.set_defaults(func=cmd_crosscheck)
     return parser

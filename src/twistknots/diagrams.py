@@ -18,7 +18,6 @@ orientations are chosen to make every region anti-parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .families import FamilySpec, assemble_jones, check_twists, load_family
@@ -172,18 +171,13 @@ class _Builder:
 
 # --- recipes ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiagramTemplate:
-    disks: tuple   # each disk's feet (band, end, flip) in boundary order
-
-
 def band_crossings(spec: FamilySpec, twists) -> tuple[int, ...]:
     """The signed crossing count of each band's twist region, by 0-based band
     index: the band rule of ``FamilySpec.band_counts`` at the twists."""
     return affine_values(spec.band_counts(), check_twists(spec, twists))
 
 
-def build_diagram(tpl: DiagramTemplate, spec: FamilySpec, twists,
+def build_diagram(tpl: tuple, spec: FamilySpec, twists,
                   resolved: frozenset[int] = frozenset()) -> PDCode:
     """Instantiate the template at a sign case and twist vector.
 
@@ -204,7 +198,7 @@ def build_diagram(tpl: DiagramTemplate, spec: FamilySpec, twists,
                 ports[i0] = builder.vertical_region(counts[i0], band=i0)
         return ports[i0]
 
-    for feet in tpl.disks:
+    for feet in tpl:
         walk = []
         for band_no, end, flip in feet:
             p = region(band_no - 1)
@@ -215,7 +209,7 @@ def build_diagram(tpl: DiagramTemplate, spec: FamilySpec, twists,
     return builder.realize()
 
 
-def crosscheck(spec: FamilySpec, tpl: DiagramTemplate, twists,
+def crosscheck(spec: FamilySpec, tpl: tuple, twists,
                budget: int = 18) -> bool:
     """True when the state-sum Jones of the expanded diagram matches the
     family-engine assembly exactly.  The budget is checked on the band counts
@@ -226,6 +220,7 @@ def crosscheck(spec: FamilySpec, tpl: DiagramTemplate, twists,
     return jones_from_pd(build_diagram(tpl, spec, twists)) == assemble_jones(spec, twists)
 
 
-def load_template(family: str) -> DiagramTemplate:
-    """The disk layout of the family's file, a derived family's parent's."""
-    return DiagramTemplate(load_family(family).disks)
+def load_template(family: str) -> tuple:
+    """The disk layout of the family's file, a derived family's parent's: each
+    disk's feet (band, end, flip) in boundary order."""
+    return load_family(family).disks

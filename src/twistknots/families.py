@@ -117,27 +117,32 @@ def parse_signs(text: str, k: int) -> tuple[int, ...]:
     return tuple(+1 if ch == "+" else -1 for ch in text)
 
 
-def int_twists(twists) -> tuple[int, ...]:
-    """The twists as a tuple; a twist whose type is not int is a ``FamilyError``."""
+def check_twists(spec, twists) -> tuple[int, ...]:
+    """The twists as a tuple if they are one int >= 1 per name in ``spec.variables``
+    (a ``FamilySpec`` or ``SeifertTemplate``), or a ``FamilyError``; every route
+    checks its twists here, and none truncates or converts one."""
     n = tuple(twists)
     if any(type(v) is not int for v in n):
         raise FamilyError(f"twist parameters must be ints, got {n}")
-    return n
-
-
-def check_twists(spec: FamilySpec, twists) -> tuple[int, ...]:
-    n = int_twists(twists)
-    if len(n) != len(spec.active_bands):
-        raise FamilyError(
-            f"{spec.name} takes {len(spec.active_bands)} twist parameters, got {len(n)}")
+    if len(n) != len(spec.variables):
+        raise FamilyError(f"want {len(spec.variables)} twist parameters, got {len(n)}")
     if any(v < 1 for v in n):
         raise FamilyError("twist parameters must be >= 1")
     return n
 
 
+def parse_ints(fields, error: str) -> tuple[int, ...]:
+    """Integer text, the one reader of it for family files, flags and the
+    environment: each field, stripped of surrounding whitespace, must be plain
+    ASCII decimal digits, or ``error`` is raised as a ``FamilyError``."""
+    fields = [v.strip() for v in fields]
+    if not all(v.isascii() and v.isdigit() for v in fields):
+        raise FamilyError(error)
+    return tuple(int(v) for v in fields)
+
+
 # --- prefactor derivatives ---------------------------------------------------
 
-@lru_cache(maxsize=None)
 def prefactor_deriv_poly(s: int, x: int, k: int) -> MultiPoly:
     """d^k/dt^k of the band prefactor at t=1, as an exact polynomial in the
     twist parameter n.  Derived symbolically, never transcribed from a table."""
@@ -174,7 +179,6 @@ def _prefactor_series(s: int, kmax: int) -> tuple[int, tuple]:
 
 # --- base-case links --------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _x_chain(sign: int, n: int) -> HalfLaurent:
     """Jones value of n same-sign odd bands joining two circles."""
     prev2, prev1 = unlink_factor(), HalfLaurent.one()        # n = 0 and n = 1
@@ -306,12 +310,8 @@ def _seifert(lines, k: int) -> tuple[tuple[tuple, ...], ...]:
     n1..nk; an entry that does not parse or is not affine is a load error
     naming its line."""
     counts = tuple(f"n{i + 1}" for i in range(k))
-    matrix = []
-    for line, rest in lines:
-        try:
-            matrix.append(tuple(parse_poly(entry, counts).affine() for entry in rest.split(",")))
-        except ExprError as exc:
-            raise FamilyError(f"bad seifert line {line!r}: {exc}") from None
+    matrix = [tuple(_poly(entry, counts, line, affine=True) for entry in rest.split(","))
+              for line, rest in lines]
     if not matrix or len(matrix) % 2 or any(len(row) != len(matrix) for row in matrix):
         raise FamilyError(f"'seifert' lines give rows of lengths {[len(r) for r in matrix]}: "
                           f"want a nonempty square matrix of even size")
@@ -363,17 +363,15 @@ def _derive(name: str, line: str) -> FamilyDef:
 
 
 def _ints(fields, line: str) -> tuple[int, ...]:
-    """The fields of a family-file line as plain ASCII digit strings turned into
-    integers, or a load error naming the line."""
-    if not all(v.isascii() and v.isdigit() for v in fields):
-        raise FamilyError(f"bad {line.split()[0]} line {line!r}: want integers")
-    return tuple(int(v) for v in fields)
+    """``parse_ints`` of a family-file line's fields, or a load error naming the line."""
+    return parse_ints(fields, f"bad {line.split()[0]} line {line!r}: want integers")
 
 
-def _poly(text: str, names: tuple[str, ...], line: str) -> MultiPoly:
-    """``parse_poly`` of a family-file field, or a load error naming the line."""
+def _poly(text: str, names: tuple[str, ...], line: str, affine: bool = False):
+    """``parse_poly`` of a family-file field, affine if asked, or a load error naming the line."""
     try:
-        return parse_poly(text, names)
+        poly = parse_poly(text, names)
+        return poly.affine() if affine else poly
     except ExprError as exc:
         raise FamilyError(f"bad {line.split()[0]} line {line!r}: {exc}") from None
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 from math import prod
 from typing import NamedTuple
 
-from .families import FamilyError, int_twists, load_family
+from .families import FamilyError, check_twists, load_family
 from .laurent import HalfLaurent
 from .multipoly import MultiPoly, affine_values
 
@@ -69,8 +69,8 @@ class SeifertTemplate(NamedTuple):
                      for row in self.entries)
 
     def instantiate(self, twists) -> tuple[tuple[int, ...], ...]:
-        """The int Seifert matrix at a twist vector of ints."""
-        n = int_twists(twists)
+        """The int Seifert matrix at a twist vector that ``check_twists`` passes."""
+        n = check_twists(self, twists)
         return tuple(affine_values(row, n) for row in self.entries)
 
 

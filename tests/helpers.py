@@ -8,7 +8,7 @@ from itertools import product
 from math import factorial, gcd
 
 from twistknots.casework import CaseRegistry, _matching, _parsed_patterns
-from twistknots.diagrams import DiagramTemplate, _Builder
+from twistknots.diagrams import _Builder
 from twistknots.families import FamilyDef, FamilySpec, base_case_jones, load_family
 from twistknots.laurent import HalfLaurent
 from twistknots.multipoly import MultiPoly, parse_poly
@@ -219,11 +219,10 @@ def connected_sum(p1: PDCode, p2: PDCode, arc1: int, arc2: int) -> PDCode:
     return out
 
 
-def flipped_foot(tpl: DiagramTemplate, band: int = 1) -> DiagramTemplate:
+def flipped_foot(tpl: tuple, band: int = 1) -> tuple:
     """The template with the band's foot on the second disk attached flipped."""
-    feet_a, feet_b = tpl.disks
-    feet_b = tuple((b, e, 1 - f if b == band else f) for b, e, f in feet_b)
-    return DiagramTemplate((feet_a, feet_b))
+    feet_a, feet_b = tpl
+    return feet_a, tuple((b, e, 1 - f if b == band else f) for b, e, f in feet_b)
 
 
 def match_exception(family: str, registry: CaseRegistry, signs: str, n: tuple[int, ...],

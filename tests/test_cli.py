@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from twistknots import casework, diagrams
 from twistknots.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -186,6 +188,35 @@ def test_bad_worker_count_exits_2(value, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: TWISTKNOTS_WORKERS must be a positive integer, "
                               f"got {value!r}\n")
+
+
+@pytest.mark.parametrize("text", ["1_0", "+1", "\u0661", "2.0"], ids=ascii)
+@pytest.mark.parametrize("where", ["--twists", "--range", "--budget", "TWISTKNOTS_WORKERS"])
+def test_integer_text_that_is_not_plain_digits_exits_2(where, text, monkeypatch, capsys):
+    """int() reads '1_0' as 10 and '+1' and the Arabic-Indic '\u0661' as 1;
+    the CLI reads only plain decimal digits, and refuses anything else
+    before it sweeps, cross-checks or prints a verdict."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("worked on malformed integer text")
+
+    for module, name in ((casework, "sweep_case"), (multiprocessing, "Pool"),
+                         (diagrams, "crosscheck")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setenv("TWISTKNOTS_WORKERS", text if where == "TWISTKNOTS_WORKERS" else "1")
+    argv = {"--twists": ["check", "--family", "7_6", "--signs", "++-+-",
+                         "--twists", f"{text},2,1,1,1"],
+            "--range": ["sweep", "--family", "8_12", "--range", text],
+            "--budget": ["crosscheck", "--family", "8_12", "--budget", text],
+            "TWISTKNOTS_WORKERS": ["sweep", "--family", "8_12", "--range", "2"]}[where]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {where}") and err.count("\n") == 1
+
+
+def test_integer_fields_may_carry_surrounding_spaces(capsys):
+    assert main(["jones", "--family", "7_6", "--signs", "++-+-", "--twists", "1, 2,1 ,1,1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "1"
 
 
 @pytest.mark.parametrize("command", [["sweep", "--family", "8_12", "--range", "2"],

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from helpers import mirror, mirrored, prefactor, reference_assemble, shift
 from twistknots import families
+from twistknots.diagrams import band_crossings, crosscheck, load_template
 from twistknots.families import (
     FamilyError,
     assemble_jones,
@@ -25,7 +26,7 @@ from twistknots.families import (
 )
 from twistknots.laurent import HalfLaurent, unlink_factor
 from twistknots.multipoly import MultiPoly, parse_poly
-from twistknots.seifert import conway_poly, template_for
+from twistknots.seifert import alexander_poly, conway_poly, template_for
 
 HL = HalfLaurent
 DELTA = unlink_factor()   # -(t^(1/2) + t^(-1/2))
@@ -414,6 +415,28 @@ def test_twists_that_are_not_ints_are_refused(bad):
         assemble_jones(spec, n)
     with pytest.raises(FamilyError, match=re.escape(message)):
         conway_poly(template_for("7_6", "++-+-"), n)
+
+
+# each route to an instance of 7_6 ++-+-, at twists that are no instance
+ROUTES = {
+    "assemble_jones": lambda spec, tpl, n: assemble_jones(spec, n),
+    "jones_derivs": lambda spec, tpl, n: jones_derivs(spec, n),
+    "alexander_poly": lambda spec, tpl, n: alexander_poly(tpl, n),
+    "conway_poly": lambda spec, tpl, n: conway_poly(tpl, n),
+    "band_crossings": lambda spec, tpl, n: band_crossings(spec, n),
+    "crosscheck": lambda spec, tpl, n: crosscheck(spec, load_template("7_6"), n),
+}
+
+
+@pytest.mark.parametrize("n", [(1, 2, 1, 1, 1, 99), (1, 2), (1, 2, 0, 1, 1), (0, -3, 1, 1, 1)],
+                         ids=["six", "two", "zero", "negative"])
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_route_refuses_twists_that_are_no_instance(route, n):
+    # one twist too many is not truncated, too few is not an IndexError, and
+    # a twist below 1 gets no answer
+    spec, tpl = SEVEN.with_signs("++-+-"), template_for("7_6", "++-+-")
+    with pytest.raises(FamilyError, match="want 5 twist parameters|must be >= 1"):
+        ROUTES[route](spec, tpl, n)
 
 
 def test_family_file_errors():
