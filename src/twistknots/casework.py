@@ -62,7 +62,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from importlib import resources
 from itertools import product, repeat
@@ -290,7 +289,7 @@ def _certify_sign(poly: MultiPoly, claim: str, shift: Optional[tuple[str, MultiP
         var, repl = shift
         work, _ = work.substitute_cleared(var, repl, MultiPoly.const(variables, 1))
     shifted = work.shifted_by_one()
-    consts = shifted.terms.get((0,) * len(variables), Fraction(0))
+    consts = shifted.terms.get((0,) * len(variables), 0)
     return consts > 0 and all(c > 0 for c in shifted.terms.values())
 
 

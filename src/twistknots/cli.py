@@ -67,7 +67,7 @@ def cmd_sweep(args) -> int:
     cfg = SweepConfig(args.family, n_range=_int(args.range, "--range"), use_root5=args.root5)
     report = full_report(cfg)
     blob = json.dumps(report, indent=1, sort_keys=True)
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w") as fh:
             fh.write(blob + "\n")
     for case in report["cases"]:
@@ -90,12 +90,12 @@ def cmd_verify_paper(args) -> int:
     from .casework import load_registry, verify_paper_case
 
     registry = load_registry(args.family)
-    cases = [args.case] if args.case else sorted(registry.cases)
+    cases = [args.case] if args.case is not None else sorted(registry.cases)
     # every case is checked and the output written before anything prints, so
     # a registry fault or an unwritable --output stops the run with its error alone
     results = [{"signs": signs, **rec} for signs in cases
                for rec in verify_paper_case(args.family, signs, registry)]
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w") as fh:
             json.dump(results, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -112,7 +112,7 @@ def _verification_failed(exc: Exception) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    if bool(args.signs) != bool(args.twists):
+    if (args.signs is None) != (args.twists is None):
         raise ValueError("crosscheck needs --signs and --twists together, or neither")
     # only crosscheck uses the diagram oracle, so only it imports it
     from .diagrams import DiagramError, crosscheck, load_template
@@ -125,7 +125,7 @@ def cmd_crosscheck(args) -> int:
     try:
         fam = load_family(args.family)
         tpl = load_template(args.family)
-        if args.signs and args.twists:
+        if args.signs is not None:
             spec = fam.with_signs(args.signs)
             jobs = [(spec, _twists(args, spec))]
         else:

@@ -34,8 +34,9 @@ every sweep exception without a dense list.
 The derivatives at t=1, as polynomials in n_1..n_k, come from the state sum by
 an independent route: every prefactor and every V_x becomes its Taylor series
 in (t - 1), and the states are summed out one band at a time, in integers
-over one common denominator (``symbolic_derivs``).  It never uses the T-form,
-so ``jones_derivs`` compares two constructions.
+over one common denominator (``symbolic_derivs``).  ``derivs_at_one`` gives
+both series, a prefactor's interpolated in n (``_prefactor_series``).  The
+route never uses the T-form, so ``jones_derivs`` compares two constructions.
 
 A family file also holds its skeleton's Seifert matrix, affine forms in the
 bands' crossing counts, and its diagrams' disk layout, which ``seifert`` and
@@ -48,12 +49,12 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from itertools import accumulate, cycle, product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add, lshift, mul
 from typing import NamedTuple
 
 from .laurent import HalfLaurent, exact_quotient, unlink_factor
-from .multipoly import ExprError, MultiPoly, falling_factorial_poly, parse_poly, power_sum_poly
+from .multipoly import ExprError, MultiPoly, parse_poly
 
 PARAM_LETTERS = ("a", "b", "c", "d", "e")
 
@@ -134,47 +135,68 @@ def check_twists(spec, twists) -> tuple[int, ...]:
 def parse_ints(fields, error: str) -> tuple[int, ...]:
     """Integer text, the one reader of it for family files, flags and the
     environment: each field, stripped of surrounding whitespace, must be plain
-    ASCII decimal digits, or ``error`` is raised as a ``FamilyError``."""
+    ASCII decimal digits that ``int`` converts, or ``error`` is raised as a
+    ``FamilyError``."""
     fields = [v.strip() for v in fields]
-    if not all(v.isascii() and v.isdigit() for v in fields):
-        raise FamilyError(error)
-    return tuple(int(v) for v in fields)
+    if all(v.isascii() and v.isdigit() for v in fields):
+        try:
+            return tuple(int(v) for v in fields)
+        except ValueError:   # more digits than int() converts
+            pass
+    raise FamilyError(error)
 
 
-# --- prefactor derivatives ---------------------------------------------------
+# --- prefactor series --------------------------------------------------------
 
-def prefactor_deriv_poly(s: int, x: int, k: int) -> MultiPoly:
-    """d^k/dt^k of the band prefactor at t=1, as an exact polynomial in the
-    twist parameter n.  Derived symbolically, never transcribed from a table."""
-    if not 0 <= k <= 8:
-        raise FamilyError(f"derivative order {k} is outside 0..8")
-    nv = ("n",)
-    if x == 1:
-        # k-th derivative of t^(2sn) at 1 is the falling factorial of 2sn
-        return falling_factorial_poly(MultiPoly.var(nv, "n").scale(2 * s), k)
-    # resolved band: sum over the geometric expansion, term exponents s(2j + 3/2)
-    # and s(2j + 1/2); the j-sum becomes a power-sum polynomial in n
-    jv = ("j",)
-    j = MultiPoly.var(jv, "j")
-    hi = falling_factorial_poly((j.scale(2) + MultiPoly.const(jv, Fraction(3, 2))).scale(s), k)
-    lo = falling_factorial_poly((j.scale(2) + MultiPoly.const(jv, Fraction(1, 2))).scale(s), k)
-    out = MultiPoly.zero(nv)
-    for mono, coeff in (hi - lo).terms.items():
-        out = out + power_sum_poly(mono[0], nv, "n").scale(coeff)
-    return out
+def _prefactor(s: int, x: int, n: int) -> HalfLaurent:
+    """A band's skein prefactor at twist n >= 0: t^(2sn) if it is retained (x = 1),
+    (1 + t^(2s) + ... + t^(2s(n-1))) (t^(3s/2) - t^(s/2)) if it is resolved."""
+    if x:
+        return HalfLaurent.t_power(4 * s * n)
+    return HalfLaurent({4 * s * j: 1 for j in range(n)}) * HalfLaurent({3 * s: 1, s: -1})
+
+
+def _interpolate(values) -> tuple:
+    """The p of degree < len(values) with p(n) = values[n] as (exponent,
+    coefficient) pairs, exponents descending: the Newton form sum_i Delta^i(0)
+    C(n, i) in powers of n, summed in ints over den, a multiple of every i!."""
+    den = lcm(*(v.denominator for v in values)) * factorial(len(values) - 1)
+    diffs = [v.numerator * den // v.denominator for v in values]
+    coeffs = [0] * len(values)
+    falling = [1]   # n (n - 1) ... (n - i + 1), lowest power first
+    for i in range(len(values)):
+        for e, c in enumerate(falling):
+            coeffs[e] += diffs[0] // factorial(i) * c
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        falling = [a - i * b for a, b in zip([0] + falling, falling + [0])]
+    return tuple((e, Fraction(coeffs[e], den)) for e in reversed(range(len(coeffs))))
+
+
+def _cleared(rows) -> tuple[int, tuple]:
+    """(D, cleared) for rows[r][k] listing (key, k-th derivative at 1) pairs:
+    cleared[r][k] lists the nonzero (key, D * derivative / k!) pairs, ints, and
+    D is the least common denominator of the derivatives over k!."""
+    rows = [[[(key, d.numerator, d.denominator * factorial(k)) for key, d in terms]
+             for k, terms in enumerate(row)] for row in rows]
+    den = lcm(*(q // gcd(p, q) for row in rows for terms in row for _, p, q in terms))
+    return den, tuple(tuple(tuple((key, p * den // q) for key, p, q in terms if p) for terms in row)
+                      for row in rows)
 
 
 @lru_cache(maxsize=None)
 def _prefactor_series(s: int, kmax: int) -> tuple[int, tuple]:
     """Taylor series in (t - 1), up to (t - 1)^kmax, of the two prefactors of a
-    band of sign s, over one common denominator D: (D, series), where
-    series[x][k] lists the (exponent of n, integer) pairs of D times the
-    prefactor's k-th derivative at 1 over k!."""
-    coeffs = [[prefactor_deriv_poly(s, x, k).scale(Fraction(1, factorial(k)))
-               for k in range(kmax + 1)] for x in (0, 1)]
-    den = lcm(*(c.denominator for row in coeffs for p in row for c in p.terms.values()))
-    return den, tuple(tuple(tuple((m[0], int(c * den)) for m, c in p.terms.items())
-                            for p in row) for row in coeffs)
+    band of sign s, as ``_cleared`` gives them: (D, series), series[x][k] the
+    (exponent of n, integer) pairs of D times coefficient k.  The coefficient
+    of (t - 1)^k in t^e is C(e, k), so coefficient k is C(2sn, k) for a
+    retained band and, for a resolved one, the sum over j < n of
+    C(s(2j + 3/2), k) - C(s(2j + 1/2), k), whose summand has degree k - 1 in
+    j.  Either way it has degree <= k in n, so its k + 1 values at n = 0..k
+    determine it exactly: ``_interpolate`` reads it off the ``derivs_at_one``
+    of ``_prefactor`` at those twists."""
+    derivs = [[_prefactor(s, x, n).derivs_at_one(kmax) for n in range(kmax + 1)] for x in (0, 1)]
+    return _cleared([[_interpolate([d[k] for d in at_n[:k + 1]]) for k in range(kmax + 1)]
+                     for at_n in derivs])
 
 
 # --- base-case links --------------------------------------------------------
@@ -579,8 +601,8 @@ def symbolic_derivs(spec: FamilySpec, kmax: int = 4) -> list[MultiPoly]:
     Each band prefactor and each base-link value becomes its Taylor series in
     (t - 1) up to (t - 1)^kmax, whose coefficient k is the k-th derivative at 1
     over k!.  The 0/1 states are summed out one band at a time, from the last
-    active band to the first, in integers over one common denominator: that of
-    the base series times each band's ``_prefactor_series`` denominator.  A
+    active band to the first, in integers over one common denominator: the
+    base series' ``_cleared`` one times each band's ``_prefactor_series`` one.  A
     layer entry holds, per k, a map from monomials in the bands summed so far
     to integers; a band's series is in that band's own variable alone, so its
     products only prepend an exponent to the monomials below.  Coefficient k is
@@ -591,11 +613,10 @@ def symbolic_derivs(spec: FamilySpec, kmax: int = 4) -> list[MultiPoly]:
     if not 0 <= kmax <= 8:
         raise FamilyError(f"kmax {kmax} is outside 0..8")
     active = spec.active_bands
-    base = {x: _base_derivs(*_base_key(spec, x), kmax)
-            for x in product((0, 1), repeat=len(active))}
-    den = lcm(*(d.denominator * factorial(k) for ds in base.values() for k, d in enumerate(ds)))
-    layer = {x: [{(): d.numerator * (den // (d.denominator * factorial(k)))}
-                 for k, d in enumerate(ds)] for x, ds in base.items()}
+    states = list(product((0, 1), repeat=len(active)))
+    den, base = _cleared([[((), d)] for d in _base_derivs(*_base_key(spec, x), kmax)]
+                         for x in states)
+    layer = {x: [dict(terms) for terms in row] for x, row in zip(states, base)}
     for j in reversed(range(len(active))):
         band_den, pre = _prefactor_series(spec.bands[active[j]].sign, kmax)
         den *= band_den

@@ -50,9 +50,9 @@ class HalfLaurent:
         return cls({0: 1})
 
     @classmethod
-    def t_power(cls, e2: int, coeff=1) -> "HalfLaurent":
-        """coeff * t^(e2/2)."""
-        return cls({e2: coeff})
+    def t_power(cls, e2: int) -> "HalfLaurent":
+        """t^(e2/2)."""
+        return cls({e2: 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)

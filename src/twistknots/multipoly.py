@@ -5,8 +5,9 @@ Integral coefficients are stored as ``int`` and only true fractions as
 with never pay for ``Fraction`` arithmetic, and ``MultiPoly.eval``, the one
 evaluator, keeps them in ints at an integer point.
 
-Used for symbolic twist-parameter computations: derivative polynomials in the
-twist counts, leading Alexander coefficients, and the per-case formula checks.
+Used for symbolic twist-parameter results: the derivative polynomials in the
+twist counts, which ``families.symbolic_derivs`` builds in ints, leading
+Alexander coefficients, and the per-case formula checks.
 Seifert entries, the band rule and exception constraints are affine forms
 (constant, ((index, coefficient), ...)): ``MultiPoly.affine`` reads them.
 Substitution of a rational expression for a variable is done fraction-free by
@@ -324,26 +325,3 @@ def affine_values(forms, point) -> tuple:
             value += c * point[i]
         out.append(value)
     return tuple(out)
-
-
-# --- standard symbolic helpers ----------------------------------------------
-
-def power_sum_poly(m: int, variables: Iterable[str], name: str) -> MultiPoly:
-    """S_m as a polynomial in ``name``: sum of j^m for j = 0..n-1."""
-    variables = tuple(variables)
-    n = MultiPoly.var(variables, name)
-    sums: list[MultiPoly] = [n]  # S_0(n) = n
-    for p in range(1, m + 1):
-        acc = n ** (p + 1)
-        for r in range(p):
-            acc = acc - sums[r].scale(comb(p + 1, r))
-        sums.append(acc.scale(Fraction(1, p + 1)))
-    return sums[m]
-
-
-def falling_factorial_poly(linear: MultiPoly, k: int) -> MultiPoly:
-    """L (L-1) ... (L-k+1) for a polynomial argument L."""
-    out = MultiPoly.const(linear.vars, 1)
-    for r in range(k):
-        out = out * (linear - MultiPoly.const(linear.vars, r))
-    return out

@@ -190,12 +190,15 @@ def test_bad_worker_count_exits_2(value, monkeypatch, capsys):
                               f"got {value!r}\n")
 
 
-@pytest.mark.parametrize("text", ["1_0", "+1", "\u0661", "2.0"], ids=ascii)
+@pytest.mark.parametrize("text", ["1_0", "+1", "\u0661", "2.0", "9" * 5001],
+                         ids=lambda t: f"{len(t)}-digits" if len(t) > 9 else ascii(t))
 @pytest.mark.parametrize("where", ["--twists", "--range", "--budget", "TWISTKNOTS_WORKERS"])
 def test_integer_text_that_is_not_plain_digits_exits_2(where, text, monkeypatch, capsys):
-    """int() reads '1_0' as 10 and '+1' and the Arabic-Indic '\u0661' as 1;
-    the CLI reads only plain decimal digits, and refuses anything else
-    before it sweeps, cross-checks or prints a verdict."""
+    """int() reads '1_0' as 10 and '+1' and the Arabic-Indic '\u0661' as 1,
+    and refuses more than 4,300 digits with a message of its own; the CLI
+    reads only plain decimal digits that int() converts, and refuses anything
+    else with the flag's own message before it sweeps, cross-checks or prints
+    a verdict."""
     def refuse(*args, **kwargs):
         raise AssertionError("worked on malformed integer text")
 
@@ -212,6 +215,21 @@ def test_integer_text_that_is_not_plain_digits_exits_2(where, text, monkeypatch,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {where}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-paper", "--family", "8_12", "--case="],
+    ["crosscheck", "--family", "8_12", "--signs=", "--twists="],
+    ["sweep", "--family", "8_12", "--range", "2", "--output="],
+    ["verify-paper", "--family", "8_12", "--output="],
+], ids=lambda argv: " ".join(argv[0::len(argv) - 1]))
+def test_empty_flag_value_exits_2(argv, capsys):
+    """An empty value is an error, not a missing flag: it neither widens the
+    run to every case or instance nor skips the --output file."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_integer_fields_may_carry_surrounding_spaces(capsys):

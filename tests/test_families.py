@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import hypothesis.strategies as st
 import pytest
@@ -20,7 +21,6 @@ from twistknots.families import (
     load_family,
     parse_family_file,
     parse_signs,
-    prefactor_deriv_poly,
     symbolic_derivs,
     xn_jones,
 )
@@ -59,11 +59,14 @@ def test_prefactor_geometric_growth():
 @pytest.mark.parametrize("s", (+1, -1))
 @pytest.mark.parametrize("x", (0, 1))
 def test_prefactor_deriv_matches_instances(s, x):
-    # independent route: differentiate the explicit polynomial at fixed n
-    for k in range(5):
-        poly = prefactor_deriv_poly(s, x, k)
-        for n in range(1, 6):
-            assert poly.eval({"n": n}) == prefactor(s, x, n).derivs_at_one(k)[k]
+    # the interpolated series at twists well past its kmax + 1 nodes, against
+    # the reference prefactor differentiated at each twist
+    for kmax in range(9):
+        den, series = families._prefactor_series(s, kmax)
+        for n in range(13):
+            derivs = prefactor(s, x, n).derivs_at_one(kmax)
+            assert [Fraction(sum(a * n ** e for e, a in series[x][k]) * factorial(k), den)
+                    for k in range(kmax + 1)] == derivs, (kmax, n)
 
 
 # --- two-circle patterns -------------------------------------------------------
@@ -460,6 +463,9 @@ def test_family_file_rejects_malformed_band_lines(band):
     ("band 1 even\nbase count\norder 1\ncount \uff10 -> 1", "bad count line"),
     ("band 1 even\nbase count\norder 1\ncount a -> 1", "bad count line"),
     ("band 1 odd\nbase compose\ncompose 0 -> X(a)", "bad compose line"),
+    # int() refuses more than 4,300 digits with a bare ValueError of its own
+    pytest.param(f"band {'1' * 5001} odd\nbase count\norder 1\ncount 0 -> 1", "bad band line",
+                 id="band-5001-digits"),
 ])
 def test_family_file_rejects_non_integer_fields(body, match):
     with pytest.raises(FamilyError, match=match):

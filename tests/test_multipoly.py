@@ -6,13 +6,7 @@ import pytest
 from hypothesis import example, given
 
 from helpers import substitute
-from twistknots.multipoly import (
-    ExprError,
-    MultiPoly,
-    falling_factorial_poly,
-    parse_poly,
-    power_sum_poly,
-)
+from twistknots.multipoly import ExprError, MultiPoly, parse_poly
 
 ABC = ("a", "b", "c")
 
@@ -126,22 +120,6 @@ def test_parse_grammar(text, value):
         assert parse_poly(text, variables) == parse_poly(value, variables)
 
 
-@pytest.mark.parametrize("m", range(0, 6))
-def test_power_sums_match_enumeration(m):
-    s = power_sum_poly(m, ("n",), "n")
-    for n in range(1, 9):
-        assert s.eval({"n": n}) == sum(j ** m for j in range(n))
-
-
-def test_falling_factorial_poly():
-    variables = ("n",)
-    lin = parse_poly("2*n", variables)
-    ff3 = falling_factorial_poly(lin, 3)
-    for n in range(1, 7):
-        x = 2 * n
-        assert ff3.eval({"n": n}) == x * (x - 1) * (x - 2)
-
-
 def test_substitute_cleared_matches_rational_evaluation():
     variables = ("a", "b", "c")
     p = parse_poly("a^2*c + b*c - a + 2", variables)
@@ -226,15 +204,15 @@ def test_integral_coefficients_are_stored_as_int():
     half = MultiPoly.var(ABC, "a").scale(Fraction(1, 2))
     for p in (MultiPoly.const(ABC, 3), MultiPoly.const(ABC, Fraction(6, 2)),
               MultiPoly.var(ABC, "b"), parse_poly("6/3", ABC), parse_poly("a/2 + a/2", ABC),
-              half.scale(2), power_sum_poly(0, ("n",), "n")):
+              half.scale(2), parse_poly("n^2/2 + n^2/2", ("n",))):
         assert p and all_int(p), p
     assert half.terms == {(1, 0, 0): Fraction(1, 2)}
     assert type(half.terms[(1, 0, 0)]) is Fraction
     assert type(parse_poly("a/2 + b", ABC).terms[(1, 0, 0)]) is Fraction
-    # S_m for m >= 1 has only true fractions, and D * S_m, D = lcm of their
-    # denominators, only ints
-    for m in range(1, 6):
-        s = power_sum_poly(m, ("n",), "n")
+    # the power sums S_m = 0^m + ... + (n - 1)^m for m = 1..3 have only true
+    # fractions, and D * S_m, D = lcm of their denominators, only ints
+    for text in ("n^2/2 - n/2", "n^3/3 - n^2/2 + n/6", "n^4/4 - n^3/2 + n^2/4"):
+        s = parse_poly(text, ("n",))
         assert normalised(s) and not any(type(c) is int for c in s.terms.values())
         assert all_int(s.scale(lcm(*(c.denominator for c in s.terms.values()))))
 
