@@ -202,12 +202,14 @@ def traced_gate_loop(casework, cfg, signs: str) -> float:
 
 
 def symbolic_row(casework, family: str) -> dict:
-    fam = casework.load_family(family)
+    from twistknots.families import load_family, symbolic_derivs
+
+    fam = load_family(family)
     specs = [fam.with_signs(signs) for signs in casework.ALL_CASES]
 
     def all_cases():
         for spec in specs:
-            casework.symbolic_derivs(spec, 4)
+            symbolic_derivs(spec, 4)
 
     runs = [timed(all_cases) for _ in range(REPEAT)]
     return {"family": family, "cases": len(specs), "kmax": 4, **summary(runs, "s")}
@@ -249,6 +251,8 @@ def row(casework, family: str, signs: str, n_range: int, use_root5: bool = False
 
 
 def exceptions_row(casework, family: str, signs: str, n_range: int) -> dict:
+    from twistknots.obstruction import instance_verdict
+
     cfg = casework.SweepConfig(family, n_range=n_range)
     report = casework.sweep_case(cfg, signs)
     twists = [v.twists for v in report.exceptions]
@@ -257,7 +261,7 @@ def exceptions_row(casework, family: str, signs: str, n_range: int) -> dict:
 
     def certify():
         for n in twists:
-            casework.instance_verdict(sym.spec, sym.template, n, False)
+            instance_verdict(sym.spec, sym.template, n, False)
         casework.classify_exceptions(cfg, [report], registry)
 
     runs = [timed(certify) for _ in range(REPEAT)]
@@ -313,9 +317,11 @@ def expression_strings(casework) -> list:
     ``count`` rows and ``seifert`` entries."""
     from importlib import resources
 
+    from twistknots.families import load_family
+
     out = []
     for family in PAPER_CASES:
-        fam = casework.load_family(family)
+        fam = load_family(family)
         variables = fam.with_signs(casework.ALL_CASES[0]).variables
         registry = casework.load_registry(family)
         for entry in (e for entries in registry.cases.values() for e in entries):

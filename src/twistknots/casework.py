@@ -5,12 +5,9 @@ in a twist box through the obstruction gates, using the symbolic derivative
 and Alexander-coefficient polynomials for speed.  Surviving instances are
 matched against the registered parametric exception patterns, and their Jones
 and Conway polynomials are certified trivial.  ``instance_verdict``, which
-certifies one instance, and ``instance_id`` live in ``obstruction`` beside the
-gates and are imported back here, so that a one-instance query (``check``,
-``jones``, ``alexander``) never imports this module.  The records here stay
-frozen dataclasses, unlike the NamedTuples of the instance path (see
-``obstruction``): of the commands, only ``sweep`` and ``verify-paper`` load
-this module.
+certifies one instance, lives in ``obstruction`` beside the gates and is
+imported here, so that a one-instance query (``check``, ``jones``,
+``alexander``) never imports this module.
 
 The gates are solved a plane of lines at a time.  A line is the last twist
 axis v at a prefix of the other twists; a plane is a list of such prefixes
@@ -53,52 +50,43 @@ unbounded: their keys are the 3 shipped families times the 32 sign cases, and a
 bad key raises, which is never cached.  All 96 ``SymbolicCase``s hold about
 1.0 MB by tracemalloc, their formula checks 0.06 MB.  A case whose route checks
 fail raises on every call; FAIL formula checks are results and are cached.
-Callers share the cached values, so ``SymbolicCase`` is frozen and the memos
-hold tuples.  ``load_registry`` is memoised per family and read-only.
+Callers share the cached values, so ``SymbolicCase`` is immutable and the
+memos hold tuples.  ``load_registry`` is memoised per family and read-only.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from importlib import resources
 from itertools import product, repeat
 from math import lcm, prod
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .families import FamilySpec, load_family, parse_ints, symbolic_derivs
 from .laurent import HalfLaurent
 from .multipoly import ExprError, MultiPoly, affine_values, parse_poly
-# instance_id is re-exported: callers of the sweeps name instances with it
-from .obstruction import GATE_ORDER, ObstructionVerdict, instance_id, instance_verdict  # noqa: F401
+from .obstruction import GATE_ORDER, ObstructionVerdict, instance_verdict
 from .seifert import SeifertTemplate, conway_symbolic, leading_coeff_symbolic, template_for
 
 ALL_CASES = ["".join(p) for p in product("+-", repeat=5)]
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     family: str
-    n_range: int = 4
+    n_range: int = 4                  # at least 2, which sweep_case checks
     use_root5: bool = False
 
-    def __post_init__(self):
-        if self.n_range < 2:
-            raise ValueError("need a range of at least 2 for meaningful coverage")
 
-
-@dataclass
-class ExceptionRecord:
+class ExceptionRecord(NamedTuple):
     signs: str
     pattern: Optional[str]            # the registered signed tuple, None if unmatched
-    instances: list[tuple[int, ...]] = field(default_factory=list)
+    instances: tuple[tuple[int, ...], ...] = ()
 
 
-@dataclass
-class CaseReport:
+class CaseReport(NamedTuple):
     signs: str
     instance_count: int
     exclusions: dict[str, int]
@@ -113,8 +101,7 @@ class CaseReport:
 
 # --- registry ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     quantity: str                      # leading | c3 | d2 | d3 | d4
     expr: Optional[str]                # plain identity, if any
     chain: tuple[tuple[str, str, str], ...]   # (var, numerator, denominator)
@@ -122,11 +109,10 @@ class RegistryEntry:
     target_den: str
     sign: Optional[str]                # positive | negative | None
     shift: Optional[tuple[str, str]]   # substitution used for the certificate
-    index: int = 0                     # position in its sign case's list
+    index: int = 0                     # position in its sign case's list; shadows tuple.index
 
 
-@dataclass(frozen=True)
-class CaseRegistry:
+class CaseRegistry(NamedTuple):
     cases: Mapping[str, tuple[RegistryEntry, ...]]
     exceptions: Mapping[str, tuple[dict, ...]]
     d4_demo: Mapping[str, tuple[int, ...]]
@@ -243,8 +229,7 @@ def load_registry(family: str) -> CaseRegistry:
     return parse_registry(data.read_text(), family)
 
 
-@dataclass(frozen=True)
-class SymbolicCase:
+class SymbolicCase(NamedTuple):
     """The gate polynomials of one sign case, used by sweeps and formula checks.
 
     Immutable, since ``symbolic_case`` hands the same object to every caller.
@@ -524,6 +509,8 @@ def sweep_case(cfg: SweepConfig, signs: str,
                registry: Optional[CaseRegistry] = None) -> CaseReport:
     """One sign case's gate histogram, exceptions and formula checks;
     ``registry`` is unused, the checks come from ``formula_records``."""
+    if cfg.n_range < 2:
+        raise ValueError("need a range of at least 2 for meaningful coverage")
     sym = symbolic_case(cfg.family, signs)
     spec = sym.spec
     exceptions: list[ObstructionVerdict] = []
@@ -570,16 +557,16 @@ def classify_exceptions(cfg: SweepConfig, reports: list[CaseReport],
                         registry: Optional[CaseRegistry] = None) -> list[ExceptionRecord]:
     registry = registry or load_registry(cfg.family)
     fam = load_family(cfg.family)
-    records: dict[tuple[str, Optional[str]], ExceptionRecord] = {}
+    instances: dict[tuple[str, Optional[str]], list[tuple[int, ...]]] = {}
     for report in reports:
         variables = fam.with_signs(report.signs).variables
         parsed = _parsed_patterns(cfg.family, registry, report.signs, variables)
         for verdict in report.exceptions:
             n = verdict.twists
             for pat in _matching(parsed, n) or [None]:   # None: unmatched
-                records.setdefault((report.signs, pat),
-                                   ExceptionRecord(report.signs, pat)).instances.append(n)
-    return [records[k] for k in sorted(records, key=lambda kk: (kk[0], kk[1] or ""))]
+                instances.setdefault((report.signs, pat), []).append(n)
+    return [ExceptionRecord(*k, tuple(instances[k]))
+            for k in sorted(instances, key=lambda kk: (kk[0], kk[1] or ""))]
 
 
 def sweep_summary(cfg: SweepConfig, reports: list[CaseReport],

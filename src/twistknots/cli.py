@@ -11,7 +11,8 @@ import argparse
 import json
 import sys
 
-from .families import FAMILIES, FamilyError, check_twists, jones_derivs, load_family, parse_ints
+from .families import (FAMILIES, FamilyError, check_twists, jones_derivs, load_family,
+                       parse_ints, parse_signs)
 from .obstruction import instance_id, instance_verdict
 from .seifert import SeifertError, alexander_poly, conway_poly, template_for
 
@@ -90,7 +91,10 @@ def cmd_verify_paper(args) -> int:
     from .casework import load_registry, verify_paper_case
 
     registry = load_registry(args.family)
-    cases = [args.case] if args.case is not None else sorted(registry.cases)
+    cases = sorted(registry.cases)
+    if args.case is not None:   # read as --signs is
+        parse_signs(args.case, len(load_family(args.family).parities))
+        cases = [args.case]
     # every case is checked and the output written before anything prints, so
     # a registry fault or an unwritable --output stops the run with its error alone
     results = [{"signs": signs, **rec} for signs in cases

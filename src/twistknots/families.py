@@ -294,6 +294,9 @@ def parse_family_file(text: str) -> FamilyDef:
         if sorted(heads) != ["family", "from"]:
             raise FamilyError("a 'from' file has a 'family' line, one 'from' line and nothing else")
         return _derive(name, derivation)
+    for head in ("family", "base", "order"):
+        if heads.count(head) > 1:
+            raise FamilyError(f"family file has more than one {head!r} line")
     if name is None or base_kind is None:
         raise FamilyError("family file needs 'family' and 'base' lines")
     k = len(parities)

@@ -17,8 +17,8 @@ result converts exactly to a Laurent polynomial in t^(1/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .laurent import HalfLaurent
 
@@ -63,24 +63,10 @@ def strand_cycles(crossings, partner) -> list[list[tuple[int, int]]]:
     return cycles
 
 
-@dataclass(frozen=True)
-class PDCode:
+class PDCode(NamedTuple):
     crossings: tuple[tuple[int, int, int, int], ...]
     over_in: tuple[int, ...]          # per crossing: 1 or 3
     free_loops: int = 0               # crossingless unknot components
-
-    def __post_init__(self):
-        if len(self.over_in) != len(self.crossings):
-            raise PDError("need one over-strand marker per crossing")
-        if any(p not in (1, 3) for p in self.over_in):
-            raise PDError("over-strand marker must be position 1 or 3")
-        seen: dict[int, int] = {}
-        for quad in self.crossings:
-            for arc in quad:
-                seen[arc] = seen.get(arc, 0) + 1
-        bad = [a for a, k in seen.items() if k != 2]
-        if bad:
-            raise PDError(f"arcs must appear exactly twice, got {sorted(bad)}")
 
     @property
     def n_crossings(self) -> int:
@@ -103,11 +89,17 @@ class PDCode:
         return len(strand_cycles(self.crossings, (2, 3, 0, 1))) + self.free_loops
 
     def validate_orientation(self) -> None:
-        """Each arc must be produced once and consumed once.
+        """A ``PDError`` unless there is one over-strand marker per crossing,
+        each 1 or 3, and each arc is produced once and consumed once, so
+        appears exactly twice.
 
         Under strand: in at 0, out at 2.  Over strand: in/out at over_in and
         its opposite.
         """
+        if len(self.over_in) != len(self.crossings):
+            raise PDError("need one over-strand marker per crossing")
+        if any(p not in (1, 3) for p in self.over_in):
+            raise PDError("over-strand marker must be position 1 or 3")
         heads: dict[int, int] = {}
         tails: dict[int, int] = {}
         for ci, quad in enumerate(self.crossings):
@@ -163,8 +155,7 @@ def kauffman_bracket(pd: PDCode) -> dict[int, int]:
             if rz != rw:
                 parent[rz] = rw
         loops = sum(1 for i in range(n_arcs) if find(i) == i)
-        if pd.free_loops:
-            loops += pd.free_loops
+        loops += pd.free_loops
         # expand A^sigma * delta^(loops-1) with delta = -A^2 - A^(-2)
         sign = -1 if (loops - 1) % 2 else 1
         m = loops - 1

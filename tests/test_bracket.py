@@ -131,7 +131,7 @@ def test_component_count(make, count):
 
 def test_pd_parse_rejects_bad_codes():
     with pytest.raises(PDError):
-        PDCode(((1, 2, 3, 4),), (3,))  # arcs appear once
+        jones_from_pd(PDCode(((1, 2, 3, 4),), (3,)))  # arcs appear once
 
 
 # each family's diagram at unit twists and all-plus signs; 8_12 is drawn with

@@ -230,6 +230,8 @@ def test_empty_flag_value_exits_2(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "--case=" in argv:
+        assert err == "error: sign case must be 5 characters over +/-: ''\n"
 
 
 def test_integer_fields_may_carry_surrounding_spaces(capsys):
@@ -312,6 +314,22 @@ def test_cli_import_leaves_out_the_oracle():
                              capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": SRC})
         assert out.stdout.splitlines()[-1] == "[]", command
+
+
+def test_batch_commands_leave_out_dataclasses():
+    """sweep, verify-paper and crosscheck load their engines without
+    ``dataclasses`` and the ``inspect`` it pulls in."""
+    probe = ("import sys; from twistknots.cli import main; code = main(sys.argv[1:]); "
+             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)); "
+             "sys.exit(code)")
+    for command in (["sweep", "--family", "8_12", "--range", "2"],
+                    ["verify-paper", "--family", "8_12", "--case", "+++++"],
+                    ["crosscheck", "--family", "7_6", "--signs", "+++++",
+                     "--twists", "1,1,1,1,1"]):
+        out = subprocess.run([sys.executable, "-c", probe, *command],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": SRC, "TWISTKNOTS_WORKERS": "1"})
+        assert out.stdout.splitlines()[-1] == "[]", command[0]
 
 
 def test_usage_error_exit_codes(capsys):
@@ -428,10 +446,14 @@ def test_case_with_leading_minus(capsys):
     assert capsys.readouterr() == joined
 
 
-def test_unregistered_case_exits_2_unquoted(capsys):
-    assert main(["verify-paper", "--family", "7_6", "--case", "xyz"]) == 2
+def test_unregistered_case_exits_2_unquoted(monkeypatch, capsys):
+    # every shipped registry lists all 32 cases, so take one out of 7_6's
+    real = casework.load_registry("7_6")
+    cases = {signs: entries for signs, entries in real.cases.items() if signs != "+++++"}
+    monkeypatch.setattr(casework, "load_registry", lambda family: real._replace(cases=cases))
+    assert main(["verify-paper", "--family", "7_6", "--case", "+++++"]) == 2
     out = capsys.readouterr()
-    assert (out.out, out.err) == ("", "error: no registered formulas for 7_6 xyz\n")
+    assert (out.out, out.err) == ("", "error: no registered formulas for 7_6 +++++\n")
 
 
 def test_large_twists_match_seifert_route(capsys):

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from helpers import mirror, mirrored, prefactor, reference_assemble, shift
+from helpers import family_text, mirror, mirrored, prefactor, reference_assemble, shift
 from twistknots import families
 from twistknots.diagrams import band_crossings, crosscheck, load_template
 from twistknots.families import (
@@ -447,6 +447,20 @@ def test_family_file_errors():
         parse_family_file("family x\nband 2 odd\nbase compose\n")
     with pytest.raises(FamilyError):
         parse_family_file("family x\nband 1 odd\nbase count\n")
+
+
+# a second family, base or order line is refused, not read in place of the first
+@pytest.mark.parametrize("family, first, second", [
+    ("7_6", "family 7_6", "family 10_58"),
+    ("7_6", "base compose", "base compose"),
+    ("10_58", "order 5 1 4", "order 5 1 4"),
+], ids=["family", "base", "order"])
+def test_family_file_rejects_a_repeated_directive(family, first, second):
+    text = family_text(family)
+    assert f"\n{first}\n" in text
+    directive = first.split()[0]
+    with pytest.raises(FamilyError, match=f"more than one '{directive}' line"):
+        parse_family_file(text.replace(f"\n{first}\n", f"\n{first}\n{second}\n"))
 
 
 # bands are frozen by a 'from' line, never by a word on a band line
