@@ -12,9 +12,9 @@ import json
 import sys
 
 from .families import (FAMILIES, FamilyError, check_twists, jones_derivs, load_family,
-                       parse_ints, parse_signs)
+                       parse_ints, parse_signs, quoted)
 from .obstruction import instance_id, instance_verdict
-from .seifert import SeifertError, alexander_poly, conway_poly, template_for
+from .seifert import alexander_poly, conway_poly, template_for
 
 
 def _spec(args):
@@ -23,12 +23,12 @@ def _spec(args):
 
 
 def _twists(args, spec):
-    return check_twists(spec, parse_ints(
-        args.twists.split(","), f"--twists must be comma-separated integers, got {args.twists!r}"))
+    message = f"--twists must be comma-separated integers, got {quoted(args.twists)}"
+    return check_twists(spec, parse_ints(args.twists.split(","), message))
 
 
 def _int(text: str, flag: str) -> int:
-    return parse_ints([text], f"{flag} must be an integer, got {text!r}")[0]
+    return parse_ints([text], f"{flag} must be an integer, got {quoted(text)}")[0]
 
 
 def cmd_jones(args) -> int:
@@ -227,8 +227,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_signs(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    # internal failures of the engines are ValueErrors too, so catch them first
-    except (AssertionError, SeifertError) as exc:
+    except AssertionError as exc:
         return _verification_failed(exc)
     except (FamilyError, ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its argument, quotes and all

@@ -135,9 +135,7 @@ class _Builder:
             over_slots = (NW, SE) if over == "L" else (NE, SW)
             over_entry = next(s for s in over_slots if orientation[(ci, s)] == "in")
             over_in.append(order.index(over_entry))
-        pd = PDCode(tuple(crossings), tuple(over_in), free_loops)
-        pd.validate_orientation()
-        return pd
+        return PDCode(tuple(crossings), tuple(over_in), free_loops)
 
     def _orient(self, arcs) -> dict[tuple[int, int], str]:
         """Orient the strands.  A knot has a canonical choice (reversal does not

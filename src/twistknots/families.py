@@ -114,7 +114,7 @@ class FamilySpec(NamedTuple):
 
 def parse_signs(text: str, k: int) -> tuple[int, ...]:
     if len(text) != k or any(ch not in "+-" for ch in text):
-        raise FamilyError(f"sign case must be {k} characters over +/-: {text!r}")
+        raise FamilyError(f"sign case must be {k} characters over +/-: {quoted(text)}")
     return tuple(+1 if ch == "+" else -1 for ch in text)
 
 
@@ -130,6 +130,17 @@ def check_twists(spec, twists) -> tuple[int, ...]:
     if any(v < 1 for v in n):
         raise FamilyError("twist parameters must be >= 1")
     return n
+
+
+QUOTE_LIMIT = 32
+
+
+def quoted(text: str) -> str:
+    """Outside text as an error line quotes it: its repr, or past ``QUOTE_LIMIT``
+    characters the repr of that prefix and the text's length."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 def parse_ints(fields, error: str) -> tuple[int, ...]:
@@ -543,7 +554,7 @@ def assemble_jones(spec: FamilySpec, twists) -> HalfLaurent:
     coefficient list over the doubled exponent and divided exactly by
     (1 + t^(s_i)) per active band.  A knot's sum has integral powers of t
     only, so every odd doubled exponent must hold 0, or the family is wrong
-    (``FamilyError``); the divisions then run on the even slots alone, one
+    (``AssertionError``); the divisions then run on the even slots alone, one
     slot per power of t.  Since 1 + t^(-1) = t^(-1) (1 + t), each division is
     by 1 + t, and a negative band shifts the result by t.  With the signs
     alternated, a_k = (-1)^k p_k, the quotient q of p by 1 + t is
@@ -580,7 +591,7 @@ def assemble_jones(spec: FamilySpec, twists) -> HalfLaurent:
             dense[d + e] += c
     first = lo % 2   # the index of the first even doubled exponent
     if any(dense[1 - first::2]):
-        raise FamilyError("assembled Jones polynomial is not knot-valued")
+        raise AssertionError("assembled Jones polynomial is not knot-valued")
     alternated = list(map(mul, dense[first::2], cycle((1, -1))))
     for _ in signs:
         alternated = list(accumulate(alternated))

@@ -10,12 +10,15 @@ the powers t^k with k = r mod 5.  The only rational relation among 1, zeta, ...,
 zeta^4 is 1 + zeta + ... + zeta^4 = 0, so the coordinates
 (s_0 - s_4, s_1 - s_4, s_2 - s_4, s_3 - s_4) in the basis 1, zeta, zeta^2,
 zeta^3 determine V(zeta) exactly; V(zeta) = 1 exactly when they are (1, 0, 0, 0).
+
+``signed_sum`` writes the one canonical text of both polynomial kinds, these
+and ``multipoly``'s, from each kind's own term order and power text.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 
 def exact_quotient(num, den: int) -> int | Fraction:
@@ -23,6 +26,26 @@ def exact_quotient(num, den: int) -> int | Fraction:
     num is an int or a ``Fraction`` and den a positive int."""
     q, r = divmod(num, den)
     return Fraction(num, den) if r else q
+
+
+def signed_sum(terms: Iterable[tuple[object, str]]) -> str:
+    """Canonical text of (nonzero coefficient, power text) pairs in order, a
+    constant's power text ''.  Magnitude 1 is left out before a power, others
+    join it by '*'; terms join by ' + ' or ' - ' (a leading '-'), none is '0'."""
+    text = ""
+    for c, power in terms:
+        mag = abs(c)
+        body = (power if mag == 1 else f"{mag}*{power}") if power else str(mag)
+        sign = "-" if c < 0 else "+"
+        text += f" {sign} {body}" if text else body if sign == "+" else f"-{body}"
+    return text or "0"
+
+
+def _t_power(e: int) -> str:
+    """The power text of t^(e/2): '', 't', 't^3', 't^(-2)' or 't^(5/2)'."""
+    if e % 2:
+        return f"t^({e}/2)"
+    return "" if e == 0 else "t" if e == 2 else f"t^{e // 2}" if e > 0 else f"t^({e // 2})"
 
 
 class HalfLaurent:
@@ -124,28 +147,7 @@ class HalfLaurent:
 
     def format(self) -> str:
         """Canonical text form, exponents descending: '-t^(5/2) - t^(1/2)'."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                if e % 2 == 0:
-                    expo = e // 2
-                    power = "t" if expo == 1 else f"t^{expo}" if expo > 0 else f"t^({expo})"
-                else:
-                    power = f"t^({e}/2)"
-                body = power if mag == 1 else f"{mag}*{power}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return signed_sum((self.terms[e], _t_power(e)) for e in sorted(self.terms, reverse=True))
 
     def __repr__(self):
         return f"HalfLaurent({self.format()})"

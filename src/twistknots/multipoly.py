@@ -24,6 +24,8 @@ from math import comb
 from operator import add
 from typing import Iterable, Mapping
 
+from .laurent import signed_sum
+
 Monomial = tuple[int, ...]
 
 
@@ -114,6 +116,8 @@ class MultiPoly:
 
     def scale(self, k) -> "MultiPoly":
         return MultiPoly(self.vars, {m: k * c for m, c in self.terms.items()})
+
+    __rmul__ = scale
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -217,30 +221,11 @@ class MultiPoly:
         return (-sum(mono), tuple(-e for e in mono))
 
     def format(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, key=self._order_key):
-            c = self.terms[mono]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            factors = []
-            for v, e in zip(self.vars, mono):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
-            if not factors:
-                body = str(mag)
-            else:
-                body = "*".join(factors)
-                if mag != 1:
-                    body = f"{mag}*{body}"
-            parts.append((sign, body))
-        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        """Canonical text form by ``laurent.signed_sum``, monomials graded
+        lexicographic, largest first: 'a^2*b - 3*b + 1'."""
+        return signed_sum((self.terms[m], "*".join(v if e == 1 else f"{v}^{e}"
+                                                  for v, e in zip(self.vars, m) if e))
+                          for m in sorted(self.terms, key=self._order_key))
 
     def __repr__(self):
         return f"MultiPoly[{','.join(self.vars)}]({self.format()})"

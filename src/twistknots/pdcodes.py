@@ -11,6 +11,7 @@ family's disk layout are not (docs/family-format.md).
 
 The bracket is a plain enumeration over all 2^c smoothings with union-find loop
 counting; it is deliberately simple so it can serve as an independent oracle.
+It validates its code first, so every route through it is checked once.
 Exponents of the bracket variable A are kept quadrupled (A = t^(-1/4)), so the
 result converts exactly to a Laurent polynomial in t^(1/2).
 """
@@ -115,7 +116,9 @@ class PDCode(NamedTuple):
 
 
 def kauffman_bracket(pd: PDCode) -> dict[int, int]:
-    """State-sum bracket; keys are exponents of A."""
+    """State-sum bracket; keys are exponents of A.  A malformed code is a
+    ``PDError`` (``PDCode.validate_orientation``)."""
+    pd.validate_orientation()
     c = pd.n_crossings
     if c > MAX_CROSSINGS:
         raise BudgetExceeded(f"{c} crossings exceeds the {MAX_CROSSINGS}-crossing budget")
@@ -177,7 +180,6 @@ def bracket_to_t(poly_in_a: dict[int, int]) -> HalfLaurent:
 
 def jones_from_pd(pd: PDCode) -> HalfLaurent:
     """Writhe-normalized bracket: (-A^3)^(-writhe) <L> expressed in t."""
-    pd.validate_orientation()
     w = pd.writhe()
     bracket = kauffman_bracket(pd)
     shifted = {e - 3 * w: c for e, c in bracket.items()}

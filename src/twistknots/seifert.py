@@ -38,21 +38,19 @@ to bound and no integer to pack, and it is built once per sign case.
 
 The Conway polynomial is det(u S - u^(-1) S^T) with u = t^(1/2), which
 equals u^(-size) * Delta(u^2) because the size is even, so the doubled key e
-of Delta reads as u^(e - size), rewritten exactly in powers of z = u - u^(-1).
+of Delta reads as u^(e - size), rewritten exactly in powers of z = u - u^(-1)
+by the binomial expansion of z^d.  A failed route check here is an
+``AssertionError``, as in ``families`` and ``casework``.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import comb, prod
 from typing import NamedTuple
 
 from .families import FamilyError, check_twists, load_family
 from .laurent import HalfLaurent
 from .multipoly import MultiPoly, affine_values
-
-
-class SeifertError(ValueError):
-    pass
 
 
 class SeifertTemplate(NamedTuple):
@@ -134,25 +132,21 @@ def _rewrite_in_z(laurent: dict) -> dict:
     """Rewrite {exponent of u: coefficient}, u = t^(1/2), as {d: coefficient
     of z^d} with z = u - u^(-1); exact, and the remainder must vanish.
 
-    c z^d is formed from c by d rounds of shift-and-subtract, so coefficients
-    need only ``+`` and ``-`` (int, Fraction or MultiPoly alike).
+    The top term c u^d is taken off as c z^d by the binomial expansion
+    z^d = sum_j (-1)^j C(d, j) u^(d - 2j), so coefficients need only ``+``,
+    ``-`` and int scaling (int, Fraction or MultiPoly alike).
     """
     rest = {e: c for e, c in laurent.items() if c}
     out = {}
     while rest:
         d = max(rest)
         if d < 0:
-            raise SeifertError("rewrite in z left negative-degree remainder")
+            raise AssertionError("rewrite in z left negative-degree remainder")
         c = out[d] = rest[d]
-        term = {0: c}
-        for _ in range(d):
-            step = {}
-            for e, x in term.items():
-                step[e + 1] = step[e + 1] + x if e + 1 in step else x
-                step[e - 1] = step[e - 1] - x if e - 1 in step else -x
-            term = step
-        for e, x in term.items():
-            left = rest[e] - x if e in rest else -x
+        signed = (-c, c)   # subtracting (-1)^j C(d, j) c adds C(d, j) signed[j % 2]
+        for j in range(d + 1):
+            e, x = d - 2 * j, comb(d, j) * signed[j % 2]
+            left = rest[e] + x if e in rest else x
             if left:
                 rest[e] = left
             else:
@@ -200,7 +194,7 @@ def alexander_poly(tpl: SeifertTemplate, twists) -> HalfLaurent:
     must be a unit at t = 1."""
     delta = _packed_delta(tpl.instantiate(twists))
     if delta.eval_at_one() not in (1, -1):
-        raise SeifertError(f"Alexander value at 1 is {delta.eval_at_one()}, not a unit")
+        raise AssertionError(f"Alexander value at 1 is {delta.eval_at_one()}, not a unit")
     return delta
 
 
@@ -225,9 +219,9 @@ def conway_poly(tpl: SeifertTemplate, twists) -> ConwaySeries:
         return ConwaySeries(1, 0, 0, 0)
     z_coeffs = _conway(delta, len(tpl.entries))
     if any(d % 2 for d in z_coeffs):
-        raise SeifertError("odd z-powers in a knot Conway polynomial")
+        raise AssertionError("odd z-powers in a knot Conway polynomial")
     if z_coeffs.get(0, 0) != 1:
-        raise SeifertError(f"Conway normalization is {z_coeffs.get(0, 0)}, not 1")
+        raise AssertionError(f"Conway normalization is {z_coeffs.get(0, 0)}, not 1")
     return ConwaySeries(1, z_coeffs.get(2, 0), z_coeffs.get(4, 0), z_coeffs.get(6, 0))
 
 

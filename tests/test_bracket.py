@@ -134,6 +134,12 @@ def test_pd_parse_rejects_bad_codes():
         jones_from_pd(PDCode(((1, 2, 3, 4),), (3,)))  # arcs appear once
 
 
+def test_bracket_validates_its_code():
+    # four open arcs: the state sum itself refuses the code, not only its callers
+    with pytest.raises(PDError, match="open strand ends"):
+        kauffman_bracket(PDCode(((1, 2, 3, 4),), (3,)))
+
+
 # each family's diagram at unit twists and all-plus signs; 8_12 is drawn with
 # 10_58's disk layout
 BASE_PD_7_6 = PDCode(((3, 4, 2, 1), (6, 7, 5, 2), (7, 6, 8, 9), (10, 11, 9, 5),

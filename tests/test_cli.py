@@ -217,6 +217,35 @@ def test_integer_text_that_is_not_plain_digits_exits_2(where, text, monkeypatch,
     assert err.startswith(f"error: {where}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["--twists", "--range", "TWISTKNOTS_WORKERS", "--signs",
+                                   "--case"])
+def test_an_over_long_value_gets_a_short_error_line(where, monkeypatch, capsys):
+    """An error line quotes at most a prefix of the outside text it refuses,
+    and the text's length."""
+    text = ("9" if where in ("--twists", "--range", "TWISTKNOTS_WORKERS") else "+") * 5001
+    monkeypatch.setenv("TWISTKNOTS_WORKERS", text if where == "TWISTKNOTS_WORKERS" else "1")
+    argv = {"--twists": ["check", "--family", "7_6", "--signs", "++-+-", "--twists", text],
+            "--range": ["sweep", "--family", "8_12", "--range", text],
+            "TWISTKNOTS_WORKERS": ["sweep", "--family", "8_12", "--range", "2"],
+            "--signs": ["jones", "--family", "7_6", "--signs", text, "--twists", "1,1,1,1,1"],
+            "--case": ["verify-paper", "--family", "8_12", "--case", text]}[where]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("... (5001 characters)\n") and len(err.encode()) <= 200, err
+
+
+def test_sweep_checks_its_range_before_starting_a_pool():
+    probe = ("import sys; from twistknots.cli import main; code = main(sys.argv[1:]); "
+             "print('multiprocessing.pool' in sys.modules); sys.exit(code)")
+    out = subprocess.run([sys.executable, "-c", probe, "sweep", "--family", "8_12", "--range", "1"],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC, "TWISTKNOTS_WORKERS": "2"})
+    assert out.returncode == 2
+    assert out.stderr == "error: need a range of at least 2 for meaningful coverage\n"
+    assert out.stdout == "False\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-paper", "--family", "8_12", "--case="],
     ["crosscheck", "--family", "8_12", "--signs=", "--twists="],
@@ -413,10 +442,9 @@ def test_bad_seifert_entry_exits_2(monkeypatch, capsys, entry, message):
 
 def test_internal_error_exits_1(monkeypatch, capsys):
     import twistknots.obstruction as obstruction
-    from twistknots.seifert import SeifertError
 
     def broken(tpl, n):
-        raise SeifertError("Alexander value at 1 is 3, not a unit")
+        raise AssertionError("Alexander value at 1 is 3, not a unit")
 
     monkeypatch.setattr(obstruction, "conway_poly", broken)
     code = main(["check", "--family", "7_6", "--signs", "++-+-",

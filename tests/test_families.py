@@ -235,7 +235,7 @@ def _with_term(form: tuple, extra) -> tuple:
 
 @pytest.mark.parametrize("extra, error, match", [
     (lambda e: e + 2 - e % 2, AssertionError, r"not divisible by 1 \+ t"),   # an integral power
-    (lambda e: e + 1 + e % 2, FamilyError, "not knot-valued"),              # a half-integral one
+    (lambda e: e + 1 + e % 2, AssertionError, "not knot-valued"),           # a half-integral one
 ], ids=["integral", "half_integral"])
 def test_assembly_rejects_a_changed_t_form(monkeypatch, extra, error, match):
     spec = SEVEN.with_signs("++-+-")
@@ -249,6 +249,19 @@ def test_assembly_rejects_a_changed_t_form(monkeypatch, extra, error, match):
             with pytest.raises(error, match=match):
                 assemble_jones(spec, n)
     assert assemble_jones(spec, n) == HalfLaurent.one()
+
+
+def test_check_reports_a_half_integral_assembly_as_failed(monkeypatch, capsys):
+    """A T-form that assembles to half-integral powers is a wrong family, so
+    ``check`` fails the verification (exit 1); the user's input was valid."""
+    from twistknots.cli import main
+
+    original = families.t_form
+    monkeypatch.setattr(families, "t_form",
+                        lambda spec: _with_term(original(spec), lambda e: e + 1 + e % 2))
+    assert main(["check", "--family", "7_6", "--signs", "++-+-", "--twists", "1,2,1,3,2"]) == 1
+    assert capsys.readouterr() == (
+        "", "verification failed: assembled Jones polynomial is not knot-valued\n")
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 
 from helpers import substitute
+from twistknots.laurent import HalfLaurent
 from twistknots.multipoly import ExprError, MultiPoly, parse_poly
 
 ABC = ("a", "b", "c")
@@ -244,3 +245,15 @@ def test_symbolic_set_up_has_no_integral_fraction():
 def test_arity_is_checked():
     with pytest.raises(ValueError):
         MultiPoly(ABC, {(1, 0): 1})
+
+
+@given(st.dictionaries(st.integers(min_value=0, max_value=6),
+                       st.fractions(min_value=-5, max_value=5), max_size=5),
+       st.one_of(st.integers(min_value=-4, max_value=4), st.fractions(min_value=-3, max_value=3)))
+@example({0: -1, 1: 1, 2: Fraction(-1, 2), 5: 3}, Fraction(2, 3))
+def test_one_printer_for_both_polynomial_kinds(coeffs, k):
+    """A polynomial in t with integral powers >= 0 prints the same text as a
+    ``MultiPoly`` and as a ``HalfLaurent``, and left scaling is ``scale``."""
+    p = MultiPoly(("t",), {(d,): c for d, c in coeffs.items()})
+    assert p.format() == HalfLaurent({2 * d: c for d, c in coeffs.items()}).format()
+    assert k * p == p.scale(k)
