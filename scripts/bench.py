@@ -70,11 +70,10 @@ Rows:
 
 Each ``cli.*`` and ``python.start`` row starts ``CLI_RUNS`` processes one
 after another (``python3 -m twistknots.cli`` for the commands), with
-``--src`` as ``PYTHONPATH`` and ``TWISTKNOTS_WORKERS`` unset; ``s`` is the
-median wall time, not normalised, since the speed probe runs in this process
-and cannot be taken out of a child's time.  One process's time moves by
-10-30 % on a shared machine, so a row takes the median of 11.  The ``tier1``
-row is timed the same way, once.
+``--src`` as ``PYTHONPATH``; ``s`` is the median wall time, not normalised,
+since the speed probe runs in this process and cannot be taken out of a
+child's time.  One process's time moves by 10-30 % on a shared machine, so a
+row takes the median of 11.  The ``tier1`` row is timed the same way, once.
 
 Every timed run of a symbolic-case, sweep or paper-case row starts with empty
 ``casework.symbolic_case`` and ``casework._formula_checks`` memos, so each run
@@ -383,10 +382,8 @@ def bracket_rows() -> dict:
 
 
 def child_env(src: Path) -> dict:
-    """This process's environment with src as PYTHONPATH and no workers."""
-    env = {k: v for k, v in os.environ.items() if k != "TWISTKNOTS_WORKERS"}
-    env["PYTHONPATH"] = str(src)
-    return env
+    """This process's environment with src as PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": str(src)}
 
 
 def process_row(src: Path, *argv: str) -> dict:

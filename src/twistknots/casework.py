@@ -57,15 +57,14 @@ memos hold tuples.  ``load_registry`` is memoised per family and read-only.
 from __future__ import annotations
 
 import json
-import os
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from importlib import resources
 from itertools import product, repeat
 from math import lcm, prod
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
-from .families import FamilySpec, load_family, parse_ints, quoted, symbolic_derivs
+from .families import FamilySpec, load_family, symbolic_derivs
 from .laurent import HalfLaurent
 from .multipoly import ExprError, MultiPoly, affine_values, parse_poly
 from .obstruction import GATE_ORDER, ObstructionVerdict, instance_verdict
@@ -76,7 +75,7 @@ ALL_CASES = ["".join(p) for p in product("+-", repeat=5)]
 
 class SweepConfig(NamedTuple):
     family: str
-    n_range: int = 4                  # at least 2, which check_range checks
+    n_range: int = 4                  # at least 2, which sweep_case checks
     use_root5: bool = False
 
 
@@ -353,7 +352,7 @@ def verify_paper_case(family: str, signs: str,
                       registry: Optional[CaseRegistry] = None) -> list[dict]:
     """The ``formula_records`` of a case that ``registry`` (default: the shipped one) lists."""
     if signs not in (registry or load_registry(family)).cases:
-        raise KeyError(f"no registered formulas for {family} {signs}")
+        raise ValueError(f"no registered formulas for {family} {signs}")
     return formula_records(family, signs)
 
 
@@ -505,17 +504,12 @@ def _gate_loop(gates: list[MultiPoly], axis: range) -> tuple[list[int], list[tup
             sorted(tuple(p[j] for j in back) for p in survivors))
 
 
-def check_range(cfg: SweepConfig) -> None:
-    """A ``ValueError`` unless the twist box is at least 2 on a side."""
-    if cfg.n_range < 2:
-        raise ValueError("need a range of at least 2 for meaningful coverage")
-
-
 def sweep_case(cfg: SweepConfig, signs: str,
                registry: Optional[CaseRegistry] = None) -> CaseReport:
     """One sign case's gate histogram, exceptions and formula checks;
     ``registry`` is unused, the checks come from ``formula_records``."""
-    check_range(cfg)
+    if cfg.n_range < 2:
+        raise ValueError("need a range of at least 2 for meaningful coverage")
     sym = symbolic_case(cfg.family, signs)
     spec = sym.spec
     exceptions: list[ObstructionVerdict] = []
@@ -544,19 +538,7 @@ def sweep_case(cfg: SweepConfig, signs: str,
 
 
 def sweep(cfg: SweepConfig) -> list[CaseReport]:
-    """All 32 sign cases; deterministic order and content.  The range is
-    checked before the worker count is read, so a bad range starts no pool."""
-    check_range(cfg)
-    text = os.environ.get("TWISTKNOTS_WORKERS", "1")
-    message = f"TWISTKNOTS_WORKERS must be a positive integer, got {quoted(text)}"
-    (workers,) = parse_ints([text], message)
-    if workers < 1:
-        raise ValueError(message)
-    workers = min(workers, len(ALL_CASES))
-    if workers > 1:
-        import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
-            return pool.map(partial(sweep_case, cfg), ALL_CASES)
+    """All 32 sign cases; deterministic order and content."""
     return [sweep_case(cfg, s) for s in ALL_CASES]
 
 

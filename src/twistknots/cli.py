@@ -2,7 +2,6 @@
 
 Subcommands: jones, alexander, check, sweep, verify-paper, crosscheck.
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage/config error.
-Set TWISTKNOTS_WORKERS to parallelize sweeps over sign cases.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .families import (FAMILIES, FamilyError, check_twists, jones_derivs, load_family,
+from .families import (FAMILIES, check_twists, jones_derivs, load_family,
                        parse_ints, parse_signs, quoted)
 from .obstruction import instance_id, instance_verdict
 from .seifert import alexander_poly, conway_poly, template_for
@@ -229,9 +228,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except AssertionError as exc:
         return _verification_failed(exc)
-    except (FamilyError, ValueError, KeyError) as exc:
-        # str() of a KeyError is the repr of its argument, quotes and all
-        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+    except ValueError as exc:   # FamilyError, RegistryError and ExprError among them
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:   # an --output file that cannot be written; names its path
         print(f"error: {exc}", file=sys.stderr)

@@ -144,10 +144,9 @@ def quoted(text: str) -> str:
 
 
 def parse_ints(fields, error: str) -> tuple[int, ...]:
-    """Integer text, the one reader of it for family files, flags and the
-    environment: each field, stripped of surrounding whitespace, must be plain
-    ASCII decimal digits that ``int`` converts, or ``error`` is raised as a
-    ``FamilyError``."""
+    """Integer text, the one reader of it for family files and flags: each
+    field, stripped of surrounding whitespace, must be plain ASCII decimal
+    digits that ``int`` converts, or ``error`` is raised as a ``FamilyError``."""
     fields = [v.strip() for v in fields]
     if all(v.isascii() and v.isdigit() for v in fields):
         try:
@@ -575,8 +574,8 @@ def assemble_jones(spec: FamilySpec, twists) -> HalfLaurent:
     lo = min(starts)
     size = max(map(add, at, lasts)) - lo + 1
     if size > MAX_DENSE:
-        raise FamilyError(f"twists {n} span {size} doubled exponents, "
-                          f"over the assembly limit of {MAX_DENSE}")
+        raise FamilyError(f"twists span more doubled exponents than the assembly "
+                          f"limit of {MAX_DENSE}")
     low = -2 * signs.count(-1)   # the lowest doubled exponent of prod_i (1 + t^(s_i))
     # a lowest start that one c_m alone reaches cannot cancel, so V = 1 then
     # needs lo = low; this spares large instances the packed sum

@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 import shutil
 import subprocess
@@ -181,18 +180,9 @@ def test_verify_paper_fault_in_a_later_case_prints_nothing(tmp_path):
     assert not report.exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "", "2.5", "0", "-2"])
-def test_bad_worker_count_exits_2(value, monkeypatch, capsys):
-    monkeypatch.setenv("TWISTKNOTS_WORKERS", value)
-    assert main(["sweep", "--family", "8_12", "--range", "2"]) == 2
-    out, err = capsys.readouterr()
-    assert (out, err) == ("", f"error: TWISTKNOTS_WORKERS must be a positive integer, "
-                              f"got {value!r}\n")
-
-
 @pytest.mark.parametrize("text", ["1_0", "+1", "\u0661", "2.0", "9" * 5001],
                          ids=lambda t: f"{len(t)}-digits" if len(t) > 9 else ascii(t))
-@pytest.mark.parametrize("where", ["--twists", "--range", "--budget", "TWISTKNOTS_WORKERS"])
+@pytest.mark.parametrize("where", ["--twists", "--range", "--budget"])
 def test_integer_text_that_is_not_plain_digits_exits_2(where, text, monkeypatch, capsys):
     """int() reads '1_0' as 10 and '+1' and the Arabic-Indic '\u0661' as 1,
     and refuses more than 4,300 digits with a message of its own; the CLI
@@ -202,31 +192,25 @@ def test_integer_text_that_is_not_plain_digits_exits_2(where, text, monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("worked on malformed integer text")
 
-    for module, name in ((casework, "sweep_case"), (multiprocessing, "Pool"),
-                         (diagrams, "crosscheck")):
+    for module, name in ((casework, "sweep_case"), (diagrams, "crosscheck")):
         monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setenv("TWISTKNOTS_WORKERS", text if where == "TWISTKNOTS_WORKERS" else "1")
     argv = {"--twists": ["check", "--family", "7_6", "--signs", "++-+-",
                          "--twists", f"{text},2,1,1,1"],
             "--range": ["sweep", "--family", "8_12", "--range", text],
-            "--budget": ["crosscheck", "--family", "8_12", "--budget", text],
-            "TWISTKNOTS_WORKERS": ["sweep", "--family", "8_12", "--range", "2"]}[where]
+            "--budget": ["crosscheck", "--family", "8_12", "--budget", text]}[where]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {where}") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("where", ["--twists", "--range", "TWISTKNOTS_WORKERS", "--signs",
-                                   "--case"])
-def test_an_over_long_value_gets_a_short_error_line(where, monkeypatch, capsys):
+@pytest.mark.parametrize("where", ["--twists", "--range", "--signs", "--case"])
+def test_an_over_long_value_gets_a_short_error_line(where, capsys):
     """An error line quotes at most a prefix of the outside text it refuses,
     and the text's length."""
-    text = ("9" if where in ("--twists", "--range", "TWISTKNOTS_WORKERS") else "+") * 5001
-    monkeypatch.setenv("TWISTKNOTS_WORKERS", text if where == "TWISTKNOTS_WORKERS" else "1")
+    text = ("9" if where in ("--twists", "--range") else "+") * 5001
     argv = {"--twists": ["check", "--family", "7_6", "--signs", "++-+-", "--twists", text],
             "--range": ["sweep", "--family", "8_12", "--range", text],
-            "TWISTKNOTS_WORKERS": ["sweep", "--family", "8_12", "--range", "2"],
             "--signs": ["jones", "--family", "7_6", "--signs", text, "--twists", "1,1,1,1,1"],
             "--case": ["verify-paper", "--family", "8_12", "--case", text]}[where]
     assert main(argv) == 2
@@ -235,12 +219,26 @@ def test_an_over_long_value_gets_a_short_error_line(where, monkeypatch, capsys):
     assert err.endswith("... (5001 characters)\n") and len(err.encode()) <= 200, err
 
 
-def test_sweep_checks_its_range_before_starting_a_pool():
+def test_sweep_runs_in_one_process_whatever_the_environment():
+    """sweep reads no environment variable: TWISTKNOTS_WORKERS, set to a count
+    or to text, leaves its output as it is and loads no ``multiprocessing``,
+    and a range below 2 still exits 2."""
     probe = ("import sys; from twistknots.cli import main; code = main(sys.argv[1:]); "
-             "print('multiprocessing.pool' in sys.modules); sys.exit(code)")
-    out = subprocess.run([sys.executable, "-c", probe, "sweep", "--family", "8_12", "--range", "1"],
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": SRC, "TWISTKNOTS_WORKERS": "2"})
+             "print('multiprocessing' in sys.modules); sys.exit(code)")
+    plain = {k: v for k, v in os.environ.items() if k != "TWISTKNOTS_WORKERS"}
+
+    def run(box, **env):
+        return subprocess.run([sys.executable, "-c", probe, "sweep", "--family", "8_12",
+                               "--range", box], capture_output=True, text=True,
+                              env={**plain, "PYTHONPATH": SRC, **env})
+
+    base = run("2")
+    assert (base.returncode, base.stderr) == (0, "")
+    assert base.stdout.endswith("\nFalse\n")
+    for value in ("2", "abc"):
+        out = run("2", TWISTKNOTS_WORKERS=value)
+        assert (out.returncode, out.stdout, out.stderr) == (0, base.stdout, ""), value
+    out = run("1", TWISTKNOTS_WORKERS="2")
     assert out.returncode == 2
     assert out.stderr == "error: need a range of at least 2 for meaningful coverage\n"
     assert out.stdout == "False\n"
@@ -357,7 +355,7 @@ def test_batch_commands_leave_out_dataclasses():
                      "--twists", "1,1,1,1,1"]):
         out = subprocess.run([sys.executable, "-c", probe, *command],
                              capture_output=True, text=True, check=True,
-                             env={**os.environ, "PYTHONPATH": SRC, "TWISTKNOTS_WORKERS": "1"})
+                             env={**os.environ, "PYTHONPATH": SRC})
         assert out.stdout.splitlines()[-1] == "[]", command[0]
 
 
@@ -474,6 +472,19 @@ def test_case_with_leading_minus(capsys):
     assert capsys.readouterr() == joined
 
 
+def test_a_key_error_in_a_command_is_not_a_usage_error(monkeypatch):
+    """Only a ValueError is an input error; a KeyError inside a command is a
+    fault of the program and propagates out of ``main`` rather than exit 2."""
+    from twistknots import cli
+
+    def lookup(*args):
+        raise KeyError("missing variable 'a'")
+
+    monkeypatch.setattr(cli, "jones_derivs", lookup)
+    with pytest.raises(KeyError, match="missing variable"):
+        main(["jones", "--family", "7_6", "--signs", "++-+-", "--twists", "1,1,1,1,1"])
+
+
 def test_unregistered_case_exits_2_unquoted(monkeypatch, capsys):
     # every shipped registry lists all 32 cases, so take one out of 7_6's
     real = casework.load_registry("7_6")
@@ -513,6 +524,17 @@ def test_oversized_twists_exit_2(command, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f"limit of {MAX_DENSE}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["check", "jones"])
+def test_assembly_limit_error_line_is_short(command, capsys):
+    """A valid twist of 4,000 digits is refused by the assembly limit in one
+    short error line, which names neither the twists nor their span."""
+    assert main([command, "--family", "7_6", "--signs", "++-+-",
+                 "--twists", "9" * 4000 + ",1,1,1,1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) <= 200, err
 
 
 def test_alexander_takes_oversized_twists(capsys):
